@@ -34,6 +34,7 @@ from .fk import (
     TailFit,
     bernoulli_bonds,
     close_edges,
+    cluster_labels,
     decompose,
     event_D_n,
     event_Q_N,

@@ -13,8 +13,11 @@ import math
 import numpy as np
 
 from .lattice import BoxGeometry, build_box, dual_geometry
-from .ising import SpinConfig, IsingParams, exact_ising_distribution, enumerate_plus_configs
-from .fk import BondConfig, FKParams, decompose, exact_fk_distribution
+from .ising import SpinConfig, exact_ising_distribution
+from .fk import (
+    BondConfig, ClusterDecomposition, FKParams, cluster_spins, enumerate_bond_configs,
+    exact_fk_distribution,
+)
 
 
 def t_to_p(t: float) -> float:
@@ -59,12 +62,7 @@ def es_fk_to_ising(omega: BondConfig, rng: np.random.Generator) -> SpinConfig:
     """Spin half of the coupling: boundary-touching clusters take the plus
     sign, interior clusters draw independent fair signs (in cluster-id
     order, one draw per interior cluster)."""
-    dec = decompose(omega)
-    signs = np.ones(dec.n_clusters, dtype=np.int8)
-    ids = dec.interior_cluster_ids
-    if ids.size:
-        signs[ids] = (2 * rng.integers(0, 2, size=ids.size) - 1).astype(np.int8)
-    return SpinConfig(omega.g, signs[dec.labels])
+    return SpinConfig(omega.g, cluster_spins(omega, rng, wired=True))
 
 
 def es_ising_to_fk(config: SpinConfig, t: float, rng: np.random.Generator) -> BondConfig:
@@ -102,21 +100,20 @@ def es_spin_pushforward(g: BoxGeometry | int, t: float) -> dict[bytes, float]:
         g = build_box(int(g))
     fk = exact_fk_distribution(g, FKParams(t_to_p(t), 2.0, 1))
     out: dict[bytes, float] = {}
-    for mask in range(fk.probs.size):
-        pr = float(fk.probs[mask])
-        if pr == 0.0:
-            continue
-        dec = decompose(BondConfig.from_bitmask(g, mask))
-        ids = dec.interior_cluster_ids
-        base = np.ones(dec.n_clusters, dtype=np.int8)
-        share = pr / (1 << ids.size)
-        for choice in range(1 << ids.size):
-            signs = base.copy()
-            for i in range(ids.size):
-                if (choice >> i) & 1:
-                    signs[ids[i]] = -1
-            key = signs[dec.labels].tobytes()
-            out[key] = out.get(key, 0.0) + share
+    for start, _, labels in enumerate_bond_configs(g):
+        for row, pr in enumerate(fk.probs[start:start + len(labels)].tolist()):
+            if pr == 0.0:
+                continue
+            dec = ClusterDecomposition(g, labels[row])
+            ids = dec.interior_cluster_ids
+            share = pr / (1 << ids.size)
+            # sign choice c flips interior cluster ids[i] when bit i of c is set
+            bits = (np.arange(1 << ids.size)[:, None] >> np.arange(ids.size)) & 1
+            signs = np.ones((bits.shape[0], dec.n_clusters), dtype=np.int8)
+            signs[:, ids] = 1 - 2 * bits
+            for spins in signs[:, dec.labels]:
+                key = spins.tobytes()
+                out[key] = out.get(key, 0.0) + share
     return out
 
 

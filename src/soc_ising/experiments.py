@@ -112,8 +112,8 @@ class ExperimentConfig:
             raise ValueError("t: temperature must be >= 0")
         if self.p is not None and not 0.0 <= self.p <= 1.0:
             raise ValueError("p: bond density must lie in [0, 1]")
-        if self.q <= 0:
-            raise ValueError("q: cluster weight must be positive")
+        if self.q < 1:
+            raise ValueError("q: cluster weight must be >= 1")
         if self.bc not in (0, 1):
             raise ValueError("bc: 0 (free) or 1 (wired)")
         if self.method not in ("sw", "single-bond"):
@@ -122,6 +122,15 @@ class ExperimentConfig:
             raise ValueError("tau, total, thin, samples must be >= 1")
         if self.burn_in < -1:
             raise ValueError("burn_in: -1 (auto) or >= 0")
+        # runs with no record after burn-in have no statistics to report
+        records = {"soc-run": self.total // self.tau,
+                   "soc-compare": self.total}.get(self.command)
+        if records == 0:
+            raise ValueError("total: soc-run records once per tau sweeps, "
+                             "so total must be >= tau")
+        if records is not None and self.burn_in >= records:
+            raise ValueError(f"burn_in: must be below the {records} records "
+                             f"of this {self.command}")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed: a 64-bit unsigned integer")
         if self.snapshot_every < 0:
@@ -240,13 +249,6 @@ def chain_rng(seed: int, chain_id: int) -> np.random.Generator:
 
 def _auto(burn_in: int, default: int) -> int:
     return default if burn_in < 0 else burn_in
-
-
-def _mean_var(xs) -> tuple[float, float]:
-    arr = np.asarray(xs, dtype=np.float64)
-    if arr.size == 0:
-        return math.nan, math.nan
-    return float(arr.mean()), float(arr.var())
 
 
 def wilson_interval(hits: int, n: int, z: float = 1.96) -> tuple[float, float]:
@@ -459,14 +461,9 @@ def _run_enumerate(cfg: ExperimentConfig):
         raise ValueError("variant: 'mu' or 'mu-prime'")
     g = build_box(n)
     mu = exact_mu_n(g, cfg.a) if variant == "mu" else exact_mu_prime(g, cfg.a)
-    ea, eb = g.edge_a, g.edge_b
     cols = ["index", "m", "T", "energy", "prob"]
-    rows = []
-    for i in range(len(mu.mags)):
-        s = mu.spins[i]
-        energy = -float((s[ea] * s[eb]).sum())
-        rows.append([i, int(mu.mags[i]), float(mu.temps[i]), energy,
-                     float(mu.probs[i])])
+    rows = [[i, int(mu.mags[i]), float(mu.temps[i]), float(mu.energies[i]),
+             float(mu.probs[i])] for i in range(len(mu.mags))]
     return cols, rows, {
         "n": n,
         "a": cfg.a,
@@ -610,7 +607,8 @@ def _jsonable(obj):
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
-        return float(obj)
+        # strict JSON has no NaN or infinity
+        return float(obj) if math.isfinite(obj) else None
     return obj
 
 
@@ -649,7 +647,8 @@ def run(cfg: ExperimentConfig) -> dict:
                 writer.writerow([_csv_cell(x) for x in row])
         with open(paths["summary"], "w", encoding="utf-8") as fh:
             written.append(paths["summary"])
-            json.dump(_jsonable(summary), fh, indent=2, sort_keys=True)
+            json.dump(_jsonable(summary), fh, indent=2, sort_keys=True,
+                      allow_nan=False)
             fh.write("\n")
     except BaseException:
         for path in written:

@@ -3,9 +3,10 @@ samplers, cluster events.
 
 Bond configurations live on the box edge list (1 = open).  Free boundary
 counts every open cluster; wired counts all boundary-touching vertices as a
-single cluster.  Cluster decompositions are computed by union-find and carry
-the observables used throughout: boundary-connected set, interior cluster
-sizes, singleton counts.
+single cluster.  `cluster_labels` is the one routine that labels clusters
+from bonds, for one configuration or a stack of them; cluster
+decompositions built on it carry the observables used throughout:
+boundary-connected set, interior cluster sizes, singleton counts.
 """
 
 import math
@@ -92,33 +93,6 @@ def close_edges(omega: BondConfig, edge_ids) -> BondConfig:
     return BondConfig(omega.g, bonds)
 
 
-class DisjointSet:
-    """Union-find over 0..n-1 with path compression and union by size."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, v: int) -> int:
-        parent = self.parent
-        root = v
-        while parent[root] != root:
-            root = parent[root]
-        while parent[v] != root:
-            parent[v], v = root, parent[v]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        return True
-
-
 class ClusterDecomposition:
     """Connected components of the open subgraph, with the derived counts.
 
@@ -193,24 +167,41 @@ class ClusterDecomposition:
         return out
 
 
-def decompose(omega: BondConfig) -> ClusterDecomposition:
-    """Cluster decomposition of the open subgraph (union-find)."""
-    g = omega.g
+def cluster_labels(g: BoxGeometry, bonds) -> np.ndarray:
+    """Cluster ids of every vertex for one bond configuration (shape (E,))
+    or for M of them (shape (M, E)); returns shape (M, n*n).
+
+    The rows form one block-diagonal graph.  Each open edge hooks the larger
+    of its two roots under the smaller (np.minimum.at), then pointer jumping
+    flattens the forest, until every open edge joins a single root.  Parents
+    only decrease, so each root is the smallest vertex of its cluster, and
+    ranking the roots row by row numbers the clusters of a row by first
+    appearance in vertex order (the Hoshen-Kopelman numbering).
+    """
+    rows = np.atleast_2d(bonds)
     nsq = g.n * g.n
-    ds = DisjointSet(nsq)
-    open_ids = np.flatnonzero(omega.bonds)
-    ea = g.edge_a[open_ids].tolist()
-    eb = g.edge_b[open_ids].tolist()
-    for a, b in zip(ea, eb):
-        ds.union(a, b)
-    labels = np.empty(nsq, dtype=np.int64)
-    seen: dict[int, int] = {}
-    for v in range(nsq):
-        r = ds.find(v)
-        if r not in seen:
-            seen[r] = len(seen)
-        labels[v] = seen[r]
-    return ClusterDecomposition(g, labels)
+    r, e = rows.nonzero()
+    offset = r * nsq
+    # every vertex starts as its own root, and edge_a < edge_b
+    a = lo = g.edge_a[e] + offset
+    b = hi = g.edge_b[e] + offset
+    parent = np.arange(rows.shape[0] * nsq)
+    while a.size:
+        np.minimum.at(parent, hi, lo)
+        up = parent[parent]
+        while (up != parent).any():
+            parent, up = up, up[up]
+        ra, rb = parent[a], parent[b]
+        split = ra != rb
+        a, b, ra, rb = a[split], b[split], ra[split], rb[split]
+        lo, hi = np.minimum(ra, rb), np.maximum(ra, rb)
+    rank = (parent == np.arange(parent.size)).cumsum() - 1
+    return rank[parent].reshape(-1, nsq) - rank[::nsq, None]
+
+
+def decompose(omega: BondConfig) -> ClusterDecomposition:
+    """Cluster decomposition of the open subgraph."""
+    return ClusterDecomposition(omega.g, cluster_labels(omega.g, omega.bonds)[0])
 
 
 def fk_weight(omega: BondConfig, params: FKParams) -> float:
@@ -243,64 +234,65 @@ class FKDistribution:
         return float(p[:, 1, :].sum())
 
 
-def _component_counts(g: BoxGeometry, mask: int, ea, eb) -> tuple[int, int]:
-    """(k0, k1) for the open set given as a bitmask."""
-    nsq = g.n * g.n
-    parent = list(range(nsq + 1))
+# rows per block when every bond configuration of a box is labelled
+_CHUNK = 1024
 
-    def find(v):
-        root = v
-        while parent[root] != root:
-            root = parent[root]
-        while parent[v] != root:
-            parent[v], v = root, parent[v]
-        return root
 
-    unions0 = 0
-    m = mask
-    e = 0
-    while m:
-        if m & 1:
-            ra, rb = find(ea[e]), find(eb[e])
-            if ra != rb:
-                parent[rb] = ra
-                unions0 += 1
-        m >>= 1
-        e += 1
-    k0 = nsq - unions0
-    # glue the boundary into the virtual vertex nsq
-    unions1 = 0
-    for v in g.boundary_ids:
-        ra, rb = find(int(v)), find(nsq)
-        if ra != rb:
-            parent[rb] = ra
-            unions1 += 1
-    k1 = (nsq + 1) - unions0 - unions1
-    return k0, k1
+def enumerate_bond_configs(g: BoxGeometry):
+    """All 2^E bond configurations in bitmask order (bit e = edge e), in
+    blocks of at most _CHUNK rows.  Yields (first mask, bonds, labels)."""
+    ne = g.n_edges
+    for start in range(0, 1 << ne, _CHUNK):
+        masks = np.arange(start, min(start + _CHUNK, 1 << ne))
+        bonds = ((masks[:, None] >> np.arange(ne)) & 1).astype(np.uint8)
+        yield start, bonds, cluster_labels(g, bonds)
 
 
 def exact_fk_distribution(g: BoxGeometry | int, params: FKParams) -> FKDistribution:
     """Exact finite-volume law by enumerating all bond configurations.
 
-    Supported up to 24 edges (side 4); the side-4 table takes minutes and
-    ~134 MB, tests stay at side <= 3.
+    Supported up to 24 edges (side 4); the side-4 table takes under a minute
+    and ~134 MB, tests stay at side <= 3.
     """
     if isinstance(g, (int, np.integer)):
         g = build_box(int(g))
     ne = g.n_edges
     if ne > 24:
         raise ValueError("exact enumeration limited to <= 24 edges (side <= 4)")
-    ea = g.edge_a.tolist()
-    eb = g.edge_b.tolist()
-    p, q, bc = params.p, params.q, params.bc
+    p, q = params.p, params.q
+    # per-count factors; each weight is q^k * p^o * (1-p)^(E-o), in that order
+    q_pow = np.array([q ** k for k in range(g.n * g.n + 1)])
+    p_pow = np.array([p ** o for o in range(ne + 1)])
+    c_pow = np.array([(1.0 - p) ** (ne - o) for o in range(ne + 1)])
     weights = np.empty(1 << ne, dtype=np.float64)
-    for mask in range(1 << ne):
-        o = mask.bit_count()
-        k0, k1 = _component_counts(g, mask, ea, eb)
-        k = k1 if bc == 1 else k0
-        weights[mask] = (q ** k) * (p ** o) * ((1.0 - p) ** (ne - o))
+    for start, bonds, labels in enumerate_bond_configs(g):
+        k = labels.max(axis=1) + 1
+        if params.bc == 1:
+            # boundary-touching clusters merge into one
+            touched = np.zeros(labels.shape, dtype=bool)
+            touched[np.arange(len(labels))[:, None], labels[:, g.boundary_ids]] = True
+            k += 1 - touched.sum(axis=1)
+        o = bonds.sum(axis=1)
+        weights[start:start + len(o)] = q_pow[k] * p_pow[o] * c_pow[o]
     z = float(weights.sum())
-    return FKDistribution(g=g, params=params, probs=weights / z, z=z)
+    weights /= z
+    return FKDistribution(g=g, params=params, probs=weights, z=z)
+
+
+def cluster_spins(omega: BondConfig, rng: np.random.Generator, wired: bool) -> np.ndarray:
+    """Spins constant on each cluster of omega: fair signs drawn in
+    cluster-id order, except that under the wired condition the
+    boundary-touching clusters take the plus sign and draw nothing."""
+    labels = cluster_labels(omega.g, omega.bonds)[0]
+    k = int(labels.max()) + 1
+    signs = np.ones(k, dtype=np.int8)
+    draw = np.ones(k, dtype=bool)
+    if wired:
+        draw[labels[omega.g.boundary_ids]] = False
+    n_draw = int(draw.sum())
+    if n_draw:
+        signs[draw] = (2 * rng.integers(0, 2, size=n_draw) - 1).astype(np.int8)
+    return signs[labels]
 
 
 def swendsen_wang_step(omega: BondConfig, params: FKParams, rng: np.random.Generator) -> BondConfig:
@@ -315,16 +307,7 @@ def swendsen_wang_step(omega: BondConfig, params: FKParams, rng: np.random.Gener
     if params.q != 2:
         raise ValueError("cluster step is specific to q = 2")
     g = omega.g
-    dec = decompose(omega)
-    k = dec.n_clusters
-    if params.bc == 1:
-        signs = np.ones(k, dtype=np.int8)
-        ids = dec.interior_cluster_ids
-        if ids.size:
-            signs[ids] = (2 * rng.integers(0, 2, size=ids.size) - 1).astype(np.int8)
-    else:
-        signs = (2 * rng.integers(0, 2, size=k) - 1).astype(np.int8)
-    spins = signs[dec.labels]
+    spins = cluster_spins(omega, rng, wired=params.bc == 1)
     eq = spins[g.edge_a] == spins[g.edge_b]
     u = rng.random(g.n_edges)
     return BondConfig(g, (eq & (u < params.p)).astype(np.uint8))
@@ -420,6 +403,17 @@ def bernoulli_bonds(g: BoxGeometry, p: float, rng: np.random.Generator) -> BondC
     return BondConfig(g, (rng.random(g.n_edges) < p).astype(np.uint8))
 
 
+def _chain_step(method: str, params: FKParams, rng: np.random.Generator):
+    """One-step update of the named sampler chain; a single-bond chain
+    keeps one connectivity memo for its whole run."""
+    if method == "sw":
+        return lambda omega: swendsen_wang_step(omega, params, rng)
+    if method == "single-bond":
+        cache: dict = {}
+        return lambda omega: single_bond_heat_bath_sweep(omega, params, rng, _cache=cache)
+    raise ValueError(f"unknown method {method!r}")
+
+
 def visit_counts(
     omega0: BondConfig,
     params: FKParams,
@@ -433,15 +427,10 @@ def visit_counts(
         raise ValueError("visit counting limited to <= 20 edges")
     counts = np.zeros(1 << g.n_edges, dtype=np.int64)
     powers = 1 << np.arange(g.n_edges, dtype=np.int64)
+    step = _chain_step(method, params, rng)
     omega = omega0
-    cache: dict = {}
     for _ in range(steps):
-        if method == "sw":
-            omega = swendsen_wang_step(omega, params, rng)
-        elif method == "single-bond":
-            omega = single_bond_heat_bath_sweep(omega, params, rng, _cache=cache)
-        else:
-            raise ValueError(f"unknown method {method!r}")
+        omega = step(omega)
         counts[int(omega.bonds.astype(np.int64) @ powers)] += 1
     return counts
 
@@ -456,16 +445,8 @@ def sample_chain(
     method: str = "sw",
 ) -> list[BondConfig]:
     """Thinned samples from a sampler chain after burn-in."""
+    step = _chain_step(method, params, rng)
     omega = omega0
-    cache: dict = {}
-
-    def step(w):
-        if method == "sw":
-            return swendsen_wang_step(w, params, rng)
-        if method == "single-bond":
-            return single_bond_heat_bath_sweep(w, params, rng, _cache=cache)
-        raise ValueError(f"unknown method {method!r}")
-
     for _ in range(burn_in):
         omega = step(omega)
     out = []

@@ -181,6 +181,24 @@ def enumerate_plus_configs(g: BoxGeometry) -> np.ndarray:
     return rows
 
 
+@dataclass(frozen=True)
+class PlusTable:
+    """Every finite-energy plus-boundary configuration (the rows of
+    `enumerate_plus_configs`) with its energy and magnetization."""
+
+    spins: np.ndarray
+    energies: np.ndarray
+    magnetizations: np.ndarray
+
+
+def plus_table(g: BoxGeometry) -> PlusTable:
+    """The plus-boundary table of the box, built once per caller."""
+    rows = enumerate_plus_configs(g)
+    prod = rows[:, g.edge_a].astype(np.int64) * rows[:, g.edge_b]
+    return PlusTable(rows, -prod.sum(axis=1).astype(np.float64),
+                     rows.sum(axis=1, dtype=np.int64))
+
+
 def exact_ising_distribution(g: BoxGeometry | int, t: float) -> IsingDistribution:
     """Exact finite-volume law by enumeration (needs side <= 5).
 
@@ -200,10 +218,8 @@ def exact_ising_distribution(g: BoxGeometry | int, t: float) -> IsingDistributio
             energies=np.array([e]), magnetizations=np.array([g.n * g.n]),
             log_z=math.inf, z=math.inf,
         )
-    rows = enumerate_plus_configs(g)
-    prod = rows[:, g.edge_a].astype(np.int64) * rows[:, g.edge_b]
-    energies = -prod.sum(axis=1).astype(np.float64)
-    mags = rows.sum(axis=1, dtype=np.int64)
+    table = plus_table(g)
+    rows, energies, mags = table.spins, table.energies, table.magnetizations
     neg = -energies / t
     log_z = float(logsumexp(neg))
     probs = np.exp(neg - log_z)

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .lattice import BoxGeometry, build_box
-from .ising import SpinConfig, T_CRITICAL, enumerate_plus_configs, heat_bath_sweep, feedback_temperature
+from .ising import SpinConfig, T_CRITICAL, PlusTable, plus_table, heat_bath_sweep, feedback_temperature
 from .fk import p_critical, decompose
 from .coupling import phi_n, es_ising_to_fk
 
@@ -112,6 +112,7 @@ class ExactMuN:
     a: float
     spins: np.ndarray = field(repr=False)
     mags: np.ndarray = field(repr=False)
+    energies: np.ndarray = field(repr=False)
     temps: np.ndarray = field(repr=False)
     probs: np.ndarray = field(repr=False)
     z_direct: float
@@ -134,10 +135,8 @@ def exact_mu_n(g: BoxGeometry | int, a: float) -> ExactMuN:
     n = g.n
     if n > 4:
         raise ValueError("exact self-tuned law limited to side <= 4")
-    spins = enumerate_plus_configs(g)
-    s64 = spins.astype(np.int64)
-    energies = -(s64[:, g.edge_a] * s64[:, g.edge_b]).sum(axis=1)
-    mags = s64.sum(axis=1)
+    table = plus_table(g)
+    spins, energies, mags = table.spins, table.energies, table.magnetizations
     nsq = n * n
     n2a = float(n) ** (2 * a)
 
@@ -167,7 +166,8 @@ def exact_mu_n(g: BoxGeometry | int, a: float) -> ExactMuN:
         z_rewrite += float(np.exp(logsumexp(lw[rows])))
 
     return ExactMuN(
-        g=g, a=a, spins=spins, mags=mags, temps=(mags.astype(float) ** 2) / n2a,
+        g=g, a=a, spins=spins, mags=mags, energies=energies,
+        temps=(mags.astype(float) ** 2) / n2a,
         probs=weights / z_direct, z_direct=z_direct, z_rewrite=z_rewrite,
     )
 
@@ -181,16 +181,15 @@ def exact_mu_prime(g: BoxGeometry | int, a: float) -> ExactMuN:
     n = g.n
     if n > 4:
         raise ValueError("exact self-tuned law limited to side <= 4")
-    spins = enumerate_plus_configs(g)
-    s64 = spins.astype(np.int64)
-    energies = -(s64[:, g.edge_a] * s64[:, g.edge_b]).sum(axis=1)
-    mags = s64.sum(axis=1)
+    table = plus_table(g)
+    spins, energies, mags = table.spins, table.energies, table.magnetizations
     n2a = float(n) ** (2 * a)
     log_w = np.where(mags == 0, -np.inf, -energies * n2a / np.maximum(mags.astype(float) ** 2, 1e-300))
     log_z = float(logsumexp(log_w))
     weights = np.exp(log_w - log_z)
     return ExactMuN(
-        g=g, a=a, spins=spins, mags=mags, temps=(mags.astype(float) ** 2) / n2a,
+        g=g, a=a, spins=spins, mags=mags, energies=energies,
+        temps=(mags.astype(float) ** 2) / n2a,
         probs=weights, z_direct=math.exp(log_z), z_rewrite=math.exp(log_z),
     )
 
@@ -220,11 +219,10 @@ class DeviationReport:
         return self.lhs_below <= self.rhs_below + 1e-12
 
 
-def _plus_mag_tail(g: BoxGeometry, t: float, lo: float | None, hi: float | None) -> float:
+def _plus_mag_tail(table: PlusTable, t: float, lo: float | None, hi: float | None) -> float:
     """mu+ probability that |m| >= lo (and/or <= hi) at temperature t."""
-    spins = enumerate_plus_configs(g).astype(np.int64)
-    energies = -(spins[:, g.edge_a] * spins[:, g.edge_b]).sum(axis=1)
-    am = np.abs(spins.sum(axis=1))
+    energies = table.energies
+    am = np.abs(table.magnetizations)
     if t == 0:
         probs = (energies == energies.min()).astype(float)
         probs /= probs.sum()
@@ -255,6 +253,7 @@ def deviation_bound_check(g: BoxGeometry | int, a: float, eps: float) -> Deviati
     if eps <= 0:
         raise ValueError("eps must be positive")
     mu = exact_mu_n(g, a)
+    table = plus_table(g)
     nsq = n * n
     n2a = float(n) ** (2 * a)
 
@@ -264,7 +263,7 @@ def deviation_bound_check(g: BoxGeometry | int, a: float, eps: float) -> Deviati
     grid_above = [b * b / n2a for b in range(nsq + 1) if b * b / n2a >= t_hi]
     grid_above.append(t_hi)
     rhs_above = (nsq + 1) / mu.z_direct * max(
-        _plus_mag_tail(g, t, lo=thr_hi, hi=None) for t in grid_above
+        _plus_mag_tail(table, t, lo=thr_hi, hi=None) for t in grid_above
     )
 
     t_lo = T_CRITICAL - eps
@@ -278,7 +277,7 @@ def deviation_bound_check(g: BoxGeometry | int, a: float, eps: float) -> Deviati
         grid_below = [b * b / n2a for b in range(nsq + 1) if b * b / n2a <= t_lo]
         grid_below.append(t_lo)
         rhs_below = (nsq + 1) / mu.z_direct * max(
-            _plus_mag_tail(g, t, lo=None, hi=thr_lo) for t in grid_below
+            _plus_mag_tail(table, t, lo=None, hi=thr_lo) for t in grid_below
         )
 
     return DeviationReport(

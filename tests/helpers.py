@@ -1,8 +1,8 @@
 """Small independent oracles shared by the test modules.
 
 Everything here is deliberately naive (BFS, direct enumeration) so that
-the library's union-find, bitmask, and log-space code paths are checked
-against a second implementation rather than against themselves.
+the library's vectorized cluster labelling and log-space code paths are
+checked against a second implementation rather than against themselves.
 """
 
 from collections import deque

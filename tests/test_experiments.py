@@ -56,19 +56,20 @@ def test_value_parsing():
 
 
 def test_validation_messages_name_the_key():
-    cases = {
-        "bc": "7",
-        "method": "bogus",
-        "thin": "0",
-        "burn_in": "-2",
-        "q": "0",
-        "p": "1.5",
-        "seed": "-1",
-        "delta": "0",
-        "min_hits": "0",
-        "v": "-3",
-    }
-    for key, bad in cases.items():
+    cases = [
+        ("bc", "7"),
+        ("method", "bogus"),
+        ("thin", "0"),
+        ("burn_in", "-2"),
+        ("q", "0"),
+        ("q", "0.5"),
+        ("p", "1.5"),
+        ("seed", "-1"),
+        ("delta", "0"),
+        ("min_hits", "0"),
+        ("v", "-3"),
+    ]
+    for key, bad in cases:
         with pytest.raises(ValueError) as err:
             build_config("fk-sample", overrides={key: bad})
         assert key in str(err.value)
@@ -332,6 +333,34 @@ def test_cli_runtime_error_exit_1(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "runtime"
     assert not out.exists()
+
+
+def test_cli_rejects_runs_without_records(capsys):
+    code = cli_main(["soc-run", "--tau", "32", "--total", "10"])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config"
+    assert err["message"].startswith("total")
+    with pytest.raises(ValueError, match="burn_in"):
+        build_config("soc-run", overrides={"tau": "32", "total": "64",
+                                           "burn_in": "2"})
+    with pytest.raises(ValueError, match="burn_in"):
+        build_config("soc-compare", overrides={"total": "50",
+                                               "burn_in": "50"})
+
+
+def test_degenerate_summary_is_strict_json(tmp_path, capsys):
+    out = tmp_path / "tail"
+    code = cli_main(["tail-fit", "--n", "4", "--p", "0.0", "--out", str(out)])
+    assert code == 0
+
+    def reject(name):
+        raise ValueError(f"non-finite constant {name} in summary.json")
+
+    text = (out / "summary.json").read_text(encoding="utf-8")
+    summary = json.loads(text, parse_constant=reject)
+    assert summary["degenerate"] is True
+    assert summary["psi_hat"] is None
 
 
 def test_cli_unknown_command_rejected():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import bfs_components, cluster_counts, fk_law_oracle, philox
 from soc_ising import (
@@ -12,6 +13,7 @@ from soc_ising import (
     bernoulli_bonds,
     build_box,
     close_edges,
+    cluster_labels,
     decompose,
     event_D_n,
     event_Q_N,
@@ -89,6 +91,23 @@ def test_decompose_matches_bfs_oracle(seed):
         assert members in [set(c) for c in comps]
 
 
+@settings(derandomize=True, deadline=None)
+@given(n=st.integers(1, 24), density=st.floats(0.0, 1.0),
+       rows=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1))
+def test_cluster_labels_match_bfs_oracle(n, density, rows, seed):
+    g = build_box(n)
+    bonds = (philox(seed).random((rows, g.n_edges)) < density).astype(np.uint8)
+    labels = cluster_labels(g, bonds)
+    assert labels.shape == (rows, n * n)
+    for row, lab in zip(bonds, labels):
+        # oracle components numbered by first appearance in vertex order
+        expected = np.empty(n * n, dtype=np.int64)
+        for cid, comp in enumerate(sorted(bfs_components(g, row), key=min)):
+            expected[sorted(comp)] = cid
+        np.testing.assert_array_equal(lab, expected)
+        np.testing.assert_array_equal(cluster_labels(g, row)[0], lab)
+
+
 def test_all_closed_counts():
     g = build_box(4)
     dec = decompose(BondConfig.all_closed(g))
@@ -126,6 +145,15 @@ def test_exact_distribution_matches_enumeration_oracle(q, bc):
     oracle = fk_law_oracle(g, 0.6, q, wired=bool(bc))
     assert np.abs(dist.probs - oracle).max() < 1e-14
     assert abs(dist.probs.sum() - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("bc", [0, 1])
+def test_exact_distribution_side3_matches_enumeration_oracle(bc):
+    # 4096 configurations: the labelling runs over several row blocks
+    g = build_box(3)
+    dist = exact_fk_distribution(g, FKParams(p=0.6, q=2.5, bc=bc))
+    oracle = fk_law_oracle(g, 0.6, 2.5, wired=bool(bc))
+    assert np.abs(dist.probs - oracle).max() < 1e-14
 
 
 def test_exact_distribution_product_case():
