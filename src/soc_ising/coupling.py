@@ -13,9 +13,9 @@ import math
 import numpy as np
 
 from .lattice import BoxGeometry, build_box, dual_geometry
-from .ising import SpinConfig, exact_ising_distribution
+from .ising import SpinConfig, enumerate_plus_configs, exact_ising_distribution
 from .fk import (
-    BondConfig, ClusterDecomposition, FKParams, cluster_spins, enumerate_bond_configs,
+    BondConfig, FKParams, boundary_clusters, cluster_spins, enumerate_bond_configs,
     exact_fk_distribution,
 )
 
@@ -89,32 +89,88 @@ def dual_config(omega: BondConfig) -> BondConfig:
     return BondConfig(gd, bonds)
 
 
+# masks per block when every wired configuration is mapped to its dual
+_DUAL_BLOCK = 1 << 16
+
+
+def _plus_rows(plus: np.ndarray) -> np.ndarray:
+    """Row of `enumerate_plus_configs` holding each plus-boundary spin row,
+    given which interior vertices are +1: bit i for the i-th of them."""
+    return (plus.astype(np.int64) << np.arange(plus.shape[-1])).sum(axis=-1)
+
+
+def _spin_pushforward(g: BoxGeometry, fk) -> tuple[np.ndarray, np.ndarray]:
+    """Spin law pushed from the wired bond law `fk`, indexed by plus-table
+    row, and the rows it reaches in order of first arrival.
+
+    Each configuration of nonzero probability splits it over the 2^k sign
+    choices of its k interior clusters; choice c flips the i-th interior
+    cluster when bit i of c is set.  The shares are added in (mask, choice)
+    order, so every sum keeps the order of a per-mask loop.
+    """
+    ni = g.interior_ids.size
+    probs = np.zeros(1 << ni)
+    first = np.full(1 << ni, np.iinfo(np.int64).max)
+    seen = 0
+    for start, _, labels in enumerate_bond_configs(g):
+        pr = fk.probs[start:start + len(labels)]
+        keep = pr != 0.0
+        labels, pr = labels[keep], pr[keep]
+        touched = boundary_clusters(g, labels)
+        n_clusters = labels.max(axis=1) + 1
+        k = n_clusters - touched.sum(axis=1)
+        # sign bit of each interior cluster: 1 << (its rank among them)
+        interior = ~touched & (np.arange(labels.shape[1]) < n_clusters[:, None])
+        bit = np.where(interior, 1 << (interior.cumsum(axis=1) - 1).clip(0), 0)
+        reps = 1 << k
+        row = np.repeat(np.arange(len(labels)), reps)
+        choice = np.arange(row.size) - np.repeat(reps.cumsum() - reps, reps)
+        flipped = choice[:, None] & bit[row[:, None], labels[row][:, g.interior_ids]]
+        idx = _plus_rows(flipped == 0)
+        np.add.at(probs, idx, np.repeat(pr / reps, reps))
+        np.minimum.at(first, idx, seen + np.arange(idx.size))
+        seen += idx.size
+    reached = np.flatnonzero(first < seen)
+    return probs, reached[np.argsort(first[reached])]
+
+
 def es_spin_pushforward(g: BoxGeometry | int, t: float) -> dict[bytes, float]:
     """Exact spin marginal of the coupling built over the wired bond law.
 
     Enumerates every bond configuration, splits its probability over the
     2^(interior clusters) sign choices, and accumulates per spin
-    configuration (keyed by the int8 byte string of the spins).
+    configuration (keyed by the int8 byte string of the spins, in order of
+    first arrival).
     """
     if isinstance(g, (int, np.integer)):
         g = build_box(int(g))
     fk = exact_fk_distribution(g, FKParams(t_to_p(t), 2.0, 1))
-    out: dict[bytes, float] = {}
-    for start, _, labels in enumerate_bond_configs(g):
-        for row, pr in enumerate(fk.probs[start:start + len(labels)].tolist()):
-            if pr == 0.0:
-                continue
-            dec = ClusterDecomposition(g, labels[row])
-            ids = dec.interior_cluster_ids
-            share = pr / (1 << ids.size)
-            # sign choice c flips interior cluster ids[i] when bit i of c is set
-            bits = (np.arange(1 << ids.size)[:, None] >> np.arange(ids.size)) & 1
-            signs = np.ones((bits.shape[0], dec.n_clusters), dtype=np.int8)
-            signs[:, ids] = 1 - 2 * bits
-            for spins in signs[:, dec.labels]:
-                key = spins.tobytes()
-                out[key] = out.get(key, 0.0) + share
-    return out
+    probs, reached = _spin_pushforward(g, fk)
+    rows = enumerate_plus_configs(g)
+    return {rows[i].tobytes(): float(probs[i]) for i in reached}
+
+
+def _bond_pushforward(g: BoxGeometry, dist, p: float) -> np.ndarray:
+    """Bond law pushed from the spin law `dist`, indexed by bond bitmask.
+
+    Each spin row expands into the 2^|eq| open/closed choices of its
+    equal-spin edges eq; choice c opens the i-th of them when bit i of c is
+    set, and its weight takes one factor p or 1 - p per edge, in edge order.
+    """
+    probs = np.zeros(1 << g.n_edges, dtype=np.float64)
+    for spins, pr in zip(dist.spins, dist.probs.tolist()):
+        if pr == 0.0:
+            continue
+        eq = np.flatnonzero(spins[g.edge_a] == spins[g.edge_b])
+        choice = np.arange(1 << eq.size)
+        mask = np.zeros(choice.size, dtype=np.int64)
+        w = np.full(choice.size, pr)
+        for i, e in enumerate(eq.tolist()):
+            opened = (choice >> i) & 1
+            mask |= opened << e
+            w *= np.where(opened == 1, p, 1.0 - p)
+        np.add.at(probs, mask, w)
+    return probs
 
 
 def es_bond_pushforward(g: BoxGeometry | int, t: float) -> np.ndarray:
@@ -122,28 +178,7 @@ def es_bond_pushforward(g: BoxGeometry | int, t: float) -> np.ndarray:
     law, as probabilities indexed by bond bitmask."""
     if isinstance(g, (int, np.integer)):
         g = build_box(int(g))
-    dist = exact_ising_distribution(g, t)
-    p = t_to_p(t)
-    ne = g.n_edges
-    probs = np.zeros(1 << ne, dtype=np.float64)
-    for row in range(dist.spins.shape[0]):
-        pr = float(dist.probs[row])
-        if pr == 0.0:
-            continue
-        spins = dist.spins[row]
-        eq = np.flatnonzero(spins[g.edge_a] == spins[g.edge_b])
-        # expand the independent Bernoulli(p) choices over the equal edges
-        for choice in range(1 << eq.size):
-            mask = 0
-            w = pr
-            for i in range(eq.size):
-                if (choice >> i) & 1:
-                    mask |= 1 << int(eq[i])
-                    w *= p
-                else:
-                    w *= 1.0 - p
-            probs[mask] += w
-    return probs
+    return _bond_pushforward(g, exact_ising_distribution(g, t), t_to_p(t))
 
 
 def es_pushforward_check(g_or_n, t: float) -> tuple[float, float]:
@@ -151,32 +186,36 @@ def es_pushforward_check(g_or_n, t: float) -> tuple[float, float]:
     exact spin and bond laws.  Returns (spin error, bond error)."""
     g = build_box(int(g_or_n)) if isinstance(g_or_n, (int, np.integer)) else g_or_n
     dist = exact_ising_distribution(g, t)
-    pushed = es_spin_pushforward(g, t)
-    err_spin = 0.0
-    seen = set()
-    for row in range(dist.spins.shape[0]):
-        key = dist.spins[row].tobytes()
-        seen.add(key)
-        err_spin = max(err_spin, abs(pushed.get(key, 0.0) - float(dist.probs[row])))
-    for key, pr in pushed.items():
-        if key not in seen:
-            err_spin = max(err_spin, pr)
     fk = exact_fk_distribution(g, FKParams(t_to_p(t), 2.0, 1))
-    err_bond = float(np.abs(es_bond_pushforward(g, t) - fk.probs).max())
+    pushed, _ = _spin_pushforward(g, fk)
+    # at T = 0 the spin law is the all-plus row alone
+    target = np.zeros_like(pushed)
+    target[_plus_rows(dist.spins[:, g.interior_ids] > 0)] = dist.probs
+    err_spin = float(np.abs(pushed - target).max())
+    err_bond = float(np.abs(_bond_pushforward(g, dist, t_to_p(t)) - fk.probs).max())
     return err_spin, err_bond
+
+
+def dual_masks(n: int, masks: np.ndarray) -> np.ndarray:
+    """Bitmasks of the dual configurations of side-n bond bitmasks: bit d is
+    the complement of bit `primal_of[d]`, as `dual_config` builds it."""
+    closed = ~np.asarray(masks, dtype=np.int64)
+    out = np.zeros(closed.shape, dtype=np.int64)
+    for d, e in enumerate(dual_geometry(n).primal_of.tolist()):
+        out |= ((closed >> e) & 1) << d
+    return out
 
 
 def duality_check(n: int, p: float, q: float) -> float:
     """Max absolute error between the dual pushforward of the wired side-n
     law and the free side-(n-1) law at the dual density."""
     fk = exact_fk_distribution(n, FKParams(p, q, 1))
-    gd = build_box(n - 1)
+    gd = dual_geometry(n).dual
     pushed = np.zeros(1 << gd.n_edges, dtype=np.float64)
-    for mask in range(fk.probs.size):
-        pr = float(fk.probs[mask])
-        if pr == 0.0:
-            continue
-        dmask = dual_config(BondConfig.from_bitmask(fk.g, mask)).to_bitmask()
-        pushed[dmask] += pr
+    for start in range(0, fk.probs.size, _DUAL_BLOCK):
+        pr = fk.probs[start:start + _DUAL_BLOCK]
+        dmask = dual_masks(n, np.arange(start, start + pr.size))
+        keep = pr != 0.0
+        np.add.at(pushed, dmask[keep], pr[keep])
     target = exact_fk_distribution(gd, FKParams(dual_parameter(p, q), q, 0))
     return float(np.abs(pushed - target.probs).max())

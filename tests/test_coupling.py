@@ -6,7 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from helpers import philox
+from helpers import (
+    bond_pushforward_oracle,
+    duality_check_oracle,
+    philox,
+    pushforward_check_oracle,
+    spin_pushforward_oracle,
+)
 from soc_ising import (
     BondConfig,
     SpinConfig,
@@ -17,13 +23,16 @@ from soc_ising import (
     dual_parameter,
     duality_check,
     es_fk_to_ising,
+    es_bond_pushforward,
     es_ising_to_fk,
     es_pushforward_check,
+    es_spin_pushforward,
     p_critical,
     p_to_t,
     phi_n,
     t_to_p,
 )
+from soc_ising.coupling import dual_masks
 
 
 def test_temperature_density_dictionary():
@@ -124,3 +133,36 @@ def test_duality_pushforward_small_error(p, q):
 
 def test_duality_at_self_dual_point():
     assert duality_check(3, p_critical(2.0), 2.0) < 1e-12
+
+
+ORACLE_TEMPERATURES = [0.0, 0.05, 1.0, T_CRITICAL, 100.0]
+
+
+@pytest.mark.parametrize("t", ORACLE_TEMPERATURES)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pushforwards_equal_per_mask_oracles(n, t):
+    g = build_box(n)
+    spin = es_spin_pushforward(g, t)
+    assert list(spin.items()) == list(spin_pushforward_oracle(g, t).items())
+    assert np.array_equal(es_bond_pushforward(g, t), bond_pushforward_oracle(g, t))
+    assert es_pushforward_check(g, t) == pushforward_check_oracle(g, t)
+
+
+@pytest.mark.parametrize("q", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("n", [2, 3])
+def test_duality_check_equals_per_mask_oracle(n, p, q):
+    assert duality_check(n, p, q) == duality_check_oracle(n, p, q)
+
+
+def test_dual_masks_match_dual_config():
+    g3 = build_box(3)
+    masks = np.arange(1 << g3.n_edges)
+    expect = [dual_config(BondConfig.from_bitmask(g3, int(m))).to_bitmask()
+              for m in masks]
+    assert dual_masks(3, masks).tolist() == expect
+    g4 = build_box(4)
+    masks = philox(41).integers(0, 1 << g4.n_edges, size=200)
+    expect = [dual_config(BondConfig.from_bitmask(g4, int(m))).to_bitmask()
+              for m in masks]
+    assert dual_masks(4, masks).tolist() == expect

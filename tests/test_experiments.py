@@ -28,7 +28,12 @@ def test_per_command_defaults():
     assert build_config("enumerate").variant == "mu"
     assert build_config("soc-run").out_dir() == "runs/soc-run"
     for command in COMMANDS:
-        build_config(command)  # every default set must validate
+        if command == "fss-freq":
+            # a = 1.99 has no fixed point at sides 16 and 32, and p is unset
+            with pytest.raises(ValueError, match="^p: "):
+                build_config(command)
+        else:
+            build_config(command)  # every other default set must validate
 
 
 def test_merge_precedence_defaults_file_flags():
@@ -258,6 +263,23 @@ def test_write_failure_unlinks_written_files(tmp_path, monkeypatch):
     assert list(out.iterdir()) == []
 
 
+def test_write_failure_keeps_previous_run(tmp_path, monkeypatch):
+    out = tmp_path / "keep"
+    cfg = build_config("enumerate", overrides={"n": "2", "out": str(out)})
+    run(cfg)
+    names = ["metadata.json", "rows.csv", "summary.json"]
+    before = {name: (out / name).read_bytes() for name in names}
+
+    def explode(x):
+        raise RuntimeError("disk on fire")
+
+    monkeypatch.setattr(experiments, "_csv_cell", explode)
+    with pytest.raises(RuntimeError):
+        run(cfg)
+    assert sorted(p.name for p in out.iterdir()) == names
+    assert {name: (out / name).read_bytes() for name in names} == before
+
+
 def test_fss_frequency_rejects_subcritical_density():
     cfg = build_config("fss-freq", overrides={"n": "8", "p": "0.3",
                                               "samples": "5"})
@@ -266,9 +288,30 @@ def test_fss_frequency_rejects_subcritical_density():
 
 
 def test_coupling_verify_box_guard():
-    cfg = build_config("coupling-verify", overrides={"n": "4"})
-    with pytest.raises(ValueError, match="n: exact pushforward"):
-        run(cfg)
+    with pytest.raises(ValueError, match="^n: coupling-verify takes one box side"):
+        build_config("coupling-verify", overrides={"n": "4"})
+
+
+@pytest.mark.parametrize("argv", [
+    ["coupling-verify", "--n", "4"],
+    ["coupling-verify", "--n", "2,3"],
+    ["duality-verify", "--n", "1"],
+    ["duality-verify", "--n", "5"],
+    ["enumerate", "--n", "5"],
+])
+def test_cli_exact_sides_exit_2(argv, capsys):
+    assert cli_main(argv) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config"
+    assert err["message"].startswith("n:")
+
+
+def test_cli_fss_freq_defaults_exit_2(capsys):
+    assert cli_main(["fss-freq"]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config"
+    assert err["message"].startswith("p:")
+    assert "side 16" in err["message"] and "fixed point needs n > " in err["message"]
 
 
 def test_cli_success_and_json_line(tmp_path, capsys):
