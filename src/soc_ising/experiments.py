@@ -142,6 +142,10 @@ class ExperimentConfig:
         if sides and (len(self.n) != 1 or self.n[0] not in sides):
             raise ValueError(f"n: {self.command} takes one box side in "
                              f"[{sides.start}, {sides.stop - 1}]")
+        if (self.command in ("surgery-demo", "fss-freq")
+                and not 31.0 / 16.0 < self.a < 2.0):
+            raise ValueError(f"a: {self.command} needs the exponent in "
+                             f"(31/16, 2), got {self.a!r}")
         if self.command == "fss-freq" and self.p is None:
             for m in self.n:
                 try:

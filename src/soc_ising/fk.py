@@ -320,50 +320,73 @@ def swendsen_wang_step(omega: BondConfig, params: FKParams, rng: np.random.Gener
     return BondConfig(g, (eq & (u < params.p)).astype(np.uint8))
 
 
-def _connected_without(omega: BondConfig, e: int, wired: bool) -> bool:
-    """Are the endpoints of edge e connected by open edges other than e?
+def _bridge_query(omega: BondConfig, wired: bool):
+    """The bridge query: are the endpoints of edge e joined by open edges
+    other than e?
 
-    Under the wired condition the boundary acts as a single glued vertex.
+    Returns (bonds, connected).  `bonds` is a bytearray copy of omega's
+    bonds (1 = open) plus one last byte that stays 0: the -1 padding of
+    the adjacency reads it as a closed edge.  connected(e) answers for
+    `bonds` as they are at the call, so a caller may update them between
+    queries.  Under the wired condition every boundary vertex maps to one
+    glued node, numbered n*n, which carries all their neighbours (edges
+    inside the boundary become self-loops there, which a search skips as
+    already seen).  Two breadth-first searches grow from the two endpoints,
+    one layer at a time, always expanding the smaller frontier; they stop
+    when they meet (connected) or when either side runs out (not
+    connected), so a query costs about the size of the smaller side
+    (Sweeney, PRB 27, 4445 (1983); Elci and Weigel, PRE 88, 033303 (2013)).
     """
     g = omega.g
-    bonds = omega.bonds
-    a, b = int(g.edge_a[e]), int(g.edge_b[e])
-    bm = g.boundary_mask
-    if wired and bm[a] and bm[b]:
-        return True
-    seen = np.zeros(g.n * g.n, dtype=bool)
-    seen[a] = True
-    queue = deque([a])
-    glued = False
-    nbr = g.neighbors
-    inc = g.incident_edges
-    while queue:
-        v = queue.popleft()
-        if wired and bm[v] and not glued:
-            glued = True
-            if bm[b]:
-                return True
-            for w in g.boundary_ids:
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(int(w))
-        for i in range(4):
-            k = inc[v, i]
-            if k < 0 or k == e or not bonds[k]:
-                continue
-            w = nbr[v, i]
-            if w == b:
-                return True
-            if not seen[w]:
-                seen[w] = True
-                queue.append(int(w))
-    return False
+    bonds = bytearray(omega.bonds)
+    bonds.append(0)
+    nsq = g.n * g.n
+    nbr, ends, glued = g.neighbors, g.edges, []
+    if wired:
+        node = np.arange(nsq + 1)
+        node[g.boundary_ids] = nsq
+        nbr, ends, glued = node[nbr], node[ends], g.boundary_ids.tolist()
+    nbr, inc, ends = nbr.tolist(), g.incident_edges.tolist(), ends.tolist()
+    nbr.append([w for v in glued for w in nbr[v]])
+    inc.append([k for v in glued for k in inc[v]])
+    # mark[v] == stamp: seen from the first endpoint; stamp + 1: the second
+    mark = [0] * (nsq + 1)
+    stamp = 0
+
+    def connected(e: int) -> bool:
+        nonlocal stamp
+        x, y = ends[e]
+        if x == y:
+            return True
+        stamp += 2
+        # (frontier, own mark) of the side to grow next, then of the other
+        fx, sx, fy, sy = [x], stamp, [y], stamp + 1
+        mark[x], mark[y] = sx, sy
+        while fx and fy:
+            if len(fx) > len(fy):
+                fx, sx, fy, sy = fy, sy, fx, sx
+            layer = []
+            for v in fx:
+                for w, k in zip(nbr[v], inc[v]):
+                    if bonds[k] and k != e:
+                        m = mark[w]
+                        if m == sy:
+                            return True
+                        if m != sx:
+                            mark[w] = sx
+                            layer.append(w)
+            fx = layer
+        return False
+
+    return bonds, connected
 
 
 def single_bond_conditional(omega: BondConfig, e: int, params: FKParams) -> float:
-    """Conditional probability that edge e is open given all other edges."""
+    """Conditional probability that edge e is open given all other edges:
+    p when its endpoints are joined without it (the bridge query), else
+    p / (p + (1 - p) q)."""
     p, q = params.p, params.q
-    if _connected_without(omega, e, params.bc == 1):
+    if _bridge_query(omega, params.bc == 1)[1](e):
         return p
     return p / (p + (1.0 - p) * q)
 
@@ -372,37 +395,38 @@ def single_bond_heat_bath_sweep(
     omega: BondConfig,
     params: FKParams,
     rng: np.random.Generator,
-    _cache: dict | None = None,
 ) -> BondConfig:
     """One pass of edge-by-edge heat-bath resampling, in edge order.
 
     Each edge is redrawn from its exact conditional law given the rest; one
-    uniform is consumed per edge.  Valid for any q >= 1 (at q = 1 the
-    conditional is p regardless of connectivity: independent resampling).
-    `_cache` optionally memoizes connectivity queries keyed by the rest of
-    the configuration, which changes nothing statistically.
+    uniform u[e] is drawn per edge, all in one call.  The conditional is
+    either p or merge_p = p / (p + (1 - p) q), so u[e] below both opens the
+    edge and u[e] at or above both closes it; only the edges with u[e] in
+    between ask the bridge query, against the bonds as updated so far.
+    Valid for any q >= 1 (at q = 1 the conditional is p regardless of
+    connectivity: independent resampling, with no query).
     """
     g = omega.g
-    out = BondConfig(g, omega.bonds.copy())
     u = rng.random(g.n_edges)
     p, q = params.p, params.q
     merge_p = p / (p + (1.0 - p) * q)
-    for e in range(g.n_edges):
-        if q == 1.0:
-            cond = p
-        elif _cache is not None:
-            rest = out.bonds.copy()
-            rest[e] = 0
-            key = (rest.tobytes(), e)
-            hit = _cache.get(key)
-            if hit is None:
-                hit = _connected_without(out, e, params.bc == 1)
-                _cache[key] = hit
-            cond = p if hit else merge_p
-        else:
-            cond = p if _connected_without(out, e, params.bc == 1) else merge_p
-        out.bonds[e] = 1 if u[e] < cond else 0
-    return out
+    # the conditional is p or merge_p, and always p when q = 1
+    lo, hi = (p, p) if q == 1.0 else (min(p, merge_p), max(p, merge_p))
+    decided = (u < lo).view(np.uint8)
+    ul = u.tolist()
+    window = [e for e, ue in enumerate(ul) if lo <= ue < hi]
+    if not window:
+        return BondConfig(g, decided)
+    new = decided.tobytes()
+    bonds, connected = _bridge_query(omega, params.bc == 1)
+    start = 0
+    for e in window:
+        # edges before e take their new values, edges after e keep the old
+        bonds[start:e] = new[start:e]
+        bonds[e] = ul[e] < (p if connected(e) else merge_p)
+        start = e + 1
+    bonds[start:g.n_edges] = new[start:]
+    return BondConfig(g, np.frombuffer(bonds, dtype=np.uint8, count=g.n_edges))
 
 
 def bernoulli_bonds(g: BoxGeometry, p: float, rng: np.random.Generator) -> BondConfig:
@@ -411,13 +435,12 @@ def bernoulli_bonds(g: BoxGeometry, p: float, rng: np.random.Generator) -> BondC
 
 
 def _chain_step(method: str, params: FKParams, rng: np.random.Generator):
-    """One-step update of the named sampler chain; a single-bond chain
-    keeps one connectivity memo for its whole run."""
+    """One-step update of the named sampler chain: a Swendsen-Wang step or
+    a single-bond sweep.  Steps keep no state between calls."""
     if method == "sw":
         return lambda omega: swendsen_wang_step(omega, params, rng)
     if method == "single-bond":
-        cache: dict = {}
-        return lambda omega: single_bond_heat_bath_sweep(omega, params, rng, _cache=cache)
+        return lambda omega: single_bond_heat_bath_sweep(omega, params, rng)
     raise ValueError(f"unknown method {method!r}")
 
 

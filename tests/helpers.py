@@ -1,9 +1,10 @@
 """Small independent oracles shared by the test modules.
 
 Everything here is deliberately naive (BFS, direct enumeration, one
-mask at a time) so that the library's vectorized cluster labelling,
-block-wise pushforwards and log-space code paths are checked against a
-second implementation rather than against themselves.
+mask at a time, one edge at a time) so that the library's vectorized
+cluster labelling, block-wise pushforwards, windowed single-bond sweep and
+log-space code paths are checked against a second implementation rather
+than against themselves.
 """
 
 from collections import deque
@@ -151,3 +152,59 @@ def duality_check_oracle(n: int, p: float, q: float) -> float:
         pushed[dmask] += pr
     target = exact_fk_distribution(gd, FKParams(dual_parameter(p, q), q, 0))
     return float(np.abs(pushed - target.probs).max())
+
+
+def connected_without_oracle(omega, e: int, wired: bool) -> bool:
+    """Are the endpoints of edge e connected by open edges other than e?
+    One-sided BFS from one endpoint; under the wired condition the boundary
+    acts as a single glued vertex."""
+    g = omega.g
+    bonds = omega.bonds
+    a, b = int(g.edge_a[e]), int(g.edge_b[e])
+    bm = g.boundary_mask
+    if wired and bm[a] and bm[b]:
+        return True
+    seen = np.zeros(g.n * g.n, dtype=bool)
+    seen[a] = True
+    queue = deque([a])
+    glued = False
+    nbr = g.neighbors
+    inc = g.incident_edges
+    while queue:
+        v = queue.popleft()
+        if wired and bm[v] and not glued:
+            glued = True
+            if bm[b]:
+                return True
+            for w in g.boundary_ids:
+                if not seen[w]:
+                    seen[w] = True
+                    queue.append(int(w))
+        for i in range(4):
+            k = inc[v, i]
+            if k < 0 or k == e or not bonds[k]:
+                continue
+            w = nbr[v, i]
+            if w == b:
+                return True
+            if not seen[w]:
+                seen[w] = True
+                queue.append(int(w))
+    return False
+
+
+def single_bond_sweep_oracle(omega, params, rng):
+    """One heat-bath pass in edge order, one uniform per edge, asking the
+    connectivity oracle for every edge (no window, no early decision)."""
+    g = omega.g
+    out = BondConfig(g, omega.bonds.copy())
+    u = rng.random(g.n_edges)
+    p, q = params.p, params.q
+    merge_p = p / (p + (1.0 - p) * q)
+    for e in range(g.n_edges):
+        if q == 1.0:
+            cond = p
+        else:
+            cond = p if connected_without_oracle(out, e, params.bc == 1) else merge_p
+        out.bonds[e] = 1 if u[e] < cond else 0
+    return out

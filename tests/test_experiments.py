@@ -314,6 +314,19 @@ def test_cli_fss_freq_defaults_exit_2(capsys):
     assert "side 16" in err["message"] and "fixed point needs n > " in err["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["surgery-demo", "--a", "1.5", "--n", "12"],
+    ["surgery-demo", "--a", "2"],
+    ["fss-freq", "--a", "1.5", "--n", "16", "--p", "0.6"],
+    ["fss-freq", "--a", "1.5"],  # checked before the fixed point of p
+])
+def test_cli_exponent_outside_range_exit_2(argv, capsys):
+    assert cli_main(argv) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config"
+    assert err["message"].startswith("a:")
+
+
 def test_cli_success_and_json_line(tmp_path, capsys):
     out = tmp_path / "cli"
     code = cli_main(["enumerate", "--n", "3", "--out", str(out)])

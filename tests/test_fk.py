@@ -1,12 +1,16 @@
 """Random-cluster machinery: decomposition, exact laws, samplers, events."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import bfs_components, cluster_counts, fk_law_oracle, philox
+from helpers import (
+    bfs_components, cluster_counts, fk_law_oracle, philox,
+    single_bond_sweep_oracle,
+)
 from soc_ising import (
     BondConfig,
     FKParams,
@@ -28,6 +32,7 @@ from soc_ising import (
     tail_statistics,
     visit_counts,
 )
+from soc_ising.fk import _bridge_query
 
 
 def test_p_critical_values():
@@ -226,6 +231,87 @@ def test_single_bond_sweep_q1_is_fresh_bernoulli():
         total += omega.open_count()
     mean_density = total / (4000 * g.n_edges)
     assert abs(mean_density - 0.25) < 0.01
+
+
+@pytest.mark.parametrize("bc", [0, 1])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_single_bond_sweep_equals_per_edge_oracle(n, bc):
+    g = build_box(n)
+    for i, q in enumerate((1.0, 1.0 + 1e-12, 1.5, 2.0, 4.0)):
+        for j, p in enumerate((0.0, 0.1, 0.3, 0.6, 0.7, 1.0)):
+            params = FKParams(p=p, q=q, bc=bc)
+            rng, rng_oracle = philox(n, 100 * i + j), philox(n, 100 * i + j)
+            omega = bernoulli_bonds(g, 0.5, philox(n, 10_000 + 100 * i + j))
+            oracle = omega
+            for _ in range(4):
+                omega = single_bond_heat_bath_sweep(omega, params, rng)
+                oracle = single_bond_sweep_oracle(oracle, params, rng_oracle)
+                assert omega.bonds.tolist() == oracle.bonds.tolist()
+            assert rng.random() == rng_oracle.random()
+
+
+class _FixedDraws:
+    """Stands in for a Generator whose uniforms are given in advance."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=np.float64)
+
+    def random(self, size):
+        out, self.values = self.values[:size], self.values[size:]
+        return out
+
+
+@pytest.mark.parametrize("bc", [0, 1])
+@pytest.mark.parametrize("q", [1.0, 1.0 + 1e-12, 1.5, 4.0])
+def test_single_bond_sweep_draws_on_window_ends(q, bc):
+    # uniforms that sit exactly on p, on merge_p and on their neighbours
+    g = build_box(5)
+    for p in (0.1, 0.6, 1.0):
+        params = FKParams(p=p, q=q, bc=bc)
+        merge_p = p / (p + (1.0 - p) * q)
+        ends = [np.nextafter(x, d) for x in (p, merge_p) for d in (0.0, 2.0)]
+        ends = np.array([x for x in ends + [p, merge_p] if x < 1.0])
+        rng = philox(int(q * 10), bc)
+        draws = rng.choice(ends, size=4 * g.n_edges)
+        omega = oracle = bernoulli_bonds(g, 0.5, rng)
+        fixed, fixed_oracle = _FixedDraws(draws), _FixedDraws(draws)
+        for _ in range(4):
+            omega = single_bond_heat_bath_sweep(omega, params, fixed)
+            oracle = single_bond_sweep_oracle(oracle, params, fixed_oracle)
+            assert omega.bonds.tolist() == oracle.bonds.tolist()
+
+
+def _glued_connected_oracle(g, bonds, e: int, wired: bool) -> bool:
+    """Endpoints of e in one BFS component once e is closed; under the
+    wired condition consecutive boundary vertices are joined first."""
+    open_edges = np.array(bonds, dtype=bool)
+    open_edges[e] = False
+    ea, eb = g.edge_a, g.edge_b
+    if wired:
+        bids = g.boundary_ids
+        ea = np.concatenate([ea, bids[:-1]])
+        eb = np.concatenate([eb, bids[1:]])
+        open_edges = np.concatenate([open_edges, np.ones(bids.size - 1, bool)])
+    glued = SimpleNamespace(n=g.n, edge_a=ea, edge_b=eb)
+    a, b = int(g.edge_a[e]), int(g.edge_b[e])
+    return any(a in c and b in c for c in bfs_components(glued, open_edges))
+
+
+@settings(derandomize=True, deadline=None)
+@given(n=st.integers(1, 12), density=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_bridge_query_matches_bfs_oracle(n, density, seed):
+    g = build_box(n)
+    rng = philox(seed)
+    first, second = (rng.random((2, g.n_edges)) < density).astype(np.uint8)
+    for wired in (False, True):
+        bonds, connected = _bridge_query(BondConfig(g, first), wired)
+        for config in (first, second):
+            # the query reads the live buffer, so rewriting it re-targets it
+            bonds[:g.n_edges] = config.tobytes()
+            for e in range(g.n_edges):
+                assert connected(e) == _glued_connected_oracle(g, config, e, wired)
+            assert bonds[:g.n_edges] == config.tobytes()
 
 
 def test_sample_chain_is_reproducible():
