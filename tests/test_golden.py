@@ -1,0 +1,92 @@
+"""Golden digests: one small run per command, pinned byte for byte.
+
+The sha256 digests of `rows.csv` and `summary.json` below were produced by
+the CLI when this file was added.  A refactor that keeps behaviour keeps
+every digest; a deliberate change of output updates the digest here and
+says why in CHANGES.md.  `metadata.json` is left out because it records
+the output directory.  A digest that moves on another platform (a
+different libm) is a finding to report, not a reason to loosen this test.
+"""
+
+import hashlib
+
+import pytest
+
+from soc_ising.cli import main as cli_main
+
+# name -> (argv without --out, rows.csv sha256, summary.json sha256)
+GOLDEN = {
+    "soc-run": (
+        ["soc-run", "--n", "12,6", "--tau", "8", "--total", "800",
+         "--snapshot-every", "5", "--seed", "1"],
+        "26b0643a2644c80d9cca2332c022bf47cc6833e0871244ead7cd2dfa6b9e88f8",
+        "938f47224b389788900ef77550cb7cd3383f3712f7f1991062cb278f0a76f65c",
+    ),
+    "soc-compare": (
+        ["soc-compare", "--n", "5", "--total", "300", "--seed", "2"],
+        "168d1839b87d3adf7f8eab3f53e20b25d38ced7a36fb19afd096b60b96542710",
+        "b0df0c32b418fbd10f2ca4c209334f695dd2a1effe06cef64ddb0bd45a606bdb",
+    ),
+    "fk-sample-sw": (
+        ["fk-sample", "--n", "16", "--p", "0.6", "--samples", "30",
+         "--burn-in", "10", "--seed", "3"],
+        "386fc7fb79c81a9bc778512b315e209909bd6090ecadd4e99b1da0908f59a0eb",
+        "a17d6fdcd35a66eb44f513913d5df21fd454ba25894fc3bea5f9e854fc6234cc",
+    ),
+    "fk-sample-single-bond": (
+        ["fk-sample", "--n", "8", "--q", "1.5", "--p", "0.6", "--method",
+         "single-bond", "--samples", "10", "--burn-in", "5", "--seed", "4"],
+        "5773f52250ce017e9dd9fffefc0aa34bc807a58f9cd420b4ea62c7a846cb4853",
+        "7b22c489f65c7e16c96b3f0bd550cce3148a8ad99d20a448c476f837af691ca0",
+    ),
+    "coupling-verify": (
+        ["coupling-verify", "--n", "3", "--seed", "5"],
+        "6675adf1a80bc7db5e9405f64df5070ca68563561cf5fed1d541c8b0d501def0",
+        "6f0b0f96221f0c5f58485573c56b7cc0eaf716fb282e15a354ea7f2e9afac71d",
+    ),
+    "duality-verify": (
+        ["duality-verify", "--n", "3", "--q", "1.5", "--seed", "6"],
+        "865476ad4218d39a403c8e1d48f79e6124c96f569bd068ee176fdad26f3bfec8",
+        "e84f17207c6a9a155e49a1d67fba3c14a96dab55ece5feb3b2aad75618f50332",
+    ),
+    "surgery-demo": (
+        ["surgery-demo", "--n", "20", "--samples", "6", "--burn-in", "10",
+         "--seed", "7"],
+        "f17e29c9864d6c008fb56a059770ffaa8fec30d433964122f9771624eb610faf",
+        "b181619a90c9b2a0f78ab3ec97b65b33c489d773c9b3cb398f755b3be2827e6b",
+    ),
+    "enumerate": (
+        ["enumerate", "--n", "4", "--variant", "mu-prime", "--a", "1.9",
+         "--seed", "8"],
+        "901ecfbb0e68d4de2dcc4e177d532c6c50dd73ffe953530d6fd652046383f378",
+        "51f24f8e46d73366eab4f0a5fef5025db2f19a4bff0e0a28fb5ce3459a1519a4",
+    ),
+    "fss-freq": (
+        ["fss-freq", "--n", "12,16", "--p", "0.6", "--samples", "10",
+         "--burn-in", "10", "--seed", "9"],
+        "6193288d181d89ce26af1b2f6c300cec23c4436bb0716c940f476b8fe1dbe64d",
+        "6b4ab77491a29162a71184d1c2e0f04cc265e0cadd574bcd4ae771547a38cf96",
+    ),
+    "tail-fit": (
+        ["tail-fit", "--n", "16", "--p", "0.4", "--bc", "0", "--samples",
+         "200", "--burn-in", "10", "--min-hits", "5", "--seed", "10"],
+        "2ab0ea82cdef50e0f6bb974a6cc0a0ca655ee5741b32ab6d2ba132c1c4da5795",
+        "ad05e679413f653bca7208bb894153c27f6a62befc3488f0712ad3bd3fadeeeb",
+    ),
+}
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_golden_digests(name, tmp_path, capsys):
+    argv, rows_digest, summary_digest = GOLDEN[name]
+    out = tmp_path / name
+    assert cli_main(argv + ["--out", str(out)]) == 0, (
+        f"{name}: exit code, stderr {capsys.readouterr().err!r}")
+    moved = [f for f, want in (("rows.csv", rows_digest),
+                               ("summary.json", summary_digest))
+             if _sha256(out / f) != want]
+    assert not moved, f"{name}: digest of {', '.join(moved)} moved"
