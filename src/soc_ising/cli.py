@@ -11,18 +11,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
-from .experiments import COMMANDS, build_config, parse_config_file, run
+from .experiments import (COMMANDS, ExperimentConfig, build_config,
+                          parse_config_file, run)
 
-# flag name -> config key (flags mirror the config file schema)
-_FLAG_KEYS = {
-    "n": "n", "a": "a", "t": "t", "p": "p", "q": "q", "bc": "bc",
-    "method": "method", "tau": "tau", "total": "total",
-    "burn_in": "burn_in", "thin": "thin", "samples": "samples",
-    "seed": "seed", "out": "out", "snapshot_every": "snapshot_every",
-    "variant": "variant", "b": "b", "delta": "delta",
-    "k_budget": "k_budget", "min_hits": "min_hits", "v": "v",
-}
+# one --flag per config key, in declaration order
+_KEYS = [f.name for f in fields(ExperimentConfig) if f.name != "command"]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -35,8 +30,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="flat key = value config file")
     parser.add_argument("--print-config", action="store_true",
                         help="print the effective config and exit")
-    for flag, key in _FLAG_KEYS.items():
-        parser.add_argument(f"--{flag.replace('_', '-')}", dest=flag,
+    for key in _KEYS:
+        parser.add_argument(f"--{key.replace('_', '-')}", dest=key,
                             metavar=key.upper())
     return parser
 
@@ -45,11 +40,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         file_values = parse_config_file(args.config) if args.config else {}
-        overrides = {
-            key: getattr(args, flag)
-            for flag, key in _FLAG_KEYS.items()
-            if getattr(args, flag) is not None
-        }
+        overrides = {key: getattr(args, key) for key in _KEYS
+                     if getattr(args, key) is not None}
         cfg = build_config(args.command, file_values, overrides)
     except (ValueError, OSError) as exc:
         print(json.dumps({"error": "config", "message": str(exc)}),

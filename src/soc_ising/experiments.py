@@ -21,7 +21,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -41,7 +41,6 @@ from .soc import (
     edge_closing_price,
     exact_mu_n,
     exact_mu_prime,
-    fixed_point,
     naive_mu_prime_dynamics,
     two_timescale_dynamics,
 )
@@ -74,12 +73,17 @@ _ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | {"n"}
 # keys that may be unset, parsed from the string "none"
 _OPTIONAL = frozenset(["t", "p", "v"])
 
-# the one box side each exact command can enumerate
-_EXACT_SIDES = {
-    "coupling-verify": range(1, 4),
-    "duality-verify": range(2, 5),
-    "enumerate": range(1, 5),
+# commands that take one box side, with the inclusive range of sides each
+# accepts: the exact commands enumerate their box, tail-fit fits one box
+_ONE_SIDE = {
+    "coupling-verify": (1, 3),
+    "duality-verify": (2, 4),
+    "enumerate": (1, 4),
+    "tail-fit": (1, math.inf),
 }
+
+# commands that sample the random-cluster law at bond density p
+_SAMPLING = frozenset(["fk-sample", "surgery-demo", "fss-freq", "tail-fit"])
 
 
 @dataclass(frozen=True)
@@ -138,21 +142,36 @@ class ExperimentConfig:
         if records is not None and self.burn_in >= records:
             raise ValueError(f"burn_in: must be below the {records} records "
                              f"of this {self.command}")
-        sides = _EXACT_SIDES.get(self.command)
-        if sides and (len(self.n) != 1 or self.n[0] not in sides):
-            raise ValueError(f"n: {self.command} takes one box side in "
-                             f"[{sides.start}, {sides.stop - 1}]")
+        if self.command in _ONE_SIDE:
+            lo, hi = _ONE_SIDE[self.command]
+            if len(self.n) != 1 or not lo <= self.n[0] <= hi:
+                raise ValueError(f"n: {self.command} takes one box side in "
+                                 f"[{lo}, {hi}]")
         if (self.command in ("surgery-demo", "fss-freq")
                 and not 31.0 / 16.0 < self.a < 2.0):
             raise ValueError(f"a: {self.command} needs the exponent in "
                              f"(31/16, 2), got {self.a!r}")
-        if self.command == "fss-freq" and self.p is None:
-            for m in self.n:
-                try:
-                    fixed_point(m, self.a)
-                except ValueError as exc:
-                    raise ValueError(f"p: unset, and side {m} has no fixed "
-                                     f"point ({exc})") from None
+        if self.command in _SAMPLING:
+            if self.p is None:
+                raise ValueError(f"p: required for {self.command}")
+            if self.command == "fss-freq":
+                # the finite-size scaling events live on the wired q = 2
+                # law at or above the critical density
+                pc = p_critical(2.0)
+                if self.p < pc:
+                    raise ValueError(f"p: finite-size scaling clauses need "
+                                     f"p >= {pc:.6f}, got {self.p}")
+                for key, want in (("q", 2), ("bc", 1)):
+                    if getattr(self, key) != want:
+                        raise ValueError(f"{key}: fss-freq samples the wired "
+                                         f"q = 2 law, so {key} must be {want}")
+            if self.method == "sw" and self.q != 2:
+                raise ValueError(f"q: method sw samples q = 2 only, got "
+                                 f"{self.q!r}; use method single-bond")
+        if (self.command == "enumerate"
+                and self.variant not in ("mu", "mu-prime")):
+            raise ValueError("variant: enumerate takes 'mu' or 'mu-prime', "
+                             f"got {self.variant!r}")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed: a 64-bit unsigned integer")
         if self.snapshot_every < 0:
@@ -163,6 +182,9 @@ class ExperimentConfig:
             raise ValueError("min_hits must be >= 1")
         if self.v is not None and self.v < 0:
             raise ValueError("v: vertex id must be >= 0")
+        if (self.command == "tail-fit" and self.v is not None
+                and self.v >= self.n[0] ** 2):
+            raise ValueError(f"v: vertex id out of range for side {self.n[0]}")
 
     def out_dir(self) -> str:
         return self.out if self.out else os.path.join("runs", self.command)
@@ -288,6 +310,16 @@ def wilson_interval(hits: int, n: int, z: float = 1.96) -> tuple[float, float]:
 # runners: each returns (columns, rows, summary)
 
 
+def _trajectory_summary(traj) -> dict:
+    """Post-burn-in statistics of one feedback trajectory."""
+    return {
+        "burn_in": traj.burn_in,
+        "mean_T": traj.mean_temperature(),
+        "std_T": traj.temperature_std(),
+        "mean_abs_m": float(np.abs(traj.mags[traj.burn_in:]).mean()),
+    }
+
+
 def _run_soc_run(cfg: ExperimentConfig):
     cols = ["n", "chain", "step", "T", "m", "flips", "floor_used", "m_n"]
     rows, per_n = [], []
@@ -302,14 +334,10 @@ def _run_soc_run(cfg: ExperimentConfig):
             rows.append([n, i, int(traj.steps[r]), float(traj.temps[r]),
                          int(traj.mags[r]), int(traj.flips[r]),
                          bool(traj.floor_used[r]), int(m_ns[r])])
-        kept = traj.kept()
         per_n.append({
             "n": n,
             "records": len(traj.steps),
-            "burn_in": traj.burn_in,
-            "mean_T": float(kept.mean()),
-            "std_T": float(kept.std()),
-            "mean_abs_m": float(np.abs(traj.mags[traj.burn_in:]).mean()),
+            **_trajectory_summary(traj),
             "floor_frac": float(traj.floor_used.mean()),
             "flip_rate": float(traj.flips.mean() / (cfg.tau * n * n)),
         })
@@ -332,35 +360,26 @@ def _run_soc_compare(cfg: ExperimentConfig):
                 rows.append([n, traj.variant, int(traj.steps[r]),
                              float(traj.temps[r]), int(traj.mags[r]),
                              int(traj.flips[r])])
-            kept = traj.kept()
-            cells.append({
-                "n": n,
-                "variant": traj.variant,
-                "burn_in": traj.burn_in,
-                "mean_T": float(kept.mean()),
-                "std_T": float(kept.std()),
-                "mean_abs_m": float(np.abs(traj.mags[traj.burn_in:]).mean()),
-            })
+            cells.append({"n": n, "variant": traj.variant,
+                          **_trajectory_summary(traj)})
     return cols, rows, {"t_critical": T_CRITICAL, "cells": cells}
 
 
-def _fk_samples(cfg: ExperimentConfig, n: int, p: float, chain: int):
-    params = FKParams(p=p, q=cfg.q, bc=cfg.bc)
+def _fk_samples(cfg: ExperimentConfig, n: int, chain: int):
+    params = FKParams(p=cfg.p, q=cfg.q, bc=cfg.bc)
     rng = chain_rng(cfg.seed, chain)
-    omega0 = bernoulli_bonds(build_box(n), p, rng)
+    omega0 = bernoulli_bonds(build_box(n), cfg.p, rng)
     burn = _auto(cfg.burn_in, 100 + n)
     return sample_chain(omega0, params, cfg.samples, burn, cfg.thin, rng,
                         method=cfg.method)
 
 
 def _run_fk_sample(cfg: ExperimentConfig):
-    if cfg.p is None:
-        raise ValueError("p: required for fk-sample")
     cols = ["n", "sample", "open_edges", "k0", "k1", "m_n", "max_interior",
             "sum_sq_interior", "u_n", "units"]
     rows, per_n = [], []
     for i, n in enumerate(cfg.n):
-        samples = _fk_samples(cfg, n, cfg.p, i)
+        samples = _fk_samples(cfg, n, i)
         stats = []
         for s, omega in enumerate(samples):
             dec = decompose(omega)
@@ -415,8 +434,6 @@ def _run_duality_verify(cfg: ExperimentConfig):
 
 
 def _run_surgery_demo(cfg: ExperimentConfig):
-    if cfg.p is None:
-        raise ValueError("p: required for surgery-demo")
     cols = ["n", "sample", "m_before", "b", "target", "m_after", "success",
             "stage", "j_star", "h0_size", "h1_size", "h2_size", "h_size",
             "c0_count", "c0_mass", "parity_unit_used", "identity_ok",
@@ -426,7 +443,7 @@ def _run_surgery_demo(cfg: ExperimentConfig):
     rows, per_n = [], []
     for i, n in enumerate(cfg.n):
         params = EventParams(n=n, a=cfg.a, delta=cfg.delta, K=cfg.k_budget)
-        samples = _fk_samples(cfg, n, cfg.p, i)
+        samples = _fk_samples(cfg, n, i)
         n_pre, n_success, budgets, h_sizes = 0, 0, [], []
         for s, omega in enumerate(samples):
             m = decompose(omega).m_count
@@ -476,18 +493,15 @@ def _run_surgery_demo(cfg: ExperimentConfig):
 
 def _run_enumerate(cfg: ExperimentConfig):
     n = cfg.n[0]
-    variant = cfg.variant or "mu"
-    if variant not in ("mu", "mu-prime"):
-        raise ValueError("variant: 'mu' or 'mu-prime'")
-    g = build_box(n)
-    mu = exact_mu_n(g, cfg.a) if variant == "mu" else exact_mu_prime(g, cfg.a)
+    exact = exact_mu_n if cfg.variant == "mu" else exact_mu_prime
+    mu = exact(build_box(n), cfg.a)
     cols = ["index", "m", "T", "energy", "prob"]
     rows = [[i, int(mu.mags[i]), float(mu.temps[i]), float(mu.energies[i]),
              float(mu.probs[i])] for i in range(len(mu.mags))]
     return cols, rows, {
         "n": n,
         "a": cfg.a,
-        "variant": variant,
+        "variant": cfg.variant,
         "n_configs": len(rows),
         "z_direct": mu.z_direct,
         "z_rewrite": mu.z_rewrite,
@@ -497,27 +511,22 @@ def _run_enumerate(cfg: ExperimentConfig):
 
 
 def fss_frequency(cfg: ExperimentConfig):
-    """Frequencies of the finite-size scaling events over wired samples.
+    """Frequencies of the finite-size scaling events over samples of the
+    wired q = 2 random-cluster law at bond density cfg.p >= p_c(2), the
+    only configs ExperimentConfig accepts for fss-freq.
 
-    For each box side the bond density is cfg.p, or the fixed-point
-    density for (n, cfg.a) when p is unset.  Returns (columns, rows,
-    summary) with one row per sample and per-n frequencies of the event
-    conjunction, the ambient event, and each clause, with Wilson 95%
-    intervals, plus the boundary and inner-box mass ratios against their
-    nominal thresholds 4 and 2.
+    Returns (columns, rows, summary) with one row per sample and per-n
+    frequencies of the event conjunction, the ambient event, and each
+    clause, with Wilson 95% intervals, plus the boundary and inner-box
+    mass ratios against their nominal thresholds 4 and 2.
     """
     cols = ["n", "sample", "p", "m_n", "inner_m", "max_interior", "units",
             "m_ratio", "inner_ratio", "g_n", "f_n", "cond_mass_upper",
             "cond_size_cap", "cond_inner_mass"]
     rows, per_n = [], []
-    pc = p_critical(2.0)
     for i, n in enumerate(cfg.n):
-        p = cfg.p if cfg.p is not None else fixed_point(n, cfg.a).p_n
-        if p < pc:
-            raise ValueError(
-                f"p: finite-size scaling clauses need p >= {pc:.6f}, got {p}")
         params = EventParams(n=n, a=cfg.a, delta=cfg.delta, K=cfg.k_budget)
-        samples = _fk_samples(replace(cfg, p=p, q=2.0, bc=1), n, p, i)
+        samples = _fk_samples(cfg, n, i)
         g = build_box(n)
         inner_mask = g.sub_box_mask(params.n1)
         na = float(n) ** cfg.a
@@ -526,13 +535,13 @@ def fss_frequency(cfg: ExperimentConfig):
         ratios, inner_ratios = [], []
         for s, omega in enumerate(samples):
             dec = decompose(omega)
-            c1, c2, c3 = fss_conditions(dec, params, p)
+            c1, c2, c3 = fss_conditions(dec, params, cfg.p)
             gn = event_G_n(dec, params)
             fn = c1 and c2 and c3
             inner_m = int((dec.m_mask & inner_mask).sum())
             m_ratio = dec.m_count / na
             inner_ratio = inner_m / na
-            rows.append([n, s, p, dec.m_count, inner_m, dec.max_interior,
+            rows.append([n, s, cfg.p, dec.m_count, inner_m, dec.max_interior,
                          dec.unit_interior_count, m_ratio, inner_ratio,
                          gn, fn, c1, c2, c3])
             for key, hit in (("g_n", gn), ("f_n", fn), ("c1", c1),
@@ -549,7 +558,7 @@ def fss_frequency(cfg: ExperimentConfig):
             freq[key] = {"freq": hits / ns, "ci": [lo, hi]}
         per_n.append({
             "n": n,
-            "p": p,
+            "p": cfg.p,
             "samples": ns,
             "events": freq,
             "mean_m_ratio": float(np.mean(ratios)),
@@ -560,14 +569,9 @@ def fss_frequency(cfg: ExperimentConfig):
 
 
 def _run_tail_fit(cfg: ExperimentConfig):
-    if cfg.p is None:
-        raise ValueError("p: required for tail-fit")
     n = cfg.n[0]
-    g = build_box(n)
-    v = cfg.v if cfg.v is not None else g.vertex_id(0, 0)
-    if v >= n * n:
-        raise ValueError(f"v: vertex id out of range for side {n}")
-    samples = _fk_samples(cfg, n, cfg.p, 0)
+    v = cfg.v if cfg.v is not None else build_box(n).vertex_id(0, 0)
+    samples = _fk_samples(cfg, n, 0)
     cols = ["sample", "size"]
     rows = []
     sizes = []

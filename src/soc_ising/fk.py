@@ -159,13 +159,6 @@ class ClusterDecomposition:
             for c in self.interior_cluster_ids
         ]
 
-    def by_size(self, interior_only: bool = False) -> dict[int, int]:
-        sizes = self.interior_sizes if interior_only else self.sizes
-        out: dict[int, int] = {}
-        for s in sizes:
-            out[int(s)] = out.get(int(s), 0) + 1
-        return out
-
 
 def cluster_labels(g: BoxGeometry, bonds) -> np.ndarray:
     """Cluster ids of every vertex for one bond configuration (shape (E,))

@@ -10,7 +10,6 @@ critical temperature.
 """
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -302,7 +301,6 @@ class SocTrajectory:
     flips: np.ndarray = field(repr=False)
     floor_used: np.ndarray = field(repr=False)
     burn_in: int = 0
-    elapsed: float = 0.0
     m_ns: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -344,7 +342,6 @@ def two_timescale_dynamics(
         g = build_box(int(g))
     if tau < 1:
         raise ValueError("tau must be >= 1")
-    t0 = time.perf_counter()
     config = SpinConfig.all_plus(g)
     t = feedback_temperature(config, a)
     n_rec = total // tau
@@ -377,7 +374,7 @@ def two_timescale_dynamics(
     return SocTrajectory(
         n=g.n, a=a, tau=tau, variant="two-timescale",
         steps=steps, temps=temps, mags=mags, flips=flips, floor_used=floored,
-        burn_in=burn_in, elapsed=time.perf_counter() - t0, m_ns=m_ns,
+        burn_in=burn_in, m_ns=m_ns,
     )
 
 
@@ -400,7 +397,6 @@ def naive_mu_prime_dynamics(
     """
     if isinstance(g, (int, np.integer)):
         g = build_box(int(g))
-    t0 = time.perf_counter()
     interior = g.interior_ids
     ni = interior.size
     if ni == 0:
@@ -412,7 +408,7 @@ def naive_mu_prime_dynamics(
             n=g.n, a=a, tau=1, variant="mu-prime",
             steps=steps, temps=np.full(total, t), mags=np.full(total, g.n * g.n),
             flips=np.zeros(total, dtype=np.int64), floor_used=np.zeros(total, dtype=bool),
-            burn_in=0 if burn_in is None else burn_in, elapsed=time.perf_counter() - t0,
+            burn_in=0 if burn_in is None else burn_in,
         )
     n2a = float(g.n) ** (2 * a)
     spins = SpinConfig.all_plus(g).spins
@@ -454,5 +450,4 @@ def naive_mu_prime_dynamics(
         n=g.n, a=a, tau=1, variant="mu-prime" if account_for_T_change else "mu-prime-naive",
         steps=steps, temps=temps, mags=mags, flips=flips,
         floor_used=np.zeros(total, dtype=bool), burn_in=burn_in,
-        elapsed=time.perf_counter() - t0,
     )

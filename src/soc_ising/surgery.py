@@ -202,33 +202,6 @@ class SurgeryResult:
     units_ok: bool = False
     budget_used: float = 0.0
 
-    def to_record(self) -> dict:
-        return {
-            "success": self.success,
-            "stage": self.stage,
-            "b": self.b,
-            "target": self.target,
-            "m_before": self.m_before,
-            "m_after": self.m_after,
-            "j_star": self.j_star,
-            "h0": [int(e) for e in self.h0],
-            "h1": [int(e) for e in self.h1],
-            "h2": [int(e) for e in self.h2],
-            "h": [int(e) for e in self.h],
-            "h0_size": int(self.h0.size),
-            "h1_size": int(self.h1.size),
-            "h2_size": int(self.h2.size),
-            "h_size": int(self.h.size),
-            "witness_edge": self.witness_edge,
-            "fine_m": self.fine_m,
-            "c0_sizes": [int(s) for s in self.c0_sizes],
-            "parity_unit": self.parity_unit,
-            "identity_ok": self.identity_ok,
-            "cap_ok": self.cap_ok,
-            "units_ok": self.units_ok,
-            "budget_used": self.budget_used,
-        }
-
 
 def surgery(omega: BondConfig, b: int, params: EventParams) -> SurgeryResult:
     """Close edges among those spanned by the boundary-connected set so that

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from soc_ising import (
     run,
     wilson_interval,
 )
-from soc_ising import experiments
+from soc_ising import cli, experiments
 from soc_ising.cli import main as cli_main
 
 
@@ -29,7 +30,7 @@ def test_per_command_defaults():
     assert build_config("soc-run").out_dir() == "runs/soc-run"
     for command in COMMANDS:
         if command == "fss-freq":
-            # a = 1.99 has no fixed point at sides 16 and 32, and p is unset
+            # p is required for fss-freq, and its defaults leave it unset
             with pytest.raises(ValueError, match="^p: "):
                 build_config(command)
         else:
@@ -239,12 +240,16 @@ def test_summary_recomputable_from_rows(tmp_path):
     assert result["n_rows"] == 30
 
 
-def test_failure_leaves_no_partial_output(tmp_path):
+def _failing_runner(cfg):
+    raise RuntimeError("runner failed")
+
+
+def test_failure_leaves_no_partial_output(tmp_path, monkeypatch):
     out = tmp_path / "tail"
-    cfg = build_config("tail-fit", overrides={"n": "4", "v": "999",
-                                              "samples": "5",
+    cfg = build_config("tail-fit", overrides={"n": "4", "samples": "5",
                                               "out": str(out)})
-    with pytest.raises(ValueError, match="v: vertex id out of range"):
+    monkeypatch.setitem(experiments._RUNNERS, "tail-fit", _failing_runner)
+    with pytest.raises(RuntimeError, match="runner failed"):
         run(cfg)
     assert not out.exists()
 
@@ -281,10 +286,9 @@ def test_write_failure_keeps_previous_run(tmp_path, monkeypatch):
 
 
 def test_fss_frequency_rejects_subcritical_density():
-    cfg = build_config("fss-freq", overrides={"n": "8", "p": "0.3",
-                                              "samples": "5"})
-    with pytest.raises(ValueError, match="p: finite-size scaling"):
-        run(cfg)
+    with pytest.raises(ValueError, match="^p: finite-size scaling"):
+        build_config("fss-freq", overrides={"n": "8", "p": "0.3",
+                                            "samples": "5"})
 
 
 def test_coupling_verify_box_guard():
@@ -311,7 +315,37 @@ def test_cli_fss_freq_defaults_exit_2(capsys):
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "config"
     assert err["message"].startswith("p:")
-    assert "side 16" in err["message"] and "fixed point needs n > " in err["message"]
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["fk-sample", "--p", "none"], "p"),
+    (["surgery-demo", "--p", "none"], "p"),
+    (["tail-fit", "--p", "none"], "p"),
+    (["enumerate", "--variant", "foo"], "variant"),
+    (["tail-fit", "--n", "4", "--v", "100"], "v"),
+    (["fss-freq", "--p", "0.3"], "p"),
+    (["fk-sample", "--q", "1.5"], "q"),
+    (["tail-fit", "--q", "3"], "q"),
+    (["tail-fit", "--n", "8,16"], "n"),
+    (["fss-freq", "--p", "0.6", "--q", "3", "--bc", "0"], "q"),
+    (["fss-freq", "--p", "0.6", "--bc", "0"], "bc"),
+])
+def test_cli_command_rules_exit_2(argv, key, tmp_path, capsys):
+    out = tmp_path / "never"
+    assert cli_main(argv + ["--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config"
+    assert err["message"].startswith(f"{key}:")
+    assert not out.exists()
+
+
+def test_cli_empty_variant_in_config_file_exit_2(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("variant =\n", encoding="utf-8")
+    assert cli_main(["enumerate", "--config", str(path)]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config"
+    assert err["message"].startswith("variant:")
 
 
 @pytest.mark.parametrize("argv", [
@@ -381,14 +415,28 @@ def test_cli_config_file_with_flag_override(tmp_path, capsys):
     assert lines["p"] == "0.45" and lines["samples"] == "40"
 
 
-def test_cli_runtime_error_exit_1(tmp_path, capsys):
+def test_cli_runtime_error_exit_1(tmp_path, capsys, monkeypatch):
     out = tmp_path / "never"
-    code = cli_main(["tail-fit", "--n", "4", "--v", "999",
-                     "--samples", "5", "--out", str(out)])
+    monkeypatch.setitem(experiments._RUNNERS, "tail-fit", _failing_runner)
+    code = cli_main(["tail-fit", "--n", "4", "--samples", "5",
+                     "--out", str(out)])
     assert code == 1
     err = json.loads(capsys.readouterr().err.strip())
-    assert err["error"] == "runtime"
+    assert err == {"error": "runtime", "message": "runner failed"}
     assert not out.exists()
+
+
+def test_cli_flags_mirror_config_fields():
+    # one flag per config key, in declaration order, so a new key cannot
+    # drift between the parser and ExperimentConfig
+    own = {"help", "command", "config", "print_config"}
+    actions = [a for a in cli._build_parser()._actions if a.dest not in own]
+    keys = [f.name for f in fields(ExperimentConfig) if f.name != "command"]
+    assert [a.dest for a in actions] == keys
+    # and every key has a value type for the config-file parser
+    assert experiments._ALL_KEYS == set(keys)
+    for a in actions:
+        assert a.option_strings == ["--" + a.dest.replace("_", "-")]
 
 
 def test_cli_rejects_runs_without_records(capsys):
