@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .lattice import BoxGeometry, build_box, dual_geometry
+from .lattice import BoxGeometry, as_box, build_box, dual_geometry
 from .ising import SpinConfig, enumerate_plus_configs, exact_ising_distribution
 from .fk import (
     BondConfig, FKParams, boundary_clusters, cluster_spins, enumerate_bond_configs,
@@ -142,8 +142,7 @@ def es_spin_pushforward(g: BoxGeometry | int, t: float) -> dict[bytes, float]:
     configuration (keyed by the int8 byte string of the spins, in order of
     first arrival).
     """
-    if isinstance(g, (int, np.integer)):
-        g = build_box(int(g))
+    g = as_box(g)
     fk = exact_fk_distribution(g, FKParams(t_to_p(t), 2.0, 1))
     probs, reached = _spin_pushforward(g, fk)
     rows = enumerate_plus_configs(g)
@@ -176,15 +175,14 @@ def _bond_pushforward(g: BoxGeometry, dist, p: float) -> np.ndarray:
 def es_bond_pushforward(g: BoxGeometry | int, t: float) -> np.ndarray:
     """Exact bond marginal of the coupling built over the plus-boundary spin
     law, as probabilities indexed by bond bitmask."""
-    if isinstance(g, (int, np.integer)):
-        g = build_box(int(g))
+    g = as_box(g)
     return _bond_pushforward(g, exact_ising_distribution(g, t), t_to_p(t))
 
 
 def es_pushforward_check(g_or_n, t: float) -> tuple[float, float]:
     """Max absolute error of both marginals of the coupling against the
     exact spin and bond laws.  Returns (spin error, bond error)."""
-    g = build_box(int(g_or_n)) if isinstance(g_or_n, (int, np.integer)) else g_or_n
+    g = as_box(g_or_n)
     dist = exact_ising_distribution(g, t)
     fk = exact_fk_distribution(g, FKParams(t_to_p(t), 2.0, 1))
     pushed, _ = _spin_pushforward(g, fk)

@@ -44,34 +44,10 @@ from .soc import (
     naive_mu_prime_dynamics,
     two_timescale_dynamics,
 )
-from .surgery import EventParams, event_F_n, event_G_n, fss_conditions, surgery
-
-COMMANDS = (
-    "soc-run",
-    "soc-compare",
-    "fk-sample",
-    "coupling-verify",
-    "duality-verify",
-    "surgery-demo",
-    "enumerate",
-    "fss-freq",
-    "tail-fit",
-)
+from .surgery import EventParams, event_G_n, fss_conditions, surgery
 
 SCHEMA_VERSION = 1
 RNG_FAMILY = "philox"
-
-# config keys by value type; "n" is the comma list of box sides
-_INT_KEYS = frozenset(
-    ["bc", "tau", "total", "burn_in", "thin", "samples", "seed",
-     "snapshot_every", "b", "min_hits", "v"]
-)
-_FLOAT_KEYS = frozenset(["a", "t", "p", "q", "delta", "k_budget"])
-_STR_KEYS = frozenset(["method", "out", "variant"])
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | {"n"}
-
-# keys that may be unset, parsed from the string "none"
-_OPTIONAL = frozenset(["t", "p", "v"])
 
 # commands that take one box side, with the inclusive range of sides each
 # accepts: the exact commands enumerate their box, tail-fit fits one box
@@ -89,7 +65,15 @@ _SAMPLING = frozenset(["fk-sample", "surgery-demo", "fss-freq", "tail-fit"])
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Effective settings of one run, after merging defaults, the config
-    file, and command-line overrides."""
+    file, and command-line overrides.
+
+    The fields declare every config key once: its name, its value type
+    (the annotation, which the config-file and flag parser reads; only keys
+    annotated `| None` may be unset) and the default shared by all
+    commands.  Each command overrides a few of those defaults in
+    `_DEFAULTS`, so build the config with `build_config`:
+    `ExperimentConfig(command=...)` holds only the shared defaults, which
+    some commands reject (enumerate needs a side <= 4, fk-sample a p)."""
 
     command: str
     n: tuple[int, ...] = (16,)
@@ -206,14 +190,14 @@ class ExperimentConfig:
         return out
 
 
+# the field defaults that each command overrides; every other key keeps
+# the default shared by all commands
 _DEFAULTS = {
-    "soc-run": {"n": (16,), "tau": 32, "total": 20000},
     "soc-compare": {"n": (8,), "total": 5000},
-    "fk-sample": {"n": (16,), "p": 0.6, "samples": 200, "burn_in": 100},
+    "fk-sample": {"p": 0.6, "burn_in": 100},
     "coupling-verify": {"n": (3,)},
     "duality-verify": {"n": (3,)},
-    "surgery-demo": {"n": (30,), "a": 1.95, "p": 0.7, "samples": 200,
-                     "burn_in": 100},
+    "surgery-demo": {"n": (30,), "a": 1.95, "p": 0.7, "burn_in": 100},
     "enumerate": {"n": (3,), "variant": "mu"},
     "fss-freq": {"n": (16, 32), "samples": 100, "burn_in": 100},
     "tail-fit": {"n": (64,), "p": 0.4, "bc": 0, "samples": 2000,
@@ -230,26 +214,29 @@ def _parse_n(raw) -> tuple[int, ...]:
     return tuple(int(m) for m in raw)
 
 
+# value parser per field annotation; "n" is the comma list of box sides
+_PARSERS = {"int": int, "float": float, "str": str,
+            "tuple[int, ...]": _parse_n}
+_KEY_TYPES = {f.name: f.type for f in fields(ExperimentConfig)
+              if f.name != "command"}
+
+
 def _coerce(key: str, raw):
-    """Parse one config value from its file/flag spelling."""
-    if key not in _ALL_KEYS:
+    """Parse one config value from its file/flag spelling.  None and the
+    spelling "none" unset a key annotated `| None` and are refused for
+    every other key."""
+    if key not in _KEY_TYPES:
         raise ValueError(f"unknown config key: {key}")
-    if raw is None:
-        return None
-    if isinstance(raw, str) and raw.strip().lower() == "none":
-        if key in _OPTIONAL:
+    kind = _KEY_TYPES[key]
+    if raw is None or (isinstance(raw, str)
+                       and raw.strip().lower() == "none"):
+        if kind.endswith(" | None"):
             return None
         raise ValueError(f"{key}: value required")
     try:
-        if key == "n":
-            return _parse_n(raw)
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
+        return _PARSERS[kind.removesuffix(" | None")](raw)
     except (TypeError, ValueError):
         raise ValueError(f"{key}: cannot parse {raw!r}") from None
-    return str(raw)
 
 
 def parse_config_file(path: str) -> dict:
@@ -609,6 +596,8 @@ _RUNNERS = {
     "fss-freq": fss_frequency,
     "tail-fit": _run_tail_fit,
 }
+
+COMMANDS = tuple(_RUNNERS)
 
 
 def _csv_cell(x) -> str:

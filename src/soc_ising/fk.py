@@ -15,7 +15,7 @@ from collections import deque
 
 import numpy as np
 
-from .lattice import BoxGeometry, build_box
+from .lattice import BoxGeometry, as_box
 
 
 def p_critical(q: float) -> float:
@@ -78,9 +78,6 @@ class BondConfig:
 
     def copy(self) -> "BondConfig":
         return BondConfig(self.g, self.bonds.copy())
-
-    def key(self) -> bytes:
-        return self.bonds.tobytes()
 
 
 def close_edges(omega: BondConfig, edge_ids) -> BondConfig:
@@ -256,8 +253,7 @@ def exact_fk_distribution(g: BoxGeometry | int, params: FKParams) -> FKDistribut
     Supported up to 24 edges (side 4); the side-4 table takes about 27 s
     and peaks near 186 MB of RSS (2-CPU Xeon), tests stay at side <= 3.
     """
-    if isinstance(g, (int, np.integer)):
-        g = build_box(int(g))
+    g = as_box(g)
     ne = g.n_edges
     if ne > 24:
         raise ValueError("exact enumeration limited to <= 24 edges (side <= 4)")

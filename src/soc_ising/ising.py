@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit, logsumexp
 
-from .lattice import BoxGeometry, build_box
+from .lattice import BoxGeometry, as_box
 
 T_CRITICAL = 2.0 / math.log(1.0 + math.sqrt(2.0))
 
@@ -32,12 +32,10 @@ class IsingParams:
 
 
 class SpinConfig:
-    """Spin assignment (+1/-1 per vertex) with a cached magnetization.
+    """Spin assignment (+1/-1 per vertex); the magnetization is summed on
+    demand, so code may write `spins` directly."""
 
-    The cache is maintained on every mutation, so `magnetization()` is O(1).
-    """
-
-    __slots__ = ("g", "spins", "_m")
+    __slots__ = ("g", "spins")
 
     def __init__(self, g: BoxGeometry, spins):
         spins = np.asarray(spins, dtype=np.int8)
@@ -47,30 +45,19 @@ class SpinConfig:
             raise ValueError("spins must be +1 or -1")
         self.g = g
         self.spins = spins
-        self._m = int(spins.sum())
 
     @classmethod
     def all_plus(cls, g: BoxGeometry) -> "SpinConfig":
         return cls(g, np.ones(g.n * g.n, dtype=np.int8))
 
     def magnetization(self) -> int:
-        return self._m
+        return int(self.spins.sum())
 
     def flip(self, v: int) -> None:
-        s = int(self.spins[v])
-        self.spins[v] = -s
-        self._m -= 2 * s
-
-    def set_spins(self, spins) -> None:
-        spins = np.asarray(spins, dtype=np.int8)
-        self.spins = spins
-        self._m = int(spins.sum())
+        self.spins[v] = -self.spins[v]
 
     def copy(self) -> "SpinConfig":
         return SpinConfig(self.g, self.spins.copy())
-
-    def key(self) -> tuple:
-        return tuple(int(s) for s in self.spins)
 
 
 def hamiltonian(config: SpinConfig) -> float:
@@ -121,7 +108,6 @@ def heat_bath_sweep(config: SpinConfig, t: float, rng: np.random.Generator) -> S
         p_plus = expit(2.0 * h / t)
         u = rng.random(sites.size)
         spins[sites] = np.where(u < p_plus, 1, -1).astype(np.int8)
-    config.set_spins(spins)
     return config
 
 
@@ -204,8 +190,7 @@ def exact_ising_distribution(g: BoxGeometry | int, t: float) -> IsingDistributio
 
     At T = 0 this is the point mass on the all-plus configuration.
     """
-    if isinstance(g, (int, np.integer)):
-        g = build_box(int(g))
+    g = as_box(g)
     if g.n > 5:
         raise ValueError("exact enumeration supported for side <= 5")
     if t < 0:

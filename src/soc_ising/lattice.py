@@ -160,6 +160,11 @@ def build_box(n: int) -> BoxGeometry:
     return BoxGeometry(n)
 
 
+def as_box(g: BoxGeometry | int) -> BoxGeometry:
+    """The geometry itself, or the box of side g when g is an integer."""
+    return build_box(int(g)) if isinstance(g, (int, np.integer)) else g
+
+
 _STEPS = ((-1, 0), (0, -1), (0, 1), (1, 0))
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import logsumexp
 
-from .lattice import BoxGeometry, build_box
+from .lattice import BoxGeometry, as_box
 from .ising import SpinConfig, T_CRITICAL, PlusTable, plus_table, heat_bath_sweep, feedback_temperature
 from .fk import p_critical, decompose
 from .coupling import phi_n, es_ising_to_fk
@@ -129,8 +129,7 @@ class ExactMuN:
 
 def exact_mu_n(g: BoxGeometry | int, a: float) -> ExactMuN:
     """Enumerate the self-tuned law on a box of side <= 4."""
-    if isinstance(g, (int, np.integer)):
-        g = build_box(int(g))
+    g = as_box(g)
     n = g.n
     if n > 4:
         raise ValueError("exact self-tuned law limited to side <= 4")
@@ -175,8 +174,7 @@ def exact_mu_prime(g: BoxGeometry | int, a: float) -> ExactMuN:
     """Enumerate the unnormalized-weight variant exp(-H(sigma)/T(sigma)) on
     a box of side <= 4; configurations with m = 0 carry weight zero.  The
     z_rewrite field repeats z_direct (no level decomposition applies)."""
-    if isinstance(g, (int, np.integer)):
-        g = build_box(int(g))
+    g = as_box(g)
     n = g.n
     if n > 4:
         raise ValueError("exact self-tuned law limited to side <= 4")
@@ -244,8 +242,7 @@ def deviation_bound_check(g: BoxGeometry | int, a: float, eps: float) -> Deviati
     those values (restricted to the relevant side of T_c) together with the
     interval endpoint.
     """
-    if isinstance(g, (int, np.integer)):
-        g = build_box(int(g))
+    g = as_box(g)
     n = g.n
     if n > 4:
         raise ValueError("deviation check limited to side <= 4")
@@ -338,8 +335,7 @@ def two_timescale_dynamics(
     store -1.  Snapshots consume randomness, so the trajectory depends on
     k (but is still a pure function of the arguments and the rng state).
     """
-    if isinstance(g, (int, np.integer)):
-        g = build_box(int(g))
+    g = as_box(g)
     if tau < 1:
         raise ValueError("tau must be >= 1")
     config = SpinConfig.all_plus(g)
@@ -395,8 +391,7 @@ def naive_mu_prime_dynamics(
     whose self-organization the model's construction does not guarantee.
     One sweep is one proposal per interior site; records one row per sweep.
     """
-    if isinstance(g, (int, np.integer)):
-        g = build_box(int(g))
+    g = as_box(g)
     interior = g.interior_ids
     ni = interior.size
     if ni == 0:

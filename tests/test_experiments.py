@@ -61,6 +61,33 @@ def test_value_parsing():
         build_config("bogus")
 
 
+@pytest.mark.parametrize(
+    "key", [f.name for f in fields(ExperimentConfig) if f.name != "command"])
+def test_none_override_matches_spelling_none(key):
+    # a None override takes the same path as the spelling "none": unset for
+    # the keys annotated `| None`, refused by name for every other key
+    outcomes = []
+    for raw in (None, "none"):
+        try:
+            outcomes.append(build_config("soc-run", overrides={key: raw}))
+        except ValueError as err:
+            outcomes.append(str(err))
+    assert outcomes[0] == outcomes[1]
+    if key in ("t", "p", "v"):
+        assert getattr(outcomes[0], key) is None
+    else:
+        assert outcomes[0] == f"{key}: value required"
+
+
+def test_defaults_override_only_differing_values():
+    # _DEFAULTS holds only what a command changes from the shared defaults
+    shared = {f.name: f.default for f in fields(ExperimentConfig)}
+    assert set(experiments._DEFAULTS) <= set(COMMANDS)
+    for command, values in experiments._DEFAULTS.items():
+        for key, value in values.items():
+            assert value != shared[key], (command, key)
+
+
 def test_validation_messages_name_the_key():
     cases = [
         ("bc", "7"),
@@ -94,6 +121,30 @@ def test_as_flat_round_trip():
         overrides={k: v for k, v in flat.items()},
     )
     assert rebuilt == cfg
+
+
+def _printed_config(argv, capsys) -> list[str]:
+    assert cli_main(argv + ["--print-config"]) == 0
+    return capsys.readouterr().out.strip().splitlines()
+
+
+@pytest.mark.parametrize("argv", [
+    [c] for c in COMMANDS if c != "fss-freq"
+] + [
+    ["fss-freq", "--p", "0.6"],
+    ["fk-sample", "--n", "8,12", "--t", "1.5", "--p", "0.55", "--v", "3"],
+])
+def test_print_config_reads_back_with_config(argv, tmp_path, capsys):
+    # --print-config output without its command line is a config file that
+    # rebuilds the same config
+    lines = _printed_config(argv, capsys)
+    assert lines[0] == f"command = {argv[0]}"
+    path = tmp_path / "printed.cfg"
+    path.write_text("\n".join(lines[1:]) + "\n", encoding="utf-8")
+    original = build_config(argv[0], overrides={
+        k[2:].replace("-", "_"): v for k, v in zip(argv[1::2], argv[2::2])})
+    assert build_config(argv[0], parse_config_file(str(path))) == original
+    assert _printed_config([argv[0], "--config", str(path)], capsys) == lines
 
 
 def test_parse_config_file(tmp_path):
@@ -433,8 +484,10 @@ def test_cli_flags_mirror_config_fields():
     actions = [a for a in cli._build_parser()._actions if a.dest not in own]
     keys = [f.name for f in fields(ExperimentConfig) if f.name != "command"]
     assert [a.dest for a in actions] == keys
-    # and every key has a value type for the config-file parser
-    assert experiments._ALL_KEYS == set(keys)
+    # and every key's annotation is a type the config-file parser handles
+    types = {f.name: f.type for f in fields(ExperimentConfig)}
+    for key in keys:
+        assert types[key].removesuffix(" | None") in experiments._PARSERS, key
     for a in actions:
         assert a.option_strings == ["--" + a.dest.replace("_", "-")]
 

@@ -395,3 +395,23 @@ def test_walk_bound_requires_sampling_beyond_dp_budget():
     sizes = [2] * 600_000
     with pytest.raises(ValueError):
         compensation_walk_bound_check(sizes, N=2, n=10)
+
+
+def test_surgery_identity_on_random_configurations():
+    # recount the cut configuration with decompose rather than trusting the
+    # identity_ok flag that surgery computes itself
+    oks = 0
+    for seed in range(40):
+        rng = philox(seed, 11)
+        n = int(rng.integers(12, 21))
+        omega = bernoulli_bonds(build_box(n), float(rng.uniform(0.6, 0.9)),
+                                rng)
+        m = decompose(omega).m_count
+        b = int(rng.integers(0, m + 1))
+        res = surgery(omega, b, EventParams(n=n, a=1.95))
+        if res.stage != "ok":
+            continue
+        oks += 1
+        severed = sum(len(c) for c in res.disconnected)
+        assert decompose(close_edges(omega, res.h)).m_count - severed == b
+    assert oks >= 20
