@@ -27,6 +27,18 @@ GOLDEN = {
         "168d1839b87d3adf7f8eab3f53e20b25d38ced7a36fb19afd096b60b96542710",
         "b0df0c32b418fbd10f2ca4c209334f695dd2a1effe06cef64ddb0bd45a606bdb",
     ),
+    # side 2 has no interior site, side 3 one site in one colour class
+    "soc-run-tiny": (
+        ["soc-run", "--n", "2,3", "--tau", "4", "--total", "64",
+         "--snapshot-every", "3"],
+        "30aa1e92154e3c7273cc2d5736fe642b1de7db6e4ba16c623140b58f573ccc31",
+        "4a3b965b15147ae3a41412a7529924c6a97085cddffcd13f11654c0754275d85",
+    ),
+    "soc-compare-tiny": (
+        ["soc-compare", "--n", "2,3", "--total", "50"],
+        "0404982cf2a4e0e63d972fe20cdc90b5b517b49cfe780c96d89eb79f9f28cf04",
+        "bc4baa499aeed423951bc6994e6201ec223878c9927efd0ab6c0f8f70c9a680c",
+    ),
     "fk-sample-sw": (
         ["fk-sample", "--n", "16", "--p", "0.6", "--samples", "30",
          "--burn-in", "10", "--seed", "3"],
