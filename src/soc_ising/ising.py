@@ -88,8 +88,17 @@ def conditional_plus_probability(h: float, t: float) -> float:
     return float(expit(2.0 * h / t))
 
 
-def heat_bath_sweep(config: SpinConfig, t: float, rng: np.random.Generator) -> SpinConfig:
-    """One deterministic-order heat-bath pass over all interior sites.
+_TWO_H = 2.0 * np.arange(-4, 5)
+
+
+def heat_bath_table(t: float) -> np.ndarray:
+    """`conditional_plus_probability(h, t)` for h = -4..4, at index h + 4."""
+    return expit(_TWO_H / t)
+
+
+def heat_bath_sweep(config: SpinConfig, t: float, rng: np.random.Generator) -> int:
+    """One deterministic-order heat-bath pass over all interior sites, in
+    place; returns the number of sites whose spin changed.
 
     Sites are visited in two-color checkerboard order (interior sites with
     even x+y in lexicographic order, then odd ones); sites within a color
@@ -99,16 +108,16 @@ def heat_bath_sweep(config: SpinConfig, t: float, rng: np.random.Generator) -> S
     """
     if t <= 0:
         raise ValueError("heat_bath_sweep needs T > 0; T = 0 is the frozen point mass")
-    g = config.g
     spins = config.spins
-    for sites in (g.interior_even, g.interior_odd):
-        if sites.size == 0:
-            continue
-        h = spins[g.neighbors[sites]].sum(axis=1)
-        p_plus = expit(2.0 * h / t)
+    table = heat_bath_table(t)
+    flips = 0
+    for sites, nbr_t in config.g.color_classes:
+        h = spins[nbr_t].sum(axis=0)
         u = rng.random(sites.size)
-        spins[sites] = np.where(u < p_plus, 1, -1).astype(np.int8)
-    return config
+        new = np.where(u < table[h + 4], 1, -1).astype(np.int8)
+        flips += int(np.count_nonzero(new != spins[sites]))
+        spins[sites] = new
+    return flips
 
 
 @dataclass

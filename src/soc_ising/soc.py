@@ -350,9 +350,7 @@ def two_timescale_dynamics(
     for r in range(n_rec):
         nflip = 0
         for _ in range(tau):
-            before = config.spins.copy()
-            heat_bath_sweep(config, t, rng)
-            nflip += int((config.spins != before).sum())
+            nflip += heat_bath_sweep(config, t, rng)
         m = config.magnetization()
         t = feedback_temperature(config, a)
         if t == 0.0:
@@ -406,22 +404,25 @@ def naive_mu_prime_dynamics(
             burn_in=0 if burn_in is None else burn_in,
         )
     n2a = float(g.n) ** (2 * a)
-    spins = SpinConfig.all_plus(g).spins
-    nbrs = [g.neighbors[int(v)] for v in interior]
-    m = int(spins.sum())
-    h = -int((spins[g.edge_a].astype(np.int64) * spins[g.edge_b]).sum())
+    # plain Python lists: per-element numpy indexing would dominate the loop
+    spins = [1] * (g.n * g.n)
+    m = g.n * g.n
+    h = -g.n_edges
+    sites = interior.tolist()
+    nbrs = g.neighbors[interior].tolist()
     steps = np.empty(total, dtype=np.int64)
     temps = np.empty(total, dtype=np.float64)
     mags = np.empty(total, dtype=np.int64)
     flips = np.empty(total, dtype=np.int64)
     for sweep in range(total):
-        picks = rng.integers(0, ni, size=ni)
-        us = rng.random(ni)
+        picks = rng.integers(0, ni, size=ni).tolist()
+        us = rng.random(ni).tolist()
         nflip = 0
-        for i in range(ni):
-            v = int(interior[picks[i]])
-            s = int(spins[v])
-            local = int(spins[nbrs[picks[i]]].sum())
+        for k, u in zip(picks, us):
+            v = sites[k]
+            s = spins[v]
+            v0, v1, v2, v3 = nbrs[k]
+            local = spins[v0] + spins[v1] + spins[v2] + spins[v3]
             dh = 2 * s * local
             m_new = m - 2 * s
             if m_new == 0:
@@ -430,7 +431,7 @@ def naive_mu_prime_dynamics(
                 log_acc = h / (m * m / n2a) - (h + dh) / (m_new * m_new / n2a)
             else:
                 log_acc = -dh / (m * m / n2a)
-            if log_acc >= 0 or us[i] < math.exp(log_acc):
+            if log_acc >= 0 or u < math.exp(log_acc):
                 spins[v] = -s
                 m = m_new
                 h += dh

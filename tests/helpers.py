@@ -2,26 +2,41 @@
 
 Everything here is deliberately naive (BFS, direct enumeration, one
 mask at a time, one edge at a time) so that the library's vectorized
-cluster labelling, block-wise pushforwards, windowed single-bond sweep and
-log-space code paths are checked against a second implementation rather
-than against themselves.
+cluster labelling, block-wise pushforwards, windowed single-bond sweep,
+table-driven heat-bath sweep, list-based Metropolis loop and log-space
+code paths are checked against a second implementation rather than
+against themselves.
 """
 
+import math
 from collections import deque
 
 import numpy as np
+from scipy.special import expit
 
-from soc_ising.coupling import dual_config, dual_parameter, t_to_p
+from soc_ising.coupling import dual_config, dual_parameter, es_ising_to_fk, t_to_p
 from soc_ising.fk import (
-    BondConfig, ClusterDecomposition, FKParams, enumerate_bond_configs,
-    exact_fk_distribution,
+    BondConfig, ClusterDecomposition, FKParams, decompose,
+    enumerate_bond_configs, exact_fk_distribution,
 )
-from soc_ising.ising import exact_ising_distribution
-from soc_ising.lattice import build_box
+from soc_ising.ising import SpinConfig, exact_ising_distribution, feedback_temperature
+from soc_ising.lattice import as_box, build_box
+from soc_ising.soc import EPS_T
 
 
 def philox(seed: int, chain: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, chain]))
+
+
+class FixedDraws:
+    """Stands in for a Generator whose uniforms are given in advance."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=np.float64)
+
+    def random(self, size):
+        out, self.values = self.values[:size], self.values[size:]
+        return out
 
 
 def bfs_components(g, open_edges) -> list[set]:
@@ -208,3 +223,97 @@ def single_bond_sweep_oracle(omega, params, rng):
             cond = p if connected_without_oracle(out, e, params.bc == 1) else merge_p
         out.bonds[e] = 1 if u[e] < cond else 0
     return out
+
+
+def heat_bath_sweep_oracle(config, t: float, rng) -> None:
+    """One checkerboard heat-bath pass, in place: per color class, gather
+    the (k, 4) neighbour rows, take expit per site, one uniform per site."""
+    g = config.g
+    spins = config.spins
+    for sites in (g.interior_even, g.interior_odd):
+        if sites.size == 0:
+            continue
+        h = spins[g.neighbors[sites]].sum(axis=1)
+        p_plus = expit(2.0 * h / t)
+        u = rng.random(sites.size)
+        spins[sites] = np.where(u < p_plus, 1, -1).astype(np.int8)
+
+
+def two_timescale_oracle(g, a, tau, total, rng, snapshot_every=0):
+    """The feedback dynamics with flips counted by copying the spins before
+    every sweep and comparing after it.  Returns (steps, temps, mags,
+    flips, floor_used, m_ns)."""
+    g = as_box(g)
+    config = SpinConfig.all_plus(g)
+    t = feedback_temperature(config, a)
+    n_rec = total // tau
+    steps = np.empty(n_rec, dtype=np.int64)
+    temps = np.empty(n_rec, dtype=np.float64)
+    mags = np.empty(n_rec, dtype=np.int64)
+    flips = np.empty(n_rec, dtype=np.int64)
+    floored = np.zeros(n_rec, dtype=bool)
+    m_ns = np.full(n_rec, -1, dtype=np.int64)
+    for r in range(n_rec):
+        nflip = 0
+        for _ in range(tau):
+            before = config.spins.copy()
+            heat_bath_sweep_oracle(config, t, rng)
+            nflip += int((config.spins != before).sum())
+        m = config.magnetization()
+        t = feedback_temperature(config, a)
+        if t == 0.0:
+            t = EPS_T
+            floored[r] = True
+        steps[r] = (r + 1) * tau
+        temps[r] = t
+        mags[r] = m
+        flips[r] = nflip
+        if snapshot_every > 0 and (r + 1) % snapshot_every == 0:
+            omega = es_ising_to_fk(config, t, rng)
+            m_ns[r] = decompose(omega).m_count
+    return steps, temps, mags, flips, floored, m_ns
+
+
+def naive_mu_prime_oracle(g, a, total, rng, account_for_T_change=True):
+    """The single-flip Metropolis chain on numpy spins, indexing one numpy
+    element at a time.  Returns (temps, mags, flips)."""
+    g = as_box(g)
+    interior = g.interior_ids
+    ni = interior.size
+    n2a = float(g.n) ** (2 * a)
+    if ni == 0:
+        nsq = g.n * g.n
+        return (np.full(total, nsq * nsq / n2a), np.full(total, nsq),
+                np.zeros(total, dtype=np.int64))
+    spins = SpinConfig.all_plus(g).spins
+    nbrs = [g.neighbors[int(v)] for v in interior]
+    m = int(spins.sum())
+    h = -int((spins[g.edge_a].astype(np.int64) * spins[g.edge_b]).sum())
+    temps = np.empty(total, dtype=np.float64)
+    mags = np.empty(total, dtype=np.int64)
+    flips = np.empty(total, dtype=np.int64)
+    for sweep in range(total):
+        picks = rng.integers(0, ni, size=ni)
+        us = rng.random(ni)
+        nflip = 0
+        for i in range(ni):
+            v = int(interior[picks[i]])
+            s = int(spins[v])
+            local = int(spins[nbrs[picks[i]]].sum())
+            dh = 2 * s * local
+            m_new = m - 2 * s
+            if m_new == 0:
+                continue
+            if account_for_T_change:
+                log_acc = h / (m * m / n2a) - (h + dh) / (m_new * m_new / n2a)
+            else:
+                log_acc = -dh / (m * m / n2a)
+            if log_acc >= 0 or us[i] < math.exp(log_acc):
+                spins[v] = -s
+                m = m_new
+                h += dh
+                nflip += 1
+        temps[sweep] = m * m / n2a
+        mags[sweep] = m
+        flips[sweep] = nflip
+    return temps, mags, flips

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
-    bfs_components, cluster_counts, fk_law_oracle, philox,
+    FixedDraws, bfs_components, cluster_counts, fk_law_oracle, philox,
     single_bond_sweep_oracle,
 )
 from soc_ising import (
@@ -250,17 +250,6 @@ def test_single_bond_sweep_equals_per_edge_oracle(n, bc):
             assert rng.random() == rng_oracle.random()
 
 
-class _FixedDraws:
-    """Stands in for a Generator whose uniforms are given in advance."""
-
-    def __init__(self, values):
-        self.values = np.asarray(values, dtype=np.float64)
-
-    def random(self, size):
-        out, self.values = self.values[:size], self.values[size:]
-        return out
-
-
 @pytest.mark.parametrize("bc", [0, 1])
 @pytest.mark.parametrize("q", [1.0, 1.0 + 1e-12, 1.5, 4.0])
 def test_single_bond_sweep_draws_on_window_ends(q, bc):
@@ -274,7 +263,7 @@ def test_single_bond_sweep_draws_on_window_ends(q, bc):
         rng = philox(int(q * 10), bc)
         draws = rng.choice(ends, size=4 * g.n_edges)
         omega = oracle = bernoulli_bonds(g, 0.5, rng)
-        fixed, fixed_oracle = _FixedDraws(draws), _FixedDraws(draws)
+        fixed, fixed_oracle = FixedDraws(draws), FixedDraws(draws)
         for _ in range(4):
             omega = single_bond_heat_bath_sweep(omega, params, fixed)
             oracle = single_bond_sweep_oracle(oracle, params, fixed_oracle)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import philox
+from helpers import FixedDraws, heat_bath_sweep_oracle, philox
 from soc_ising import (
     SpinConfig,
     T_CRITICAL,
@@ -17,7 +17,10 @@ from soc_ising import (
     heat_bath_sweep,
     zero_temperature_config,
 )
-from soc_ising.ising import IsingParams, enumerate_plus_configs
+from soc_ising.ising import IsingParams, enumerate_plus_configs, heat_bath_table
+from soc_ising.soc import EPS_T
+
+SWEEP_TEMPS = [EPS_T, 0.5, 1.0, T_CRITICAL, 100.0]
 
 
 def test_critical_temperature_value():
@@ -118,6 +121,54 @@ def test_sweep_rejects_zero_temperature():
     g = build_box(3)
     with pytest.raises(ValueError):
         heat_bath_sweep(SpinConfig.all_plus(g), 0.0, philox(1))
+
+
+@pytest.mark.parametrize("t", SWEEP_TEMPS)
+def test_heat_bath_table_is_the_conditional(t):
+    table = heat_bath_table(t)
+    for h in range(-4, 5):
+        assert table[h + 4] == conditional_plus_probability(h, t)
+
+
+def _random_interior(g, seed):
+    config = SpinConfig.all_plus(g)
+    config.spins[g.interior_ids] = philox(seed, 1).choice(
+        np.array([-1, 1], dtype=np.int8), size=g.interior_ids.size)
+    return config
+
+
+def _assert_sweeps_match_oracle(start, t, rng_got, rng_want, sweeps=6):
+    got, want = start.copy(), start.copy()
+    for _ in range(sweeps):
+        before = want.spins.copy()
+        heat_bath_sweep_oracle(want, t, rng_want)
+        flips = heat_bath_sweep(got, t, rng_got)
+        assert np.array_equal(got.spins, want.spins)
+        assert flips == int((want.spins != before).sum())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 16])
+@pytest.mark.parametrize("t", SWEEP_TEMPS)
+def test_sweep_equals_oracle_and_counts_its_flips(n, t):
+    rng_got, rng_want = philox(40 + n), philox(40 + n)
+    _assert_sweeps_match_oracle(_random_interior(build_box(n), n), t,
+                                rng_got, rng_want)
+    assert rng_got.random() == rng_want.random()
+
+
+@pytest.mark.parametrize("t", SWEEP_TEMPS)
+def test_sweep_draws_on_table_values(t):
+    # every uniform sits exactly on a table entry or on a float neighbour
+    # of one, where `u < p` and `u <= p` part
+    g = build_box(6)
+    table = heat_bath_table(t)
+    for v in np.concatenate([table, np.nextafter(table, 0.0),
+                             np.nextafter(table, 1.0)]):
+        if not 0.0 <= v < 1.0:
+            continue
+        draws = np.full(6 * g.interior_ids.size, v)
+        _assert_sweeps_match_oracle(_random_interior(g, 6), t,
+                                    FixedDraws(draws), FixedDraws(draws))
 
 
 def test_sweep_only_moves_interior_sites():

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import philox
+from helpers import naive_mu_prime_oracle, philox, two_timescale_oracle
 from soc_ising import (
     EPS_T,
     DeviationReport,
@@ -193,6 +193,42 @@ def test_two_timescale_snapshots():
     taken = traj.m_ns >= 0
     assert np.flatnonzero(taken).tolist() == [4, 9, 14, 19]
     assert (traj.m_ns[taken] <= 36).all()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8])
+@pytest.mark.parametrize("snapshot_every", [0, 1, 3])
+def test_two_timescale_equals_copy_and_compare_oracle(n, snapshot_every):
+    rng_got, rng_want = philox(60 + n), philox(60 + n)
+    got = two_timescale_dynamics(n, 1.99, 3, 90, rng_got,
+                                 snapshot_every=snapshot_every)
+    want = two_timescale_oracle(n, 1.99, 3, 90, rng_want,
+                                snapshot_every=snapshot_every)
+    arrays = (got.steps, got.temps, got.mags, got.flips, got.floor_used,
+              got.m_ns)
+    for name, g_arr, w_arr in zip(
+            ("steps", "temps", "mags", "flips", "floor_used", "m_ns"),
+            arrays, want):
+        assert g_arr.dtype == w_arr.dtype, name
+        assert np.array_equal(g_arr, w_arr), name
+    assert rng_got.random() == rng_want.random()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8])
+@pytest.mark.parametrize("a", [1.94, 1.99])
+@pytest.mark.parametrize("accounted", [True, False])
+def test_naive_dynamics_equals_numpy_oracle(n, a, accounted):
+    rng_got, rng_want = philox(70 + n), philox(70 + n)
+    got = naive_mu_prime_dynamics(n, a, 300, rng_got,
+                                  account_for_T_change=accounted)
+    temps, mags, flips = naive_mu_prime_oracle(n, a, 300, rng_want,
+                                               account_for_T_change=accounted)
+    assert np.array_equal(got.steps, np.arange(1, 301))
+    assert np.array_equal(got.temps, temps)
+    assert np.array_equal(got.mags, mags)
+    assert np.array_equal(got.flips, flips)
+    # side 3 rarely leaves all-plus in 300 sweeps; larger sides must move
+    assert n < 4 or got.flips.sum() > 0
+    assert rng_got.random() == rng_want.random()
 
 
 def test_naive_dynamics_targets_mu_prime_exactly():
