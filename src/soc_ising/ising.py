@@ -8,9 +8,9 @@ point mass on the all-plus configuration.
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import expit, logsumexp
 
 from .lattice import BoxGeometry, as_box
 
@@ -81,19 +81,47 @@ def zero_temperature_config(g: BoxGeometry) -> SpinConfig:
     return SpinConfig.all_plus(g)
 
 
+def _expit(x: float) -> float:
+    """Logistic function 1 / (1 + e^-x), 0.0 where e^-x overflows; the C
+    library exp keeps it equal to scipy.special.expit bit for bit."""
+    try:
+        return 1.0 / (1.0 + math.exp(-x))
+    except OverflowError:
+        return 0.0
+
+
+def _logsumexp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) of a 1-D float array whose maximum is finite.
+
+    Follows scipy.special.logsumexp step for step, so the floats match it
+    bit for bit: the maxima are taken out exactly, the rest is summed
+    relative to them and divided by the tie count m, and the result is
+    log1p(s) + log(m) + max.
+    """
+    a_max = a.max()
+    top = a == a_max
+    m = np.float64(np.count_nonzero(top))
+    s = np.exp(np.where(top, -np.inf, a - a_max)).sum() / m
+    return float(np.log1p(s) + np.log(m) + a_max)
+
+
 def conditional_plus_probability(h: float, t: float) -> float:
     """Heat-bath probability of drawing +1 at a site whose neighbours sum to h."""
     if t <= 0:
         raise ValueError("heat-bath conditional needs T > 0")
-    return float(expit(2.0 * h / t))
+    return _expit(2.0 * h / t)
 
 
-_TWO_H = 2.0 * np.arange(-4, 5)
-
-
+@lru_cache(maxsize=1)
 def heat_bath_table(t: float) -> np.ndarray:
-    """`conditional_plus_probability(h, t)` for h = -4..4, at index h + 4."""
-    return expit(_TWO_H / t)
+    """`conditional_plus_probability(h, t)` for h = -4..4, at index h + 4.
+
+    Cached for the last T (the feedback dynamics sweeps many times at one
+    frozen temperature), so the array is read-only.
+    """
+    table = np.array([_expit(2.0 * h / t) for h in range(-4, 5)])
+    table.flags.writeable = False
+    return table
 
 
 def heat_bath_sweep(config: SpinConfig, t: float, rng: np.random.Generator) -> int:
@@ -215,7 +243,7 @@ def exact_ising_distribution(g: BoxGeometry | int, t: float) -> IsingDistributio
     table = plus_table(g)
     rows, energies, mags = table.spins, table.energies, table.magnetizations
     neg = -energies / t
-    log_z = float(logsumexp(neg))
+    log_z = _logsumexp(neg)
     probs = np.exp(neg - log_z)
     probs /= probs.sum()
     z = math.exp(log_z) if log_z < 709 else math.inf

@@ -78,10 +78,6 @@ class BoxGeometry:
         bm = self.boundary_mask
         self.interior_edge_mask = ~(bm[self.edge_a] & bm[self.edge_b])
 
-        self._edge_id = {
-            (int(a), int(b)): k for k, (a, b) in enumerate(self.edges)
-        }
-
         nbr = np.full((nsq, 4), -1, dtype=np.int64)
         inc = np.full((nsq, 4), -1, dtype=np.int64)
         eid = np.arange(self.n_edges)
@@ -129,12 +125,13 @@ class BoxGeometry:
         return int(self.coords[v, 0]), int(self.coords[v, 1])
 
     def edge_id(self, a: int, b: int) -> int:
-        if a > b:
-            a, b = b, a
-        try:
-            return self._edge_id[(a, b)]
-        except KeyError:
-            raise ValueError(f"({a}, {b}) is not an edge of the box") from None
+        """Id of the edge joining vertices a and b, given in either order."""
+        a, b = sorted((int(a), int(b)))
+        if 0 <= a < self.n * self.n:
+            for slot in (2, 3):  # +y and +x: the steps to a larger id
+                if self.neighbors[a, slot] == b:
+                    return int(self.incident_edges[a, slot])
+        raise ValueError(f"({a}, {b}) is not an edge of the box")
 
     def sub_box_mask(self, j: int) -> np.ndarray:
         """Boolean vertex mask of the centered side-j sub-box."""

@@ -13,10 +13,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .lattice import BoxGeometry, as_box
-from .ising import SpinConfig, T_CRITICAL, PlusTable, plus_table, heat_bath_sweep, feedback_temperature
+from .ising import (
+    SpinConfig, T_CRITICAL, PlusTable, _logsumexp, plus_table, heat_bath_sweep,
+    feedback_temperature,
+)
 from .fk import p_critical, decompose
 from .coupling import phi_n, es_ising_to_fk
 
@@ -142,7 +144,7 @@ def exact_mu_n(g: BoxGeometry | int, a: float) -> ExactMuN:
         # log of the plus-boundary Gibbs probabilities at T = b2 / n^(2a)
         t = b2 / n2a
         le = -energies / t
-        return le - logsumexp(le)
+        return le - _logsumexp(le)
 
     # with a plus boundary on side <= 4 the magnetization never vanishes
     assert (mags != 0).all()
@@ -161,7 +163,7 @@ def exact_mu_n(g: BoxGeometry | int, a: float) -> ExactMuN:
         if rows.size == 0:
             continue
         lw = log_weight_at(b * b)
-        z_rewrite += float(np.exp(logsumexp(lw[rows])))
+        z_rewrite += float(np.exp(_logsumexp(lw[rows])))
 
     return ExactMuN(
         g=g, a=a, spins=spins, mags=mags, energies=energies,
@@ -182,7 +184,7 @@ def exact_mu_prime(g: BoxGeometry | int, a: float) -> ExactMuN:
     spins, energies, mags = table.spins, table.energies, table.magnetizations
     n2a = float(n) ** (2 * a)
     log_w = np.where(mags == 0, -np.inf, -energies * n2a / np.maximum(mags.astype(float) ** 2, 1e-300))
-    log_z = float(logsumexp(log_w))
+    log_z = _logsumexp(log_w)
     weights = np.exp(log_w - log_z)
     return ExactMuN(
         g=g, a=a, spins=spins, mags=mags, energies=energies,
@@ -225,7 +227,7 @@ def _plus_mag_tail(table: PlusTable, t: float, lo: float | None, hi: float | Non
         probs /= probs.sum()
     else:
         le = -energies / t
-        probs = np.exp(le - logsumexp(le))
+        probs = np.exp(le - _logsumexp(le))
     keep = np.ones(len(am), dtype=bool)
     if lo is not None:
         keep &= am >= lo
@@ -392,17 +394,6 @@ def naive_mu_prime_dynamics(
     g = as_box(g)
     interior = g.interior_ids
     ni = interior.size
-    if ni == 0:
-        # everything is boundary: the single plus configuration, forever
-        config = SpinConfig.all_plus(g)
-        t = feedback_temperature(config, a)
-        steps = np.arange(1, total + 1)
-        return SocTrajectory(
-            n=g.n, a=a, tau=1, variant="mu-prime",
-            steps=steps, temps=np.full(total, t), mags=np.full(total, g.n * g.n),
-            flips=np.zeros(total, dtype=np.int64), floor_used=np.zeros(total, dtype=bool),
-            burn_in=0 if burn_in is None else burn_in,
-        )
     n2a = float(g.n) ** (2 * a)
     # plain Python lists: per-element numpy indexing would dominate the loop
     spins = [1] * (g.n * g.n)

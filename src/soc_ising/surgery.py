@@ -18,7 +18,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from .lattice import BoxGeometry
 from .fk import BondConfig, ClusterDecomposition, decompose, close_edges
@@ -404,6 +403,15 @@ def event_F_n(omega: BondConfig | ClusterDecomposition, params: EventParams,
 _DP_CELL_BUDGET = 2 * 10 ** 7
 
 
+def _add_fair_sign(dist: np.ndarray, s: int) -> np.ndarray:
+    """Law of S + s or S - s with a fair sign, from the law `dist` of S on
+    a window of integers centred on 0."""
+    new = np.zeros_like(dist)
+    new[s:] += 0.5 * dist[: dist.size - s]
+    new[: dist.size - s] += 0.5 * dist[s:]
+    return new
+
+
 def sign_compensation_probability(sizes) -> Fraction | float:
     """Probability that independent fair signs on the given sizes sum to 0.
 
@@ -434,10 +442,7 @@ def sign_compensation_probability(sizes) -> Fraction | float:
     probs = np.zeros(2 * total + 1)
     probs[total] = 1.0
     for s in sizes:
-        new = np.zeros_like(probs)
-        new[s:] += 0.5 * probs[: probs.size - s]
-        new[: probs.size - s] += 0.5 * probs[s:]
-        probs = new
+        probs = _add_fair_sign(probs, s)
     return float(probs[total])
 
 
@@ -455,7 +460,8 @@ def stirling_constant(kmax: int = 10 ** 6) -> float:
     scanning anyway, as the constructive definition demands.
     """
     k = np.arange(1, kmax + 1, dtype=np.float64)
-    logc = gammaln(2 * k + 1) - 2 * gammaln(k + 1) - k * math.log(4.0)
+    # C(2k, k) 4^(-k) is the product of 1 - 1/(2j) over j = 1..k
+    logc = np.cumsum(np.log1p(-0.5 / k))
     return float(np.exp(logc + 0.5 * np.log(2 * k)).min())
 
 
@@ -505,10 +511,7 @@ def compensation_walk_bound_check(sizes, N: int, n: int,
         probs[0] = 1.0
         for j in range(1, N + 1):
             for _ in range(int(counts[j])):
-                new = np.zeros_like(dist)
-                new[j:] += 0.5 * dist[: dist.size - j]
-                new[: dist.size - j] += 0.5 * dist[j:]
-                dist = new
+                dist = _add_fair_sign(dist, j)
             window = np.arange(-total, total + 1)
             probs[j] = float(dist[np.abs(window) <= N].sum())
     else:

@@ -12,7 +12,7 @@ import math
 from collections import deque
 
 import numpy as np
-from scipy.special import expit
+from scipy.special import expit, gammaln
 
 from soc_ising.coupling import dual_config, dual_parameter, es_ising_to_fk, t_to_p
 from soc_ising.fk import (
@@ -223,6 +223,14 @@ def single_bond_sweep_oracle(omega, params, rng):
             cond = p if connected_without_oracle(out, e, params.bc == 1) else merge_p
         out.bonds[e] = 1 if u[e] < cond else 0
     return out
+
+
+def stirling_constant_oracle(kmax: int = 10 ** 6) -> float:
+    """min over k <= kmax of sqrt(2k) C(2k, k) 4^(-k), the binomial taken
+    through log-gamma."""
+    k = np.arange(1, kmax + 1, dtype=np.float64)
+    logc = gammaln(2 * k + 1) - 2 * gammaln(k + 1) - k * math.log(4.0)
+    return float(np.exp(logc + 0.5 * np.log(2 * k)).min())
 
 
 def heat_bath_sweep_oracle(config, t: float, rng) -> None:

@@ -3,7 +3,10 @@
 import csv
 import json
 import math
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from soc_ising import (
     run,
     wilson_interval,
 )
+import soc_ising
 from soc_ising import cli, experiments
 from soc_ising.cli import main as cli_main
 
@@ -536,3 +540,13 @@ def test_run_soc_compare_summary_shape(tmp_path):
     assert result["n_rows"] == 2 * 400
     for c in result["cells"]:
         assert math.isfinite(c["mean_T"]) and c["mean_T"] > 0
+
+
+def test_package_imports_without_scipy():
+    # a fresh interpreter: the test modules themselves import scipy
+    src = str(Path(soc_ising.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import soc_ising; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code, src], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -36,8 +36,8 @@ GOLDEN = {
     ),
     "soc-compare-tiny": (
         ["soc-compare", "--n", "2,3", "--total", "50"],
-        "0404982cf2a4e0e63d972fe20cdc90b5b517b49cfe780c96d89eb79f9f28cf04",
-        "bc4baa499aeed423951bc6994e6201ec223878c9927efd0ab6c0f8f70c9a680c",
+        "95b2bd9516c3a1c3cfe358295507d7acc78b70c56f9d95ef9455acdd823daa02",
+        "24d75ea07fc69a63a58dd94d0d6ed062a6a4dc7216b4d632b6dd361c77991a36",
     ),
     "fk-sample-sw": (
         ["fk-sample", "--n", "16", "--p", "0.6", "--samples", "30",

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import expit, logsumexp
 
 from helpers import FixedDraws, heat_bath_sweep_oracle, philox
 from soc_ising import (
@@ -17,7 +18,9 @@ from soc_ising import (
     heat_bath_sweep,
     zero_temperature_config,
 )
-from soc_ising.ising import IsingParams, enumerate_plus_configs, heat_bath_table
+from soc_ising.ising import (
+    IsingParams, _logsumexp, enumerate_plus_configs, heat_bath_table, plus_table,
+)
 from soc_ising.soc import EPS_T
 
 SWEEP_TEMPS = [EPS_T, 0.5, 1.0, T_CRITICAL, 100.0]
@@ -128,6 +131,49 @@ def test_heat_bath_table_is_the_conditional(t):
     table = heat_bath_table(t)
     for h in range(-4, 5):
         assert table[h + 4] == conditional_plus_probability(h, t)
+
+
+# T grid from the feedback floor up, where 2h/T spans +-8e6 down to +-0.08
+EXPIT_TEMPS = np.append(np.geomspace(EPS_T, 100.0, 2001), T_CRITICAL)
+
+
+def test_table_and_conditional_equal_scipy_expit():
+    for t in EXPIT_TEMPS:
+        t = float(t)
+        want = expit(2.0 * np.arange(-4, 5) / t)
+        table = heat_bath_table(t)
+        assert np.array_equal(table, want), t
+        assert [conditional_plus_probability(h, t) for h in range(-4, 5)] \
+            == want.tolist(), t
+
+
+def test_heat_bath_table_is_read_only():
+    table = heat_bath_table(1.0)
+    with pytest.raises(ValueError):
+        table[0] = 0.5
+    assert heat_bath_table(1.0) is table  # the one cached array
+
+
+def test_logsumexp_equals_scipy_on_random_arrays():
+    rng = philox(5)
+    for _ in range(2000):
+        size = int(rng.integers(1, 200))
+        a = rng.normal(0.0, 10.0 ** rng.uniform(-3.0, 3.0), size)
+        if rng.random() < 0.5:
+            a = np.round(a, int(rng.integers(0, 2)))  # ties, also at the max
+        if rng.random() < 0.3:
+            a[rng.random(size) < 0.3] = -np.inf
+        if np.isneginf(a.max()):
+            continue  # needs a finite maximum
+        assert _logsumexp(a) == logsumexp(a), a
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_logsumexp_equals_scipy_on_plus_tables(n):
+    energies = plus_table(build_box(n)).energies
+    for t in EXPIT_TEMPS[::20]:
+        le = -energies / t
+        assert _logsumexp(le) == logsumexp(le), t
 
 
 def _random_interior(g, seed):

@@ -52,6 +52,25 @@ def test_edges_are_sorted_and_unit_length():
         assert g.edge_id(b, a) == e
 
 
+@pytest.mark.parametrize("pair", [
+    (5, 5),            # a vertex and itself
+    (-1, 0),           # negative id
+    (-4, 13),          # negative id; row -4 (vertex 12) has +y neighbour 13
+    (15, 16),          # id past the last vertex
+    (16, 20),          # both ids past the last vertex
+    (0, 5),            # diagonal step
+    (0, 2),            # two steps apart in one column
+    (0, 8),            # two steps apart in one row
+    (3, 4),            # column wrap: (x, hi) to (x + 1, lo)
+    (11, 12),          # column wrap in the last column pair
+])
+def test_edge_id_rejects_non_edges(pair):
+    g = build_box(4)
+    for a, b in (pair, pair[::-1]):
+        with pytest.raises(ValueError, match="is not an edge of the box"):
+            g.edge_id(a, b)
+
+
 def test_interior_checkerboard_partition():
     g = build_box(5)
     both = np.concatenate([g.interior_even, g.interior_odd])

@@ -231,6 +231,19 @@ def test_naive_dynamics_equals_numpy_oracle(n, a, accounted):
     assert rng_got.random() == rng_want.random()
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_naive_dynamics_without_interior_reports_variant_and_burn_in(n):
+    for accounted, variant in ((True, "mu-prime"), (False, "mu-prime-naive")):
+        rng = philox(80 + n)
+        traj = naive_mu_prime_dynamics(n, 1.99, 40, rng,
+                                       account_for_T_change=accounted)
+        assert traj.variant == variant
+        assert traj.burn_in == 10
+        assert (traj.mags == n * n).all() and (traj.flips == 0).all()
+        assert rng.random() == philox(80 + n).random()  # nothing drawn
+        assert naive_mu_prime_dynamics(n, 1.99, 40, rng, burn_in=3).burn_in == 3
+
+
 def test_naive_dynamics_targets_mu_prime_exactly():
     # side 3 has two reachable states; the long-run frequencies of the
     # accounted chain must match the two-state law computed by hand:

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import philox
+from helpers import philox, stirling_constant_oracle
 from soc_ising import (
     BondConfig,
     EventParams,
@@ -371,6 +371,10 @@ def test_forced_sign():
 
 def test_stirling_constant_is_sqrt2_over_2():
     assert abs(stirling_constant() - math.sqrt(2.0) / 2.0) < 1e-12
+
+
+def test_stirling_constant_equals_log_gamma_oracle():
+    assert stirling_constant() == stirling_constant_oracle()
 
 
 def test_walk_bound_check_small_instance():
