@@ -67,6 +67,14 @@ GOLDEN = {
         "f17e29c9864d6c008fb56a059770ffaa8fec30d433964122f9771624eb610faf",
         "b181619a90c9b2a0f78ab3ec97b65b33c489d773c9b3cb398f755b3be2827e6b",
     ),
+    # odd m + b: the parity unit is taken in 5 of 6 samples, the fine cut
+    # in all 6
+    "surgery-demo-parity": (
+        ["surgery-demo", "--n", "20", "--samples", "6", "--burn-in", "10",
+         "--seed", "7", "--b", "230"],
+        "e0851d5eba5715520907f1b243ad5f6ae7373a1676e19e2ff11587068ee051e7",
+        "67fcb5c435ec31c76e8e5a06ea5877d9e70fc32ef2472dc5f48df74492937870",
+    ),
     "enumerate": (
         ["enumerate", "--n", "4", "--variant", "mu-prime", "--a", "1.9",
          "--seed", "8"],
