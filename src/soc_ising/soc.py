@@ -309,11 +309,15 @@ class SocTrajectory:
     def kept(self) -> np.ndarray:
         return self.temps[self.burn_in:]
 
+    # both statistics run on the offsets from the first kept value, so a
+    # constant series gives that value and 0.0 exactly
     def mean_temperature(self) -> float:
-        return float(self.kept().mean())
+        t = self.kept()
+        return float(t[:1].sum() + (t - t[:1]).mean())
 
     def temperature_std(self) -> float:
-        return float(self.kept().std())
+        t = self.kept()
+        return float((t - t[:1]).std())
 
 
 def two_timescale_dynamics(

@@ -20,24 +20,24 @@ GOLDEN = {
         ["soc-run", "--n", "12,6", "--tau", "8", "--total", "800",
          "--snapshot-every", "5", "--seed", "1"],
         "26b0643a2644c80d9cca2332c022bf47cc6833e0871244ead7cd2dfa6b9e88f8",
-        "938f47224b389788900ef77550cb7cd3383f3712f7f1991062cb278f0a76f65c",
+        "4e21c8ae4d1a152212390f6c323906368dc794d92226263fe2d58379c5af2dd3",
     ),
     "soc-compare": (
         ["soc-compare", "--n", "5", "--total", "300", "--seed", "2"],
         "168d1839b87d3adf7f8eab3f53e20b25d38ced7a36fb19afd096b60b96542710",
-        "b0df0c32b418fbd10f2ca4c209334f695dd2a1effe06cef64ddb0bd45a606bdb",
+        "24fdd8cf1a268f7833825919cf263f8af41cc4de6ad14a4b03b57835220fc8d2",
     ),
     # side 2 has no interior site, side 3 one site in one colour class
     "soc-run-tiny": (
         ["soc-run", "--n", "2,3", "--tau", "4", "--total", "64",
          "--snapshot-every", "3"],
         "30aa1e92154e3c7273cc2d5736fe642b1de7db6e4ba16c623140b58f573ccc31",
-        "4a3b965b15147ae3a41412a7529924c6a97085cddffcd13f11654c0754275d85",
+        "02da67f35ab4da556545b92e0a1cbfb14edff5b9d6efb51e3034c158563328c7",
     ),
     "soc-compare-tiny": (
         ["soc-compare", "--n", "2,3", "--total", "50"],
         "95b2bd9516c3a1c3cfe358295507d7acc78b70c56f9d95ef9455acdd823daa02",
-        "24d75ea07fc69a63a58dd94d0d6ed062a6a4dc7216b4d632b6dd361c77991a36",
+        "f5a12d022690fd7b1da514850bb5e08145bf8eb9d7e6b5d98c43b15d377e364a",
     ),
     "fk-sample-sw": (
         ["fk-sample", "--n", "16", "--p", "0.6", "--samples", "30",

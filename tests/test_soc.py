@@ -169,6 +169,25 @@ def test_trajectory_validates_steps():
         )
 
 
+def test_trajectory_statistics_of_a_constant_series_are_exact():
+    k = 38
+    t = 1.013959479790029
+    temps = np.concatenate([np.zeros(12), np.full(k, t)])
+    traj = SocTrajectory(
+        n=2, a=1.99, tau=1, variant="mu-prime-naive",
+        steps=np.arange(1, k + 13), temps=temps, mags=np.zeros(k + 12),
+        flips=np.zeros(k + 12), floor_used=np.zeros(k + 12, dtype=bool),
+        burn_in=12,
+    )
+    # numpy's plain mean of the 38 equal values is 1.0139594797900295
+    assert traj.mean_temperature() == t
+    assert traj.temperature_std() == 0.0
+    # a varying series keeps its statistics up to rounding
+    traj.temps = philox(3).random(50)
+    assert traj.mean_temperature() == pytest.approx(traj.kept().mean(), rel=1e-15)
+    assert traj.temperature_std() == pytest.approx(traj.kept().std(), rel=1e-14)
+
+
 def test_two_timescale_reproducible_and_consistent():
     t1 = two_timescale_dynamics(8, 1.99, 4, 400, philox(5))
     t2 = two_timescale_dynamics(8, 1.99, 4, 400, philox(5))
