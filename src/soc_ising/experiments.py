@@ -507,7 +507,7 @@ def fss_frequency(cfg: ExperimentConfig):
     clause, with Wilson 95% intervals, plus the boundary and inner-box
     mass ratios against their nominal thresholds 4 and 2.
     """
-    cols = ["n", "sample", "p", "m_n", "inner_m", "max_interior", "units",
+    cols = ["n", "sample", "m_n", "inner_m", "max_interior", "units",
             "m_ratio", "inner_ratio", "g_n", "f_n", "cond_mass_upper",
             "cond_size_cap", "cond_inner_mass"]
     rows, per_n = [], []
@@ -528,7 +528,7 @@ def fss_frequency(cfg: ExperimentConfig):
             inner_m = int((dec.m_mask & inner_mask).sum())
             m_ratio = dec.m_count / na
             inner_ratio = inner_m / na
-            rows.append([n, s, cfg.p, dec.m_count, inner_m, dec.max_interior,
+            rows.append([n, s, dec.m_count, inner_m, dec.max_interior,
                          dec.unit_interior_count, m_ratio, inner_ratio,
                          gn, fn, c1, c2, c3])
             for key, hit in (("g_n", gn), ("f_n", fn), ("c1", c1),

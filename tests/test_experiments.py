@@ -550,3 +550,17 @@ def test_package_imports_without_scipy():
     out = subprocess.run([sys.executable, "-c", code, src], check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_fss_freq_records_p_once(tmp_path):
+    out = tmp_path / "fss"
+    cfg = build_config("fss-freq", overrides={"n": "12", "p": "0.62",
+                                              "samples": "3", "burn_in": "2",
+                                              "out": str(out)})
+    result = run(cfg)
+    with open(out / "rows.csv", newline="", encoding="utf-8") as fh:
+        head = next(csv.reader(fh))
+    meta = json.loads((out / "metadata.json").read_text(encoding="utf-8"))
+    assert "p" not in head and meta["columns"] == head
+    assert meta["config"]["p"] == "0.62"
+    assert [cell["p"] for cell in result["per_n"]] == [0.62]

@@ -84,7 +84,7 @@ GOLDEN = {
     "fss-freq": (
         ["fss-freq", "--n", "12,16", "--p", "0.6", "--samples", "10",
          "--burn-in", "10", "--seed", "9"],
-        "6193288d181d89ce26af1b2f6c300cec23c4436bb0716c940f476b8fe1dbe64d",
+        "5d3d8ef39e34a56cc3cf6ba4f06c357d8fcf741a83a7d296f3635db107eb1f74",
         "6b4ab77491a29162a71184d1c2e0f04cc265e0cadd574bcd4ae771547a38cf96",
     ),
     "tail-fit": (
