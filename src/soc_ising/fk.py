@@ -567,6 +567,8 @@ def external_cluster_boundary(cluster, g: BoxGeometry) -> np.ndarray:
     vs = {int(v) for v in cluster}
     if not vs:
         raise ValueError("empty cluster")
+    if not all(0 <= v < g.n * g.n for v in vs):
+        raise ValueError("vertex id out of range")
     if any(g.boundary_mask[v] for v in vs):
         raise ValueError("cluster touches the box boundary")
     cs = {g.coord(v) for v in vs}

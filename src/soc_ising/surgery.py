@@ -147,6 +147,10 @@ def exact_cut_H2(g: BoxGeometry, cluster, edges, v: int, m: int) -> np.ndarray:
     """
     cset = {int(x) for x in cluster}
     eids = [int(e) for e in edges]
+    if not all(0 <= x < g.n * g.n for x in cset):
+        raise ValueError("vertex id out of range")
+    if not all(0 <= e < g.n_edges for e in eids):
+        raise ValueError("edge id out of range")
     if int(v) not in cset:
         raise ValueError("v must belong to the cluster")
     if not 1 <= m <= len(cset):

@@ -387,3 +387,12 @@ def test_external_cluster_boundary_excludes_holes():
         assert center not in (int(g.edge_a[e]), int(g.edge_b[e]))
     assert len(edges) == 12
     assert edges.tolist() == sorted(edges.tolist())
+
+
+def test_external_cluster_boundary_rejects_ids_outside_the_box():
+    g = build_box(5)
+    v = g.vertex_id(0, 0)
+    # v - 25 used to wrap around to v, and 25 to raise IndexError
+    for bad in ([v - 25], [25], [v, 25]):
+        with pytest.raises(ValueError, match="vertex id out of range"):
+            external_cluster_boundary(bad, g)

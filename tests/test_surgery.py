@@ -419,3 +419,16 @@ def test_surgery_identity_on_random_configurations():
         severed = sum(len(c) for c in res.disconnected)
         assert decompose(close_edges(omega, res.h)).m_count - severed == b
     assert oks >= 20
+
+
+def test_exact_cut_H2_rejects_ids_outside_the_box():
+    g = build_box(5)
+    # a cluster of the single id -1 used to give an empty cut
+    with pytest.raises(ValueError, match="vertex id out of range"):
+        exact_cut_H2(g, [-1], [], -1, 1)
+    with pytest.raises(ValueError, match="vertex id out of range"):
+        exact_cut_H2(g, [0, 25], [], 0, 1)
+    e01 = g.edge_id(0, 1)
+    for bad in (-1, g.n_edges):
+        with pytest.raises(ValueError, match="edge id out of range"):
+            exact_cut_H2(g, [0, 1], [e01, bad], 0, 1)
