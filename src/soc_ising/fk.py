@@ -11,7 +11,6 @@ boundary-connected set, interior cluster sizes, singleton counts.
 
 import math
 from dataclasses import dataclass, field
-from collections import deque
 
 import numpy as np
 
@@ -562,47 +561,15 @@ def external_cluster_boundary(cluster, g: BoxGeometry) -> np.ndarray:
     its complement (holes inside the cluster do not count).
 
     `cluster` is an iterable of vertex ids; it must not touch the box
-    boundary.  Returns sorted edge ids.
+    boundary.  The cluster and its holes are the vertices that the
+    complement of the cluster does not join to the box boundary.  Returns
+    sorted edge ids.
     """
-    vs = {int(v) for v in cluster}
-    if not vs:
+    inside = g.vertex_mask(cluster)
+    if not inside.any():
         raise ValueError("empty cluster")
-    if not all(0 <= v < g.n * g.n for v in vs):
-        raise ValueError("vertex id out of range")
-    if any(g.boundary_mask[v] for v in vs):
+    if (inside & g.boundary_mask).any():
         raise ValueError("cluster touches the box boundary")
-    cs = {g.coord(v) for v in vs}
-    xs = [c[0] for c in cs]
-    ys = [c[1] for c in cs]
-    x0, x1 = min(xs) - 1, max(xs) + 1
-    y0, y1 = min(ys) - 1, max(ys) + 1
-    # flood the complement from the surrounding ring; cells not reached are
-    # holes enclosed by the cluster
-    outside = set()
-    queue = deque()
-    for x in range(x0, x1 + 1):
-        for y in (y0, y1):
-            if (x, y) not in cs:
-                outside.add((x, y))
-                queue.append((x, y))
-    for y in range(y0, y1 + 1):
-        for x in (x0, x1):
-            if (x, y) not in cs:
-                outside.add((x, y))
-                queue.append((x, y))
-    while queue:
-        x, y = queue.popleft()
-        for dx, dy in ((-1, 0), (0, -1), (0, 1), (1, 0)):
-            w = (x + dx, y + dy)
-            if x0 <= w[0] <= x1 and y0 <= w[1] <= y1 and w not in cs and w not in outside:
-                outside.add(w)
-                queue.append(w)
-    out = []
-    for (x, y) in cs:
-        for dx, dy in ((-1, 0), (0, -1), (0, 1), (1, 0)):
-            w = (x + dx, y + dy)
-            if w in outside:
-                a = g.vertex_id(x, y)
-                b = g.vertex_id(*w)
-                out.append(g.edge_id(a, b))
-    return np.array(sorted(out), dtype=np.int64)
+    apart = ~(inside[g.edge_a] | inside[g.edge_b])
+    filled = ~decompose(BondConfig(g, apart.view(np.uint8))).m_mask
+    return np.flatnonzero(filled[g.edge_a] != filled[g.edge_b])

@@ -133,6 +133,15 @@ class BoxGeometry:
                     return int(self.incident_edges[a, slot])
         raise ValueError(f"({a}, {b}) is not an edge of the box")
 
+    def vertex_mask(self, vertices) -> np.ndarray:
+        """Boolean vertex mask of an iterable of vertex ids."""
+        ids = np.fromiter(map(int, vertices), dtype=np.int64)
+        if ids.size and (ids.min() < 0 or ids.max() >= self.n * self.n):
+            raise ValueError("vertex id out of range")
+        mask = np.zeros(self.n * self.n, dtype=bool)
+        mask[ids] = True
+        return mask
+
     def sub_box_mask(self, j: int) -> np.ndarray:
         """Boolean vertex mask of the centered side-j sub-box."""
         if j > self.n:

@@ -13,7 +13,6 @@ count then lands on the target exactly.
 
 import math
 from dataclasses import dataclass, field
-from collections import deque
 from fractions import Fraction
 from functools import lru_cache
 
@@ -142,42 +141,36 @@ def exact_cut_H2(g: BoxGeometry, cluster, edges, v: int, m: int) -> np.ndarray:
     exactly m vertices.
 
     The kept set is the first m vertices of a breadth-first traversal from
-    v (neighbors visited in increasing vertex order), which is always
-    connected; H2 is every open edge leaving it within the cluster.
+    v along the given edges, which is always connected; each vertex's
+    neighbours are visited in the order of the box's adjacency rows, which
+    is increasing vertex id.  H2 is every given edge leaving the kept set.
     """
-    cset = {int(x) for x in cluster}
-    eids = [int(e) for e in edges]
-    if not all(0 <= x < g.n * g.n for x in cset):
-        raise ValueError("vertex id out of range")
-    if not all(0 <= e < g.n_edges for e in eids):
+    inside = g.vertex_mask(cluster)
+    edges = np.fromiter(map(int, edges), dtype=np.int64)
+    if edges.size and (edges.min() < 0 or edges.max() >= g.n_edges):
         raise ValueError("edge id out of range")
-    if int(v) not in cset:
+    v = int(v)
+    if not (0 <= v < inside.size and inside[v]):
         raise ValueError("v must belong to the cluster")
-    if not 1 <= m <= len(cset):
-        raise ValueError(f"kept size m={m} outside 1..{len(cset)}")
-    adj: dict[int, list[int]] = {u: [] for u in cset}
-    for e in eids:
-        x, y = int(g.edge_a[e]), int(g.edge_b[e])
-        if x not in cset or y not in cset:
-            raise ValueError("edge endpoints must lie in the cluster")
-        adj[x].append(y)
-        adj[y].append(x)
-    order = []
-    seen = {int(v)}
-    queue = deque([int(v)])
-    while queue:
-        u = queue.popleft()
-        order.append(u)
-        for w in sorted(adj[u]):
-            if w not in seen:
+    size = int(inside.sum())
+    if not 1 <= m <= size:
+        raise ValueError(f"kept size m={m} outside 1..{size}")
+    a, b = g.edge_a[edges], g.edge_b[edges]
+    if not (inside[a] & inside[b]).all():
+        raise ValueError("edge endpoints must lie in the cluster")
+    given = set(edges.tolist())
+    nbr, inc = g.neighbors.tolist(), g.incident_edges.tolist()
+    order, seen = [v], {v}
+    for u in order:  # appending while iterating makes `order` the queue
+        for w, k in zip(nbr[u], inc[u]):
+            if k in given and w not in seen:
                 seen.add(w)
-                queue.append(w)
-    if len(order) != len(cset):
+                order.append(w)
+    if len(order) != size:
         raise ValueError("cluster is not connected by the given edges")
-    kept = set(order[:m])
-    h2 = [e for e in eids
-          if (int(g.edge_a[e]) in kept) != (int(g.edge_b[e]) in kept)]
-    return np.array(sorted(h2), dtype=np.int64)
+    kept = np.zeros(inside.size, dtype=bool)
+    kept[order[:m]] = True
+    return np.sort(edges[kept[a] != kept[b]])
 
 
 @dataclass
@@ -206,6 +199,15 @@ class SurgeryResult:
     budget_used: float = 0.0
 
 
+def _caps_outside(dec: ClusterDecomposition, in_c0: np.ndarray,
+                  cap: float) -> tuple[bool, bool]:
+    """Do the interior clusters outside the family in_c0 (a mask over
+    cluster ids) stay within the size cap, and do at least the cap's worth
+    of them have one vertex?"""
+    out = dec.sizes[~dec.touches_boundary & ~in_c0]
+    return bool(out.max(initial=0) <= cap), bool((out == 1).sum() >= cap)
+
+
 def surgery(omega: BondConfig, b: int, params: EventParams) -> SurgeryResult:
     """Close edges among those spanned by the boundary-connected set so that
     exactly ceil((|M| + b) / 2) vertices stay connected to the boundary,
@@ -232,9 +234,7 @@ def surgery(omega: BondConfig, b: int, params: EventParams) -> SurgeryResult:
     if target > m_before:
         return failure("target-above-count")
 
-    h0 = np.empty(0, dtype=np.int64)
-    h1 = np.empty(0, dtype=np.int64)
-    h2 = np.empty(0, dtype=np.int64)
+    h0 = h1 = h2 = np.empty(0, dtype=np.int64)
     j_star, witness, fine_m = -1, -1, 0
 
     if target == m_before:
@@ -249,8 +249,7 @@ def surgery(omega: BondConfig, b: int, params: EventParams) -> SurgeryResult:
         except ValueError:
             return failure("greedy-precondition", j_star=j_star, h0=h0)
         omega_h1 = close_edges(omega, h1)
-        m_h1 = decompose(omega_h1).m_count
-        if m_h1 == target:
+        if decompose(omega_h1).m_count == target:
             omega_h = omega_h1
         else:
             omega_we = close_edges(omega_h1, [witness])
@@ -261,50 +260,45 @@ def surgery(omega: BondConfig, b: int, params: EventParams) -> SurgeryResult:
             if dec_we.m_mask[v]:
                 return failure("witness-no-drop", j_star=j_star, h0=h0, h1=h1,
                                witness_edge=witness)
-            cluster = dec_we.cluster_vertices(int(dec_we.labels[v]))
+            cid = int(dec_we.labels[v])
+            cluster = dec_we.cluster_vertices(cid)
             fine_m = target - dec_we.m_count
             if not 1 <= fine_m <= cluster.size:
                 return failure("fine-cut-range", j_star=j_star, h0=h0, h1=h1,
                                witness_edge=witness, fine_m=fine_m)
-            inc = set(int(x) for x in cluster)
-            e_v = [e for e in np.flatnonzero(omega_we.bonds)
-                   if int(g.edge_a[e]) in inc and int(g.edge_b[e]) in inc]
+            # an open edge with an endpoint in the cluster lies inside it
+            e_v = np.flatnonzero(omega_we.bonds.astype(bool)
+                                 & (dec_we.labels[g.edge_a] == cid))
             h2 = exact_cut_H2(g, cluster, e_v, v, fine_m)
             omega_h = close_edges(omega_h1, h2)
 
-    h = np.array(sorted(set(map(int, h1)) | set(map(int, h2))), dtype=np.int64)
+    h = np.union1d(h1, h2)
     dec_h = decompose(omega_h)
     m_after = dec_h.m_count
     if m_after != target:
         return failure("count-mismatch", j_star=j_star, h0=h0, h1=h1, h2=h2,
                        witness_edge=witness, fine_m=fine_m)
 
-    # newly severed clusters: interior in omega_h, made of formerly
-    # boundary-connected vertices
-    c0 = []
-    for cid in dec_h.interior_cluster_ids:
-        members = dec_h.cluster_vertices(int(cid))
-        if dec0.m_mask[members[0]]:
-            c0.append(members)
+    # the family c0, as a mask over the clusters of omega_h: the newly
+    # severed ones (interior, made of formerly boundary-connected vertices)
+    # and, when the parity needs one, the first interior singleton of omega
+    in_c0 = np.zeros(dec_h.n_clusters, dtype=bool)
+    in_c0[dec_h.labels[dec0.m_mask]] = True
+    in_c0 &= ~dec_h.touches_boundary
+    c0 = [dec_h.cluster_vertices(int(cid)) for cid in np.flatnonzero(in_c0)]
     parity_unit = -1
     if need_unit:
-        units = [int(v) for v in np.flatnonzero(~g.boundary_mask)
-                 if dec0.cluster_size_of(int(v)) == 1]
-        if not units:
+        units = np.flatnonzero(~g.boundary_mask & (dec0.sizes[dec0.labels] == 1))
+        if not units.size:
             return failure("parity-unit-missing", j_star=j_star, h0=h0, h1=h1,
                            h2=h2, witness_edge=witness, fine_m=fine_m)
-        parity_unit = min(units)
+        parity_unit = int(units[0])
         c0.append(np.array([parity_unit], dtype=np.int64))
+        in_c0[dec_h.labels[parity_unit]] = True
 
     c0_sizes = np.array([c.size for c in c0], dtype=np.int64)
     identity_ok = m_after - int(c0_sizes.sum()) == b
-
-    c0_ids = {int(dec_h.labels[c[0]]) for c in c0}
-    out_sizes = [int(dec_h.sizes[cid]) for cid in dec_h.interior_cluster_ids
-                 if int(cid) not in c0_ids]
-    cap_ok = (max(out_sizes) if out_sizes else 0) <= params.size_cap
-    units_left = sum(1 for s in out_sizes if s == 1)
-    units_ok = units_left >= params.size_cap
+    cap_ok, units_ok = _caps_outside(dec_h, in_c0, params.size_cap)
 
     return SurgeryResult(
         success=identity_ok, stage="ok" if identity_ok else "identity-mismatch",
@@ -320,7 +314,7 @@ def surgery(omega: BondConfig, b: int, params: EventParams) -> SurgeryResult:
 def event_G_n(omega: BondConfig | ClusterDecomposition, params: EventParams) -> bool:
     """Regular-configuration event: boundary-connected mass at most 4 n^a,
     at least 2 n^a of it inside the inner box, interior clusters no larger
-    than the size cap, and strictly more interior singletons than the cap."""
+    than the size cap, and at least cap + 1 interior singletons."""
     dec = decompose(omega) if isinstance(omega, BondConfig) else omega
     g = dec.g
     na = float(g.n) ** params.a
@@ -353,9 +347,7 @@ def event_S_n(omega: BondConfig, b: int, params: EventParams, c0) -> bool:
     at most the size cap, and at least the cap's worth of interior
     singletons left outside c0."""
     dec = decompose(omega)
-    c0 = list(c0)
-    c0_ids = set()
-    total = 0
+    in_c0 = np.zeros(dec.n_clusters, dtype=bool)
     for cluster in c0:
         members = np.unique(np.asarray(list(cluster), dtype=np.int64))
         labels = dec.labels[members]
@@ -364,20 +356,15 @@ def event_S_n(omega: BondConfig, b: int, params: EventParams, c0) -> bool:
             return False  # vertices from more than one cluster
         if dec.touches_boundary[cid] or int(dec.sizes[cid]) != members.size:
             return False  # not a whole interior cluster of this configuration
-        c0_ids.add(cid)
-        total += members.size
-    if len(c0_ids) != len(c0):
+        if in_c0[cid]:
+            return False  # the same cluster twice
+        in_c0[cid] = True
+    if in_c0.sum() > 2.0 * params.K * float(dec.g.n) ** (params.a / 2.0):
         return False
-    if len(c0_ids) > 2.0 * params.K * float(dec.g.n) ** (params.a / 2.0):
+    if dec.m_count - int(dec.sizes[in_c0].sum()) != b:
         return False
-    if dec.m_count - total != b:
-        return False
-    out = [int(dec.sizes[cid]) for cid in dec.interior_cluster_ids
-           if int(cid) not in c0_ids]
-    cap = params.size_cap
-    if (max(out) if out else 0) > cap:
-        return False
-    return sum(1 for s in out if s == 1) >= cap
+    cap_ok, units_ok = _caps_outside(dec, in_c0, params.size_cap)
+    return cap_ok and units_ok
 
 
 def fss_conditions(omega: BondConfig | ClusterDecomposition, params: EventParams,

@@ -208,6 +208,56 @@ def connected_without_oracle(omega, e: int, wired: bool) -> bool:
     return False
 
 
+def external_cluster_boundary_oracle(cluster, g) -> list[int]:
+    """Edges from the cluster to the cells of its complement that a flood
+    fill reaches from the ring just outside the cluster's bounding box."""
+    cs = {g.coord(int(v)) for v in cluster}
+    xs = [c[0] for c in cs]
+    ys = [c[1] for c in cs]
+    x0, x1 = min(xs) - 1, max(xs) + 1
+    y0, y1 = min(ys) - 1, max(ys) + 1
+    ring = [(x, y) for x in range(x0, x1 + 1) for y in (y0, y1)]
+    ring += [(x, y) for y in range(y0, y1 + 1) for x in (x0, x1)]
+    outside = {c for c in ring if c not in cs}
+    queue = deque(outside)
+    steps = ((-1, 0), (0, -1), (0, 1), (1, 0))
+    while queue:
+        x, y = queue.popleft()
+        for dx, dy in steps:
+            w = (x + dx, y + dy)
+            if (x0 <= w[0] <= x1 and y0 <= w[1] <= y1 and w not in cs
+                    and w not in outside):
+                outside.add(w)
+                queue.append(w)
+    return sorted(g.edge_id(g.vertex_id(x, y), g.vertex_id(x + dx, y + dy))
+                  for (x, y) in cs for dx, dy in steps
+                  if (x + dx, y + dy) in outside)
+
+
+def exact_cut_H2_oracle(g, cluster, edges, v: int, m: int) -> list[int]:
+    """The given edges (repeats kept) with exactly one endpoint among the
+    first m vertices of a BFS from v over a dict-of-lists adjacency built
+    from them, neighbours sorted at every pop."""
+    adj: dict[int, list[int]] = {int(u): [] for u in cluster}
+    for e in edges:
+        x, y = int(g.edge_a[e]), int(g.edge_b[e])
+        adj[x].append(y)
+        adj[y].append(x)
+    order = []
+    seen = {int(v)}
+    queue = deque([int(v)])
+    while queue:
+        u = queue.popleft()
+        order.append(u)
+        for w in sorted(adj[u]):
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    kept = set(order[:m])
+    return sorted(int(e) for e in edges
+                  if (int(g.edge_a[e]) in kept) != (int(g.edge_b[e]) in kept))
+
+
 def single_bond_sweep_oracle(omega, params, rng):
     """One heat-bath pass in edge order, one uniform per edge, asking the
     connectivity oracle for every edge (no window, no early decision)."""

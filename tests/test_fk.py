@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
-    FixedDraws, bfs_components, cluster_counts, fk_law_oracle, philox,
+    FixedDraws, bfs_components, cluster_counts,
+    external_cluster_boundary_oracle, fk_law_oracle, philox,
     single_bond_sweep_oracle,
 )
 from soc_ising import (
@@ -396,3 +397,27 @@ def test_external_cluster_boundary_rejects_ids_outside_the_box():
     for bad in ([v - 25], [25], [v, 25]):
         with pytest.raises(ValueError, match="vertex id out of range"):
             external_cluster_boundary(bad, g)
+
+
+@settings(derandomize=True, deadline=None)
+@given(n=st.integers(3, 20), density=st.floats(0.0, 1.0),
+       rings=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_external_cluster_boundary_matches_flood_fill_oracle(n, density, rings, seed):
+    # interior vertices kept at the given density, plus the outlines of a
+    # few rectangles, whose insides become holes; the set may be disconnected
+    g = build_box(n)
+    rng = philox(seed)
+    lo, hi = g.lo + 1, g.hi - 1
+    picked = set(g.interior_ids[rng.random(g.interior_ids.size) < density].tolist())
+    for _ in range(rings):
+        x0, x1 = sorted(rng.integers(lo, hi + 1, size=2).tolist())
+        y0, y1 = sorted(rng.integers(lo, hi + 1, size=2).tolist())
+        picked |= {g.vertex_id(x, y) for x in range(x0, x1 + 1)
+                   for y in range(y0, y1 + 1) if x in (x0, x1) or y in (y0, y1)}
+    if not picked:
+        with pytest.raises(ValueError, match="empty cluster"):
+            external_cluster_boundary(picked, g)
+        return
+    edges = external_cluster_boundary(picked, g)
+    assert edges.dtype == np.int64
+    assert edges.tolist() == external_cluster_boundary_oracle(picked, g)

@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import philox, stirling_constant_oracle
+from helpers import exact_cut_H2_oracle, philox, stirling_constant_oracle
 from soc_ising import (
     BondConfig,
     EventParams,
@@ -432,3 +433,26 @@ def test_exact_cut_H2_rejects_ids_outside_the_box():
     for bad in (-1, g.n_edges):
         with pytest.raises(ValueError, match="edge id out of range"):
             exact_cut_H2(g, [0, 1], [e01, bad], 0, 1)
+
+
+@settings(derandomize=True, deadline=None)
+@given(n=st.integers(1, 16), density=st.floats(0.0, 1.0),
+       repeats=st.integers(0, 6), seed=st.integers(0, 2 ** 32 - 1))
+def test_exact_cut_H2_matches_dict_bfs_oracle(n, density, repeats, seed):
+    # the cluster of a random vertex of a Bernoulli configuration, its open
+    # edges in random order with some of them repeated, random v and m
+    g = build_box(n)
+    rng = philox(seed)
+    omega = bernoulli_bonds(g, density, rng)
+    dec = decompose(omega)
+    cid = dec.labels[rng.integers(n * n)]
+    cluster = dec.cluster_vertices(cid)
+    edges = np.flatnonzero(omega.bonds.astype(bool) & (dec.labels[g.edge_a] == cid))
+    if edges.size:
+        edges = np.concatenate([edges, rng.choice(edges, size=repeats)])
+    rng.shuffle(edges)
+    v = int(rng.choice(cluster))
+    m = int(rng.integers(1, cluster.size + 1))
+    h2 = exact_cut_H2(g, cluster, edges, v, m)
+    assert h2.dtype == np.int64
+    assert h2.tolist() == exact_cut_H2_oracle(g, cluster, edges, v, m)
