@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
     bond_pushforward_oracle,
@@ -20,6 +21,7 @@ from soc_ising import (
     build_box,
     decompose,
     dual_config,
+    dual_geometry,
     dual_parameter,
     duality_check,
     es_fk_to_ising,
@@ -166,3 +168,23 @@ def test_dual_masks_match_dual_config():
     expect = [dual_config(BondConfig.from_bitmask(g4, int(m))).to_bitmask()
               for m in masks]
     assert dual_masks(4, masks).tolist() == expect
+
+
+@settings(derandomize=True, deadline=None)
+@given(n=st.integers(3, 6), density=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_dual_config_twice_restores_the_bonds_it_maps(n, density, seed):
+    # the dual of a side-n box is a side n-1 box, so applying dual_config
+    # twice lands on side n-2: compare on the edges both pairings map
+    g = build_box(n)
+    omega = BondConfig(g, (philox(seed).random(g.n_edges) < density).astype(np.uint8))
+    twice = dual_config(dual_config(omega))
+    assert twice.g.n == n - 2
+    first = dual_geometry(n).edge_map
+    second = dual_geometry(n - 1).edge_map
+    primal = np.flatnonzero(first >= 0)
+    primal = primal[second[first[primal]] >= 0]
+    image = second[first[primal]]
+    # every edge of the side n-2 box is the image of exactly one primal edge
+    assert sorted(image.tolist()) == list(range(twice.g.n_edges))
+    np.testing.assert_array_equal(twice.bonds[image], omega.bonds[primal])
