@@ -135,7 +135,7 @@ class BoxGeometry:
 
     def vertex_mask(self, vertices) -> np.ndarray:
         """Boolean vertex mask of an iterable of vertex ids."""
-        ids = np.fromiter(map(int, vertices), dtype=np.int64)
+        ids = np.fromiter(vertices, dtype=np.int64)
         if ids.size and (ids.min() < 0 or ids.max() >= self.n * self.n):
             raise ValueError("vertex id out of range")
         mask = np.zeros(self.n * self.n, dtype=bool)

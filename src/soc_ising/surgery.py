@@ -146,7 +146,7 @@ def exact_cut_H2(g: BoxGeometry, cluster, edges, v: int, m: int) -> np.ndarray:
     is increasing vertex id.  H2 is every given edge leaving the kept set.
     """
     inside = g.vertex_mask(cluster)
-    edges = np.fromiter(map(int, edges), dtype=np.int64)
+    edges = np.fromiter(edges, dtype=np.int64)
     if edges.size and (edges.min() < 0 or edges.max() >= g.n_edges):
         raise ValueError("edge id out of range")
     v = int(v)
@@ -159,10 +159,9 @@ def exact_cut_H2(g: BoxGeometry, cluster, edges, v: int, m: int) -> np.ndarray:
     if not (inside[a] & inside[b]).all():
         raise ValueError("edge endpoints must lie in the cluster")
     given = set(edges.tolist())
-    nbr, inc = g.neighbors.tolist(), g.incident_edges.tolist()
     order, seen = [v], {v}
     for u in order:  # appending while iterating makes `order` the queue
-        for w, k in zip(nbr[u], inc[u]):
+        for w, k in zip(g.neighbors[u].tolist(), g.incident_edges[u].tolist()):
             if k in given and w not in seen:
                 seen.add(w)
                 order.append(w)
@@ -272,7 +271,8 @@ def surgery(omega: BondConfig, b: int, params: EventParams) -> SurgeryResult:
             h2 = exact_cut_H2(g, cluster, e_v, v, fine_m)
             omega_h = close_edges(omega_h1, h2)
 
-    h = np.union1d(h1, h2)
+    # disjoint: h2 holds edges that are still open once h1 is closed
+    h = np.sort(np.concatenate([h1, h2]))
     dec_h = decompose(omega_h)
     m_after = dec_h.m_count
     if m_after != target:
