@@ -309,9 +309,8 @@ class SocTrajectory:
     def kept(self) -> np.ndarray:
         return self.temps[self.burn_in:]
 
-    # both statistics run on the offsets from the first kept value, so a
-    # constant series gives that value and 0.0 exactly; t[:1] (not t[0])
-    # leaves an empty series at NaN
+    # offsets from the first kept value: a constant series gives it and 0.0
+    # exactly; t[:1] (not t[0]) leaves an empty series at NaN
     def mean_temperature(self) -> float:
         t = self.kept()
         return float(t[:1].sum() + (t - t[:1]).mean())

@@ -158,11 +158,15 @@ def exact_cut_H2(g: BoxGeometry, cluster, edges, v: int, m: int) -> np.ndarray:
     a, b = g.edge_a[edges], g.edge_b[edges]
     if not (inside[a] & inside[b]).all():
         raise ValueError("edge endpoints must lie in the cluster")
-    given = set(edges.tolist())
-    order, seen = [v], {v}
+    # the adjacency rows with -1 wherever the edge is not given; the flag
+    # after the last edge, which the rows' -1 padding reads, stays False
+    given = np.zeros(g.n_edges + 1, dtype=bool)
+    given[edges] = True
+    nbr = np.where(given[g.incident_edges], g.neighbors, -1).tolist()
+    order, seen = [v], {v, -1}  # -1 starts seen: the search never takes it
     for u in order:  # appending while iterating makes `order` the queue
-        for w, k in zip(g.neighbors[u].tolist(), g.incident_edges[u].tolist()):
-            if k in given and w not in seen:
+        for w in nbr[u]:
+            if w not in seen:
                 seen.add(w)
                 order.append(w)
     if len(order) != size:
@@ -259,15 +263,14 @@ def surgery(omega: BondConfig, b: int, params: EventParams) -> SurgeryResult:
             if dec_we.m_mask[v]:
                 return failure("witness-no-drop", j_star=j_star, h0=h0, h1=h1,
                                witness_edge=witness)
-            cid = int(dec_we.labels[v])
-            cluster = dec_we.cluster_vertices(cid)
+            cluster = dec_we.cluster_vertices(int(dec_we.labels[v]))
             fine_m = target - dec_we.m_count
             if not 1 <= fine_m <= cluster.size:
                 return failure("fine-cut-range", j_star=j_star, h0=h0, h1=h1,
                                witness_edge=witness, fine_m=fine_m)
             # an open edge with an endpoint in the cluster lies inside it
             e_v = np.flatnonzero(omega_we.bonds.astype(bool)
-                                 & (dec_we.labels[g.edge_a] == cid))
+                                 & (dec_we.labels[g.edge_a] == dec_we.labels[v]))
             h2 = exact_cut_H2(g, cluster, e_v, v, fine_m)
             omega_h = close_edges(omega_h1, h2)
 
@@ -349,7 +352,7 @@ def event_S_n(omega: BondConfig, b: int, params: EventParams, c0) -> bool:
     dec = decompose(omega)
     in_c0 = np.zeros(dec.n_clusters, dtype=bool)
     for cluster in c0:
-        members = np.unique(np.asarray(list(cluster), dtype=np.int64))
+        members = np.flatnonzero(dec.g.vertex_mask(cluster))
         labels = dec.labels[members]
         cid = int(labels[0])
         if (labels != cid).any():
@@ -363,8 +366,7 @@ def event_S_n(omega: BondConfig, b: int, params: EventParams, c0) -> bool:
         return False
     if dec.m_count - int(dec.sizes[in_c0].sum()) != b:
         return False
-    cap_ok, units_ok = _caps_outside(dec, in_c0, params.size_cap)
-    return cap_ok and units_ok
+    return all(_caps_outside(dec, in_c0, params.size_cap))
 
 
 def fss_conditions(omega: BondConfig | ClusterDecomposition, params: EventParams,

@@ -456,3 +456,16 @@ def test_exact_cut_H2_matches_dict_bfs_oracle(n, density, repeats, seed):
     h2 = exact_cut_H2(g, cluster, edges, v, m)
     assert h2.dtype == np.int64
     assert h2.tolist() == exact_cut_H2_oracle(g, cluster, edges, v, m)
+
+
+def test_event_S_rejects_ids_outside_the_box():
+    g = build_box(12)
+    omega = BondConfig.all_closed(g)
+    params = EventParams(n=12, a=1.95)
+    v = g.vertex_id(0, 0)
+    b = decompose(omega).m_count - 1
+    assert event_S_n(omega, b, params, [[v]])
+    # v - 144 used to wrap around to v, and 144 to raise IndexError
+    for bad in ([v - 144], [144]):
+        with pytest.raises(ValueError, match="vertex id out of range"):
+            event_S_n(omega, b, params, [bad])
