@@ -433,7 +433,8 @@ def _run_surgery_demo(cfg: ExperimentConfig):
         samples = _fk_samples(cfg, n, i)
         n_pre, n_success, budgets, h_sizes = 0, 0, [], []
         for s, omega in enumerate(samples):
-            m = decompose(omega).m_count
+            dec = decompose(omega)
+            m = dec.m_count
             if cfg.b >= 0:
                 b = cfg.b
             else:
@@ -441,7 +442,7 @@ def _run_surgery_demo(cfg: ExperimentConfig):
                 if (m + b) % 2 != 0:
                     b -= 1
             b = max(b, 0)
-            res = surgery(omega, b, params)
+            res = surgery(omega, b, params, dec)
             c0_count = int(res.c0_sizes.size)
             c0_bound = c0_count <= res.h.size + 1
             rows.append([

@@ -9,6 +9,14 @@ and the first rejected edge e witnesses that one more closure overshoots;
 finally the cluster that e would sever is trimmed to the exact overshoot m
 by cutting around a breadth-first ball, with e itself left open.  The net
 count then lands on the target exactly.
+
+Closing edges can only shrink the boundary-connected set, so the count is
+monotone along H0.  The greedy pass therefore runs as a bisection over
+prefixes of H0 and labels a logarithmic number of configurations per
+rejected edge, with the same H1 and witness as the edge-by-edge loop.
+The stages take the input's decomposition as an optional `dec`, which
+must be the decomposition of omega itself, so that a surgery labels its
+unchanged input at most once.
 """
 
 import math
@@ -73,10 +81,12 @@ class EventParams:
         return self.K * float(self.n) ** (self.a / 2.0)
 
 
-def annulus_cut_H0(omega: BondConfig, n1: int | None = None) -> tuple[int, np.ndarray]:
+def annulus_cut_H0(omega: BondConfig, n1: int | None = None,
+                   dec: ClusterDecomposition | None = None) -> tuple[int, np.ndarray]:
     """Cheapest annulus cut: the half-index j in [ceil(n1/2), floor((n-2)/2)]
     whose annulus edge set meets the fewest edges spanned by the
-    boundary-connected vertices, together with that intersection.
+    boundary-connected vertices, together with that intersection.  `dec`,
+    when given, must be the decomposition of omega itself.
 
     Pigeonhole over the disjoint annuli gives |H0| <= |spanned edges| / L
     with L the number of admissible j.
@@ -91,8 +101,7 @@ def annulus_cut_H0(omega: BondConfig, n1: int | None = None) -> tuple[int, np.nd
     jhi = (n - 2) // 2
     if jlo > jhi:
         raise ValueError("empty annulus range")
-    dec = decompose(omega)
-    mm = dec.m_mask
+    mm = (decompose(omega) if dec is None else dec).m_mask
     spanned = mm[g.edge_a] & mm[g.edge_b]
     best_j, best_ids = -1, None
     for j in range(jlo, jhi + 1):
@@ -103,37 +112,55 @@ def annulus_cut_H0(omega: BondConfig, n1: int | None = None) -> tuple[int, np.nd
     return best_j, best_ids
 
 
-def maximal_subset_H1(omega: BondConfig, h0, target: int) -> tuple[np.ndarray, int]:
+def maximal_subset_H1(omega: BondConfig, h0, target: int,
+                      dec: ClusterDecomposition | None = None) -> tuple[np.ndarray, int]:
     """Greedy maximal subset H1 of h0 whose closure keeps the number of
     boundary-connected vertices >= target, and the first rejected edge e.
+    `dec`, when given, must be the decomposition of omega itself.
 
-    Greedy in increasing edge order; since closing extra edges only shrinks
-    the boundary-connected set, every rejected edge still overshoots when
-    added to the final H1, so e witnesses maximality.
+    Greedy in increasing edge order keeps an edge when closing it on top of
+    the edges kept so far leaves the count >= target.  Closing extra edges
+    only shrinks the boundary-connected set, so the count does not increase
+    along h0: from the kept set, greedy keeps the longest run h0[i:k] whose
+    joint closure still meets the target, rejects h0[k] and starts again at
+    k + 1.  Each run is found with one probe of all remaining edges and, if
+    that fails, a bisection over prefixes; a surgery with r rejections
+    labels O((r + 1) log |h0|) configurations instead of |h0|.  By the same
+    monotonicity every rejected edge still overshoots when added to the
+    final H1, so e witnesses maximality.
     """
-    g = omega.g
     h0 = np.asarray(sorted(int(e) for e in h0), dtype=np.int64)
     m0 = decompose(close_edges(omega, h0)).m_count
-    m_full = decompose(omega).m_count
+    m_full = (decompose(omega) if dec is None else dec).m_count
     if not m0 < target <= m_full:
         raise ValueError(
             f"greedy cut needs count after full closure ({m0}) < target "
             f"({target}) <= count before ({m_full})"
         )
-    cur = omega.copy()
-    kept = []
-    witness = -1
-    for e in h0:
-        cur.bonds[e] = 0
-        if decompose(cur).m_count >= target:
-            kept.append(int(e))
-        else:
-            cur.bonds[e] = 1
-            if witness < 0:
-                witness = int(e)
-    # m0 < target guarantees at least one rejection
-    assert witness >= 0
-    return np.array(kept, dtype=np.int64), witness
+    cur = omega.copy()  # omega with the kept edges closed
+
+    def meets_target(i: int, k: int) -> bool:
+        """Does closing h0[i:k] on top of the kept edges meet the target?"""
+        return decompose(close_edges(cur, h0[i:k])).m_count >= target
+
+    rejected = []
+    i = 0
+    # closing all of h0[i:] misses the target; at i = 0 that is m0 < target,
+    # so there is at least one rejection
+    while i < h0.size and (i == 0 or not meets_target(i, h0.size)):
+        lo, hi = i, h0.size  # closing h0[i:lo] meets the target, h0[i:hi] not
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if meets_target(i, mid):
+                lo = mid
+            else:
+                hi = mid
+        cur.bonds[h0[i:lo]] = 0
+        rejected.append(lo)
+        i = lo + 1
+    keep = np.ones(h0.size, dtype=bool)
+    keep[rejected] = False
+    return h0[keep], int(h0[rejected[0]])
 
 
 def exact_cut_H2(g: BoxGeometry, cluster, edges, v: int, m: int) -> np.ndarray:
@@ -211,10 +238,13 @@ def _caps_outside(dec: ClusterDecomposition, in_c0: np.ndarray,
     return bool(out.max(initial=0) <= cap), bool((out == 1).sum() >= cap)
 
 
-def surgery(omega: BondConfig, b: int, params: EventParams) -> SurgeryResult:
+def surgery(omega: BondConfig, b: int, params: EventParams,
+            dec: ClusterDecomposition | None = None) -> SurgeryResult:
     """Close edges among those spanned by the boundary-connected set so that
     exactly ceil((|M| + b) / 2) vertices stay connected to the boundary,
-    then collect the severed clusters.
+    then collect the severed clusters.  `dec`, when given, must be the
+    decomposition of omega itself; the stages share it, so the unchanged
+    input is labelled at most once.
 
     The severed set plus (when |M| + b is odd) one pre-existing interior
     unit cluster satisfies count-after minus severed mass = b.  The two
@@ -225,7 +255,7 @@ def surgery(omega: BondConfig, b: int, params: EventParams) -> SurgeryResult:
     g = omega.g
     if b < 0:
         raise ValueError("target level b must be >= 0")
-    dec0 = decompose(omega)
+    dec0 = decompose(omega) if dec is None else dec
     m_before = dec0.m_count
     target = -((-(m_before + b)) // 2)
     need_unit = (m_before + b) % 2 == 1
@@ -244,11 +274,11 @@ def surgery(omega: BondConfig, b: int, params: EventParams) -> SurgeryResult:
         omega_h = omega.copy()
     else:
         try:
-            j_star, h0 = annulus_cut_H0(omega, params.n1)
+            j_star, h0 = annulus_cut_H0(omega, params.n1, dec0)
         except ValueError:
             return failure("annulus-precondition")
         try:
-            h1, witness = maximal_subset_H1(omega, h0, target)
+            h1, witness = maximal_subset_H1(omega, h0, target, dec0)
         except ValueError:
             return failure("greedy-precondition", j_star=j_star, h0=h0)
         omega_h1 = close_edges(omega, h1)
@@ -339,7 +369,7 @@ def event_R_n(omega: BondConfig, b: int, params: EventParams) -> bool:
     cap = params.size_cap
     if not (dec.max_interior <= cap <= dec.unit_interior_count - 1):
         return False
-    res = surgery(omega, b, params)
+    res = surgery(omega, b, params, dec)
     return res.success and res.h.size <= params.h_budget
 
 

@@ -3,9 +3,9 @@
 Everything here is deliberately naive (BFS, direct enumeration, one
 mask at a time, one edge at a time) so that the library's vectorized
 cluster labelling, block-wise pushforwards, windowed single-bond sweep,
-table-driven heat-bath sweep, list-based Metropolis loop and log-space
-code paths are checked against a second implementation rather than
-against themselves.
+table-driven heat-bath sweep, list-based Metropolis loop, bisecting
+surgery greedy stage and log-space code paths are checked against a
+second implementation rather than against themselves.
 """
 
 import math
@@ -16,7 +16,7 @@ from scipy.special import expit, gammaln
 
 from soc_ising.coupling import dual_config, dual_parameter, es_ising_to_fk, t_to_p
 from soc_ising.fk import (
-    BondConfig, ClusterDecomposition, FKParams, decompose,
+    BondConfig, ClusterDecomposition, FKParams, close_edges, decompose,
     enumerate_bond_configs, exact_fk_distribution,
 )
 from soc_ising.ising import SpinConfig, exact_ising_distribution, feedback_temperature
@@ -375,3 +375,30 @@ def naive_mu_prime_oracle(g, a, total, rng, account_for_T_change=True):
         mags[sweep] = m
         flips[sweep] = nflip
     return temps, mags, flips
+
+
+def maximal_subset_H1_oracle(omega, h0, target: int) -> tuple[np.ndarray, int]:
+    """The greedy subset H1 and its first rejected edge, one edge of the
+    sorted h0 at a time, labelling the whole box after every closure."""
+    h0 = np.asarray(sorted(int(e) for e in h0), dtype=np.int64)
+    m0 = decompose(close_edges(omega, h0)).m_count
+    m_full = decompose(omega).m_count
+    if not m0 < target <= m_full:
+        raise ValueError(
+            f"greedy cut needs count after full closure ({m0}) < target "
+            f"({target}) <= count before ({m_full})"
+        )
+    cur = omega.copy()
+    kept = []
+    witness = -1
+    for e in h0:
+        cur.bonds[e] = 0
+        if decompose(cur).m_count >= target:
+            kept.append(int(e))
+        else:
+            cur.bonds[e] = 1
+            if witness < 0:
+                witness = int(e)
+    # m0 < target guarantees at least one rejection
+    assert witness >= 0
+    return np.array(kept, dtype=np.int64), witness

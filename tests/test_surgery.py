@@ -1,6 +1,7 @@
 """Three-stage surgery on the boundary-connected set, the certified
 events, and the sign-compensation arithmetic."""
 
+import importlib
 import math
 from fractions import Fraction
 
@@ -8,10 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import exact_cut_H2_oracle, philox, stirling_constant_oracle
+from helpers import (
+    exact_cut_H2_oracle, maximal_subset_H1_oracle, philox,
+    stirling_constant_oracle,
+)
 from soc_ising import (
     BondConfig,
     EventParams,
+    FKParams,
     annulus_cut_H0,
     bernoulli_bonds,
     build_box,
@@ -25,10 +30,13 @@ from soc_ising import (
     forced_sign,
     fss_conditions,
     maximal_subset_H1,
+    sample_chain,
     sign_compensation_probability,
     stirling_constant,
     surgery,
 )
+from soc_ising import experiments
+from soc_ising.experiments import build_config
 
 
 def test_event_params_validation_and_derived_values():
@@ -469,3 +477,103 @@ def test_event_S_rejects_ids_outside_the_box():
     for bad in ([v - 144], [144]):
         with pytest.raises(ValueError, match="vertex id out of range"):
             event_S_n(omega, b, params, [bad])
+
+
+def _sw_sample(n, bc, seed, steps=8):
+    """A Swendsen-Wang sample of the q = 2 law at p = 0.7, after a short
+    burn-in from a Bernoulli start."""
+    rng = philox(seed, bc)
+    omega0 = bernoulli_bonds(build_box(n), 0.7, rng)
+    return sample_chain(omega0, FKParams(p=0.7, q=2.0, bc=bc), 1, steps, 1,
+                        rng)[0]
+
+
+def _assert_greedy_matches_oracle(omega, h0, target):
+    want = maximal_subset_H1_oracle(omega, h0, target)
+    for dec in (None, decompose(omega)):
+        h1, witness = maximal_subset_H1(omega, h0, target, dec)
+        assert h1.dtype == np.int64
+        assert (h1.tolist(), witness) == (want[0].tolist(), want[1])
+
+
+@pytest.mark.parametrize("n", [12, 16, 20, 24, 30])
+@pytest.mark.parametrize("bc", [0, 1])
+def test_greedy_bisection_matches_edge_by_edge_oracle(n, bc):
+    # every target the precondition admits at sides 12 and 16, so that the
+    # stages near the full count reject many edges; a spread at larger sides
+    omega = _sw_sample(n, bc, seed=n)
+    _, h0 = annulus_cut_H0(omega, EventParams(n=n, a=1.95).n1)
+    m0 = decompose(close_edges(omega, h0)).m_count
+    m_full = decompose(omega).m_count
+    assert m0 < m_full
+    targets = range(m0 + 1, m_full + 1)
+    if n > 16:
+        targets = np.unique(np.linspace(m0 + 1, m_full, 12).astype(int))
+    for target in targets:
+        _assert_greedy_matches_oracle(omega, h0, int(target))
+    for target in (m0, m_full + 1):
+        with pytest.raises(ValueError, match="greedy cut needs") as got:
+            maximal_subset_H1(omega, h0, target)
+        with pytest.raises(ValueError) as want:
+            maximal_subset_H1_oracle(omega, h0, target)
+        assert str(got.value) == str(want.value)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(n=st.integers(12, 30), bc=st.integers(0, 1),
+       extra=st.integers(0, 40), repeats=st.integers(0, 4),
+       seed=st.integers(0, 2 ** 32 - 1), frac=st.floats(0.0, 1.0))
+def test_greedy_bisection_matches_oracle_on_unsorted_h0_with_closed_edges(
+        n, bc, extra, repeats, seed, frac):
+    # the annulus cut plus random other edges (closed ones included), some
+    # of them repeated, in random order
+    omega = _sw_sample(n, bc, seed=seed % 1000)
+    rng = philox(seed, 7)
+    _, h0 = annulus_cut_H0(omega, EventParams(n=n, a=1.95).n1)
+    h0 = np.concatenate([h0, rng.choice(omega.g.n_edges, size=extra)])
+    if h0.size:
+        h0 = np.concatenate([h0, rng.choice(h0, size=repeats)])
+    rng.shuffle(h0)
+    m0 = decompose(close_edges(omega, h0)).m_count
+    m_full = decompose(omega).m_count
+    if m0 < m_full:
+        target = m0 + 1 + int(frac * (m_full - m0 - 1))
+        _assert_greedy_matches_oracle(omega, h0, target)
+
+
+def test_surgery_demo_labels_each_input_once_and_bisects(monkeypatch):
+    # surgery-demo at its defaults: every surgery's input is labelled once,
+    # by the runner, and the greedy stage makes at most
+    # (rejections + 1) (ceil(log2 |H0|) + 1) decompose calls, where the
+    # edge-by-edge loop makes |H0| + 2
+    surgery_module = importlib.import_module("soc_ising.surgery")
+    labelled = []  # the argument of every decompose call
+    stages = []  # (|H0|, rejections, decompose calls) per greedy stage
+    inputs = []  # the input of every surgery
+
+    def counted_decompose(omega):
+        labelled.append(omega)
+        return decompose(omega)
+
+    def counted_greedy(omega, h0, target, dec=None):
+        start = len(labelled)
+        h1, witness = maximal_subset_H1(omega, h0, target, dec)
+        stages.append((len(h0), len(h0) - len(h1), len(labelled) - start))
+        return h1, witness
+
+    def recorded_surgery(omega, b, params, dec=None):
+        inputs.append(omega)
+        return surgery(omega, b, params, dec)
+
+    for module in (experiments, surgery_module):
+        monkeypatch.setattr(module, "decompose", counted_decompose)
+    monkeypatch.setattr(surgery_module, "maximal_subset_H1", counted_greedy)
+    monkeypatch.setattr(experiments, "surgery", recorded_surgery)
+    cfg = build_config("surgery-demo")
+    experiments._run_surgery_demo(cfg)
+    assert len(inputs) == cfg.samples
+    for omega in inputs:
+        assert sum(arg is omega for arg in labelled) == 1
+    assert len(stages) >= cfg.samples // 2
+    for size, rejections, calls in stages:
+        assert calls <= (rejections + 1) * (math.ceil(math.log2(size)) + 1)
