@@ -84,7 +84,6 @@ from .surgery import (
     WalkBoundReport,
     annulus_cut_H0,
     compensation_walk_bound_check,
-    event_F_n,
     event_G_n,
     event_R_n,
     event_S_n,

@@ -278,7 +278,8 @@ def chain_rng(seed: int, chain_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, chain_id]))
 
 
-def _auto(burn_in: int, default: int) -> int:
+def _auto(burn_in: int, default: int | None) -> int | None:
+    """The configured burn-in, or `default` when it is -1 (auto)."""
     return default if burn_in < 0 else burn_in
 
 
@@ -313,7 +314,7 @@ def _run_soc_run(cfg: ExperimentConfig):
     for i, n in enumerate(cfg.n):
         traj = two_timescale_dynamics(
             n, cfg.a, cfg.tau, cfg.total, chain_rng(cfg.seed, i),
-            burn_in=None if cfg.burn_in < 0 else cfg.burn_in,
+            burn_in=_auto(cfg.burn_in, None),
             snapshot_every=cfg.snapshot_every,
         )
         m_ns = traj.m_ns if traj.m_ns is not None else np.full(len(traj.steps), -1)
@@ -340,7 +341,7 @@ def _run_soc_compare(cfg: ExperimentConfig):
             traj = naive_mu_prime_dynamics(
                 n, cfg.a, cfg.total, chain_rng(cfg.seed, chain),
                 account_for_T_change=account,
-                burn_in=None if cfg.burn_in < 0 else cfg.burn_in,
+                burn_in=_auto(cfg.burn_in, None),
             )
             chain += 1
             for r in range(len(traj.steps)):
@@ -504,9 +505,11 @@ def fss_frequency(cfg: ExperimentConfig):
     only configs ExperimentConfig accepts for fss-freq.
 
     Returns (columns, rows, summary) with one row per sample and per-n
-    frequencies of the event conjunction, the ambient event, and each
-    clause, with Wilson 95% intervals, plus the boundary and inner-box
-    mass ratios against their nominal thresholds 4 and 2.
+    frequencies of the event F_n (the `f_n` column: the conjunction of the
+    three `fss_conditions` clauses, kept one by one in the `cond_*`
+    columns), the ambient event G_n, and each clause, with Wilson 95%
+    intervals, plus the boundary and inner-box mass ratios against their
+    nominal thresholds 4 and 2.
     """
     cols = ["n", "sample", "m_n", "inner_m", "max_interior", "units",
             "m_ratio", "inner_ratio", "g_n", "f_n", "cond_mass_upper",

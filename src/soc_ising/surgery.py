@@ -416,13 +416,6 @@ def fss_conditions(omega: BondConfig | ClusterDecomposition, params: EventParams
     return c1, c2, c3
 
 
-def event_F_n(omega: BondConfig | ClusterDecomposition, params: EventParams,
-              p: float) -> bool:
-    """Conjunction of the three finite-size scaling clauses."""
-    c1, c2, c3 = fss_conditions(omega, params, p)
-    return c1 and c2 and c3
-
-
 _DP_CELL_BUDGET = 2 * 10 ** 7
 
 
