@@ -270,8 +270,9 @@ def surgery(omega: BondConfig, b: int, params: EventParams,
     h0 = h1 = h2 = np.empty(0, dtype=np.int64)
     j_star, witness, fine_m = -1, -1, 0
 
+    # dec_h: the decomposition of omega with H closed
     if target == m_before:
-        omega_h = omega.copy()
+        dec_h = dec0
     else:
         try:
             j_star, h0 = annulus_cut_H0(omega, params.n1, dec0)
@@ -282,9 +283,8 @@ def surgery(omega: BondConfig, b: int, params: EventParams,
         except ValueError:
             return failure("greedy-precondition", j_star=j_star, h0=h0)
         omega_h1 = close_edges(omega, h1)
-        if decompose(omega_h1).m_count == target:
-            omega_h = omega_h1
-        else:
+        dec_h = decompose(omega_h1)
+        if dec_h.m_count != target:
             omega_we = close_edges(omega_h1, [witness])
             dec_we = decompose(omega_we)
             va, vb = int(g.edge_a[witness]), int(g.edge_b[witness])
@@ -302,17 +302,16 @@ def surgery(omega: BondConfig, b: int, params: EventParams,
             e_v = np.flatnonzero(omega_we.bonds.astype(bool)
                                  & (dec_we.labels[g.edge_a] == dec_we.labels[v]))
             h2 = exact_cut_H2(g, cluster, e_v, v, fine_m)
-            omega_h = close_edges(omega_h1, h2)
+            dec_h = decompose(close_edges(omega_h1, h2))
 
     # disjoint: h2 holds edges that are still open once h1 is closed
     h = np.sort(np.concatenate([h1, h2]))
-    dec_h = decompose(omega_h)
     m_after = dec_h.m_count
     if m_after != target:
         return failure("count-mismatch", j_star=j_star, h0=h0, h1=h1, h2=h2,
                        witness_edge=witness, fine_m=fine_m)
 
-    # the family c0, as a mask over the clusters of omega_h: the newly
+    # the family c0, as a mask over the clusters of dec_h: the newly
     # severed ones (interior, made of formerly boundary-connected vertices)
     # and, when the parity needs one, the first interior singleton of omega
     in_c0 = np.zeros(dec_h.n_clusters, dtype=bool)
