@@ -124,8 +124,8 @@ def maximal_subset_H1(omega: BondConfig, h0, target: int,
     along h0: from the kept set, greedy keeps the longest run h0[i:k] whose
     joint closure still meets the target, rejects h0[k] and starts again at
     k + 1.  Each run is found with one probe of all remaining edges and, if
-    that fails, a bisection over prefixes; a surgery with r rejections
-    labels O((r + 1) log |h0|) configurations instead of |h0|.  By the same
+    that fails, a bisection over prefixes, so r rejections cost
+    O((r + 1) log |h0|) labellings instead of |h0|.  By the same
     monotonicity every rejected edge still overshoots when added to the
     final H1, so e witnesses maximality.
     """
