@@ -28,14 +28,14 @@ params = EventParams(n=N, a=A)
 fk = FKParams(p=P, q=2.0, bc=1)
 rng = np.random.Generator(np.random.Philox(key=[SEED, 0]))
 omega0 = bernoulli_bonds(g, P, rng)
-samples = sample_chain(omega0, fk, 100, 100, 2, rng, method="sw")
+samples = list(sample_chain(omega0, fk, 100, 100, 2, rng, method="sw"))
 
-omega = samples[0]
-m = decompose(omega).m_count
+omega, dec = samples[0]
+m = dec.m_count
 b = int(0.8 * m)
 if (m + b) % 2:
     b -= 1
-res = surgery(omega, b, params)
+res = surgery(omega, b, params, dec)
 
 print(f"== one sample, n = {N}, p = {P} ==")
 print(f"boundary-cluster count |M| = {res.m_before}, requested b = {b},")
@@ -55,7 +55,7 @@ print(f"severed interior families: {len(sizes)} with sizes {sizes}"
 print(f"bookkeeping identity holds: {res.identity_ok}")
 
 # the families really are new interior clusters, nothing else moved
-before = set(decompose(omega).interior_clusters())
+before = set(dec.interior_clusters())
 after = set(decompose(close_edges(omega, res.h)).interior_clusters())
 print(f"pre-existing interior clusters preserved: {before <= after}")
 
@@ -63,12 +63,12 @@ print()
 print(f"== batch of {len(samples)} samples ==")
 stages = {}
 budgets = []
-for w in samples:
-    mm = decompose(w).m_count
+for w, d in samples:
+    mm = d.m_count
     bb = int(0.8 * mm)
     if (mm + bb) % 2:
         bb -= 1
-    r = surgery(w, bb, params)
+    r = surgery(w, bb, params, d)
     stages[r.stage] = stages.get(r.stage, 0) + 1
     if r.success:
         budgets.append(r.budget_used)

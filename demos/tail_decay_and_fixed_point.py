@@ -18,7 +18,6 @@ from soc_ising import (
     FKParams,
     bernoulli_bonds,
     build_box,
-    decompose,
     fixed_point,
     p_critical,
     sample_chain,
@@ -33,7 +32,7 @@ omega0 = bernoulli_bonds(g, 0.4, rng)
 samples = sample_chain(omega0, FKParams(0.4, 2.0, 0), 1200, 150, 2, rng,
                        method="sw")
 v = g.vertex_id(0, 0)
-sizes = [decompose(w).cluster_size_of(v) for w in samples]
+sizes = [dec.cluster_size_of(v) for _, dec in samples]
 fit = tail_statistics(sizes)
 print(f"  mean cluster size {float(np.mean(sizes)):.3f}, "
       f"max {max(sizes)}")

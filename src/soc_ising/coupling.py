@@ -15,8 +15,8 @@ import numpy as np
 from .lattice import BoxGeometry, as_box, build_box, dual_geometry
 from .ising import SpinConfig, enumerate_plus_configs, exact_ising_distribution
 from .fk import (
-    BondConfig, FKParams, boundary_clusters, cluster_spins, enumerate_bond_configs,
-    exact_fk_distribution,
+    BondConfig, FKParams, boundary_clusters, cluster_labels, cluster_spins,
+    enumerate_bond_configs, exact_fk_distribution,
 )
 
 
@@ -62,7 +62,9 @@ def es_fk_to_ising(omega: BondConfig, rng: np.random.Generator) -> SpinConfig:
     """Spin half of the coupling: boundary-touching clusters take the plus
     sign, interior clusters draw independent fair signs (in cluster-id
     order, one draw per interior cluster)."""
-    return SpinConfig(omega.g, cluster_spins(omega, rng, wired=True))
+    g = omega.g
+    labels = cluster_labels(g, omega.bonds)[0]
+    return SpinConfig(g, cluster_spins(g, labels, rng, wired=True))
 
 
 def es_ising_to_fk(config: SpinConfig, t: float, rng: np.random.Generator) -> BondConfig:

@@ -31,7 +31,6 @@ from .ising import T_CRITICAL
 from .fk import (
     FKParams,
     bernoulli_bonds,
-    decompose,
     p_critical,
     sample_chain,
     tail_statistics,
@@ -367,10 +366,8 @@ def _run_fk_sample(cfg: ExperimentConfig):
             "sum_sq_interior", "u_n", "units"]
     rows, per_n = [], []
     for i, n in enumerate(cfg.n):
-        samples = _fk_samples(cfg, n, i)
         stats = []
-        for s, omega in enumerate(samples):
-            dec = decompose(omega)
+        for s, (omega, dec) in enumerate(_fk_samples(cfg, n, i)):
             rec = [n, s, omega.open_count(), dec.k0, dec.k1, dec.m_count,
                    dec.max_interior, dec.sum_sq_interior, dec.u_halfgrid,
                    dec.unit_interior_count]
@@ -431,10 +428,8 @@ def _run_surgery_demo(cfg: ExperimentConfig):
     rows, per_n = [], []
     for i, n in enumerate(cfg.n):
         params = EventParams(n=n, a=cfg.a, delta=cfg.delta, K=cfg.k_budget)
-        samples = _fk_samples(cfg, n, i)
         n_pre, n_success, budgets, h_sizes = 0, 0, [], []
-        for s, omega in enumerate(samples):
-            dec = decompose(omega)
+        for s, (omega, dec) in enumerate(_fk_samples(cfg, n, i)):
             m = dec.m_count
             if cfg.b >= 0:
                 b = cfg.b
@@ -463,7 +458,7 @@ def _run_surgery_demo(cfg: ExperimentConfig):
         cell = {
             "n": n,
             "p": cfg.p,
-            "samples": len(samples),
+            "samples": cfg.samples,
             "eligible": n_pre,
             "successes": n_success,
             "success_rate_among_eligible":
@@ -517,15 +512,13 @@ def fss_frequency(cfg: ExperimentConfig):
     rows, per_n = [], []
     for i, n in enumerate(cfg.n):
         params = EventParams(n=n, a=cfg.a, delta=cfg.delta, K=cfg.k_budget)
-        samples = _fk_samples(cfg, n, i)
         g = build_box(n)
         inner_mask = g.sub_box_mask(params.n1)
         na = float(n) ** cfg.a
         counts = {k: 0 for k in ("g_n", "f_n", "c1", "c2", "c3",
                                  "m_below_4", "inner_above_2")}
         ratios, inner_ratios = [], []
-        for s, omega in enumerate(samples):
-            dec = decompose(omega)
+        for s, (_, dec) in enumerate(_fk_samples(cfg, n, i)):
             c1, c2, c3 = fss_conditions(dec, params, cfg.p)
             gn = event_G_n(dec, params)
             fn = c1 and c2 and c3
@@ -542,7 +535,7 @@ def fss_frequency(cfg: ExperimentConfig):
                 counts[key] += bool(hit)
             ratios.append(m_ratio)
             inner_ratios.append(inner_ratio)
-        ns = len(samples)
+        ns = cfg.samples
         freq = {}
         for key, hits in counts.items():
             lo, hi = wilson_interval(hits, ns)
@@ -562,12 +555,11 @@ def fss_frequency(cfg: ExperimentConfig):
 def _run_tail_fit(cfg: ExperimentConfig):
     n = cfg.n[0]
     v = cfg.v if cfg.v is not None else build_box(n).vertex_id(0, 0)
-    samples = _fk_samples(cfg, n, 0)
     cols = ["sample", "size"]
     rows = []
     sizes = []
-    for s, omega in enumerate(samples):
-        k = decompose(omega).cluster_size_of(v)
+    for s, (_, dec) in enumerate(_fk_samples(cfg, n, 0)):
+        k = dec.cluster_size_of(v)
         rows.append([s, k])
         sizes.append(k)
     fit = tail_statistics(sizes, min_hits=cfg.min_hits)

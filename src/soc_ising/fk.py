@@ -7,9 +7,12 @@ single cluster.  `cluster_labels` is the one routine that labels clusters
 from bonds, for one configuration or a stack of them; cluster
 decompositions built on it carry the observables used throughout:
 boundary-connected set, interior cluster sizes, singleton counts.
+`sample_chain` labels each kept sample once and yields it with its
+decomposition, which the next Swendsen-Wang step reuses.
 """
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -274,35 +277,38 @@ def exact_fk_distribution(g: BoxGeometry | int, params: FKParams) -> FKDistribut
     return FKDistribution(g=g, params=params, probs=weights, z=z)
 
 
-def cluster_spins(omega: BondConfig, rng: np.random.Generator, wired: bool) -> np.ndarray:
-    """Spins constant on each cluster of omega: fair signs drawn in
+def cluster_spins(g: BoxGeometry, labels: np.ndarray, rng: np.random.Generator,
+                  wired: bool) -> np.ndarray:
+    """Spins constant on each cluster of the labelling: fair signs drawn in
     cluster-id order, except that under the wired condition the
     boundary-touching clusters take the plus sign and draw nothing."""
-    labels = cluster_labels(omega.g, omega.bonds)[0]
     k = int(labels.max()) + 1
     signs = np.ones(k, dtype=np.int8)
     draw = np.ones(k, dtype=bool)
     if wired:
-        draw[labels[omega.g.boundary_ids]] = False
+        draw[labels[g.boundary_ids]] = False
     n_draw = int(draw.sum())
     if n_draw:
         signs[draw] = (2 * rng.integers(0, 2, size=n_draw) - 1).astype(np.int8)
     return signs[labels]
 
 
-def swendsen_wang_step(omega: BondConfig, params: FKParams, rng: np.random.Generator) -> BondConfig:
+def swendsen_wang_step(omega: BondConfig, params: FKParams, rng: np.random.Generator,
+                       dec: ClusterDecomposition | None = None) -> BondConfig:
     """One cluster-update step targeting the q = 2 random-cluster law.
 
     Interior clusters draw independent fair signs (in cluster-id order);
     under the wired condition every boundary-touching cluster acts as one
     merged cluster and takes the plus sign, while under the free condition
     boundary clusters draw signs like any other.  Edges joining equal signs
-    reopen with probability p, all others close.
+    reopen with probability p, all others close.  `dec`, when given, must be
+    decompose(omega); its labels are then read instead of made again.
     """
     if params.q != 2:
         raise ValueError("cluster step is specific to q = 2")
     g = omega.g
-    spins = cluster_spins(omega, rng, wired=params.bc == 1)
+    labels = cluster_labels(g, omega.bonds)[0] if dec is None else dec.labels
+    spins = cluster_spins(g, labels, rng, wired=params.bc == 1)
     eq = spins[g.edge_a] == spins[g.edge_b]
     u = rng.random(g.n_edges)
     return BondConfig(g, (eq & (u < params.p)).astype(np.uint8))
@@ -424,11 +430,12 @@ def bernoulli_bonds(g: BoxGeometry, p: float, rng: np.random.Generator) -> BondC
 
 def _chain_step(method: str, params: FKParams, rng: np.random.Generator):
     """One-step update of the named sampler chain: a Swendsen-Wang step or
-    a single-bond sweep.  Steps keep no state between calls."""
+    a single-bond sweep.  Steps take (omega, dec), with dec either
+    decompose(omega) or None, and keep no state between calls."""
     if method == "sw":
-        return lambda omega: swendsen_wang_step(omega, params, rng)
+        return lambda omega, dec: swendsen_wang_step(omega, params, rng, dec)
     if method == "single-bond":
-        return lambda omega: single_bond_heat_bath_sweep(omega, params, rng)
+        return lambda omega, dec: single_bond_heat_bath_sweep(omega, params, rng)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -448,7 +455,7 @@ def visit_counts(
     step = _chain_step(method, params, rng)
     omega = omega0
     for _ in range(steps):
-        omega = step(omega)
+        omega = step(omega, None)
         counts[int(omega.bonds.astype(np.int64) @ powers)] += 1
     return counts
 
@@ -461,18 +468,27 @@ def sample_chain(
     thin: int,
     rng: np.random.Generator,
     method: str = "sw",
-) -> list[BondConfig]:
-    """Thinned samples from a sampler chain after burn-in."""
-    step = _chain_step(method, params, rng)
-    omega = omega0
+) -> Iterator[tuple[BondConfig, ClusterDecomposition]]:
+    """Thinned samples from a sampler chain after burn-in, yielded as
+    (omega, decompose(omega)) pairs.
+
+    Each kept sample is labelled once: the step after it reuses its
+    decomposition.  An unknown method raises here, not at the first sample.
+    """
+    return _chain(_chain_step(method, params, rng), omega0, n_samples,
+                  burn_in, thin)
+
+
+def _chain(step, omega: BondConfig, n_samples: int, burn_in: int, thin: int):
     for _ in range(burn_in):
-        omega = step(omega)
-    out = []
+        omega = step(omega, None)
+    dec = None
     for _ in range(n_samples):
         for _ in range(thin):
-            omega = step(omega)
-        out.append(omega)
-    return out
+            omega = step(omega, dec)
+            dec = None
+        dec = decompose(omega)
+        yield omega, dec
 
 
 @dataclass
@@ -488,22 +504,13 @@ class TailFit:
     degenerate: bool
 
 
-def tail_statistics(samples, v: int | None = None, min_hits: int = 50) -> TailFit:
-    """Fit the decay rate of P(|C(v)| >= k) from sampled decompositions.
+def tail_statistics(sizes, min_hits: int = 50) -> TailFit:
+    """Fit the decay rate of P(|C(v)| >= k) from sampled cluster sizes.
 
-    `samples` is a sequence of ClusterDecomposition (with `v` the observed
-    vertex) or of raw cluster sizes.  The fit regresses -log tail on k by
-    least squares, with intercept, over the window of k whose tail still has
-    at least `min_hits` samples; the CI is the normal 95% band on the slope.
+    The fit regresses -log tail on k by least squares, with intercept, over
+    the window of k whose tail still has at least `min_hits` samples; the CI
+    is the normal 95% band on the slope.
     """
-    sizes = []
-    for s in samples:
-        if isinstance(s, ClusterDecomposition):
-            if v is None:
-                raise ValueError("vertex id required with decomposition samples")
-            sizes.append(s.cluster_size_of(v))
-        else:
-            sizes.append(int(s))
     sizes = np.asarray(sizes, dtype=np.int64)
     n = len(sizes)
     if n == 0:
@@ -529,24 +536,20 @@ def tail_statistics(samples, v: int | None = None, min_hits: int = 50) -> TailFi
     return TailFit(slope, slope - 1.96 * se, slope + 1.96 * se, ks, tail, n, False)
 
 
-def event_D_n(dec: ClusterDecomposition | BondConfig, amp: float, b: float, c: float) -> bool:
+def event_D_n(dec: ClusterDecomposition, amp: float, b: float, c: float) -> bool:
     """Is the total mass of clusters of size >= n^b at least amp * n^c?
 
     Counts every cluster, boundary-touching ones included.
     """
-    if isinstance(dec, BondConfig):
-        dec = decompose(dec)
     n = dec.g.n
     thr = float(n) ** b
     mass = int(dec.sizes[dec.sizes >= thr].sum())
     return mass >= amp * float(n) ** c
 
 
-def event_Q_N(dec: ClusterDecomposition | BondConfig, requirements) -> bool:
+def event_Q_N(dec: ClusterDecomposition, requirements) -> bool:
     """Do the given vertices sit in pairwise distinct clusters of the given
     minimum sizes?  `requirements` is a sequence of (vertex id, min size)."""
-    if isinstance(dec, BondConfig):
-        dec = decompose(dec)
     labels = set()
     for v, k in requirements:
         lab = int(dec.labels[v])

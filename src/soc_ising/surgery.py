@@ -343,11 +343,10 @@ def surgery(omega: BondConfig, b: int, params: EventParams,
     )
 
 
-def event_G_n(omega: BondConfig | ClusterDecomposition, params: EventParams) -> bool:
+def event_G_n(dec: ClusterDecomposition, params: EventParams) -> bool:
     """Regular-configuration event: boundary-connected mass at most 4 n^a,
     at least 2 n^a of it inside the inner box, interior clusters no larger
     than the size cap, and at least cap + 1 interior singletons."""
-    dec = decompose(omega) if isinstance(omega, BondConfig) else omega
     g = dec.g
     na = float(g.n) ** params.a
     if dec.m_count > 4.0 * na:
@@ -398,13 +397,12 @@ def event_S_n(omega: BondConfig, b: int, params: EventParams, c0) -> bool:
     return all(_caps_outside(dec, in_c0, params.size_cap))
 
 
-def fss_conditions(omega: BondConfig | ClusterDecomposition, params: EventParams,
+def fss_conditions(dec: ClusterDecomposition, params: EventParams,
                    p: float) -> tuple[bool, bool, bool]:
     """The three finite-size scaling clauses at bond density p, with the
     near-critical surrogate standing in for the connectivity function:
     upper bound on the boundary-connected mass, size cap on interior
     clusters, lower bound on the mass inside the inner box."""
-    dec = decompose(omega) if isinstance(omega, BondConfig) else omega
     g = dec.g
     theta = theta_asymptotic(p)
     c1 = dec.m_count <= (1.0 + params.delta) * theta * g.n * g.n

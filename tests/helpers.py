@@ -4,8 +4,9 @@ Everything here is deliberately naive (BFS, direct enumeration, one
 mask at a time, one edge at a time) so that the library's vectorized
 cluster labelling, block-wise pushforwards, windowed single-bond sweep,
 table-driven heat-bath sweep, list-based Metropolis loop, bisecting
-surgery greedy stage and log-space code paths are checked against a
-second implementation rather than against themselves.
+surgery greedy stage, single-labelling sample chain and log-space code
+paths are checked against a second implementation rather than against
+themselves.
 """
 
 import math
@@ -17,7 +18,8 @@ from scipy.special import expit, gammaln
 from soc_ising.coupling import dual_config, dual_parameter, es_ising_to_fk, t_to_p
 from soc_ising.fk import (
     BondConfig, ClusterDecomposition, FKParams, close_edges, decompose,
-    enumerate_bond_configs, exact_fk_distribution,
+    enumerate_bond_configs, exact_fk_distribution, single_bond_heat_bath_sweep,
+    swendsen_wang_step,
 )
 from soc_ising.ising import SpinConfig, exact_ising_distribution, feedback_temperature
 from soc_ising.lattice import as_box, build_box
@@ -402,3 +404,20 @@ def maximal_subset_H1_oracle(omega, h0, target: int) -> tuple[np.ndarray, int]:
     # m0 < target guarantees at least one rejection
     assert witness >= 0
     return np.array(kept, dtype=np.int64), witness
+
+
+def sample_chain_oracle(omega0, params, n_samples, burn_in, thin, rng,
+                        method="sw") -> list:
+    """Thinned samples of a sampler chain after burn-in, as a list of bond
+    configurations; every Swendsen-Wang step labels its own input."""
+    step = {"sw": swendsen_wang_step,
+            "single-bond": single_bond_heat_bath_sweep}[method]
+    omega = omega0
+    for _ in range(burn_in):
+        omega = step(omega, params, rng)
+    out = []
+    for _ in range(n_samples):
+        for _ in range(thin):
+            omega = step(omega, params, rng)
+        out.append(omega)
+    return out

@@ -140,8 +140,7 @@ def test_06_surgery_reaches_exact_target_on_wired_samples():
                    "greedy-precondition"}
     eligible = 0
     budgets = []
-    for omega in samples:
-        dec = decompose(omega)
+    for omega, dec in samples:
         m = dec.m_count
         b = int(0.8 * m)
         if (m + b) % 2:
@@ -216,7 +215,7 @@ def test_09_subcritical_tail_decay_rate_positive():
     omega0 = bernoulli_bonds(g, 0.4, rng)
     samples = sample_chain(omega0, params, 2000, 200, 2, rng, method="sw")
     v = g.vertex_id(0, 0)
-    sizes = [decompose(w).cluster_size_of(v) for w in samples]
+    sizes = [dec.cluster_size_of(v) for _, dec in samples]
     fit = tail_statistics(sizes)
     assert fit.n_samples == 2000
     assert fit.psi_hat > 0

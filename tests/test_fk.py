@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     FixedDraws, bfs_components, cluster_counts,
     external_cluster_boundary_oracle, fk_law_oracle, philox,
-    single_bond_sweep_oracle,
+    sample_chain_oracle, single_bond_sweep_oracle,
 )
 from soc_ising import (
     BondConfig,
@@ -33,6 +33,7 @@ from soc_ising import (
     tail_statistics,
     visit_counts,
 )
+from soc_ising import fk
 from soc_ising.fk import _bridge_query
 
 
@@ -309,7 +310,74 @@ def test_sample_chain_is_reproducible():
     params = FKParams(p=0.55, q=2.0, bc=1)
     run1 = sample_chain(BondConfig.all_open(g), params, 10, 20, 3, philox(7))
     run2 = sample_chain(BondConfig.all_open(g), params, 10, 20, 3, philox(7))
-    assert [w.to_bitmask() for w in run1] == [w.to_bitmask() for w in run2]
+    assert [w.to_bitmask() for w, _ in run1] == [w.to_bitmask() for w, _ in run2]
+
+
+@pytest.mark.parametrize("thin", [1, 3])
+@pytest.mark.parametrize("burn_in", [0, 5])
+@pytest.mark.parametrize("method", ["sw", "single-bond"])
+@pytest.mark.parametrize("bc", [0, 1])
+@pytest.mark.parametrize("n", [2, 3, 8, 16])
+def test_sample_chain_matches_list_oracle(n, bc, method, burn_in, thin):
+    params = FKParams(p=0.6, q=2.0, bc=bc)
+    omega0 = bernoulli_bonds(build_box(n), 0.6, philox(n, bc))
+    rng, rng_oracle = philox(61, n), philox(61, n)
+    want = sample_chain_oracle(omega0, params, 4, burn_in, thin, rng_oracle,
+                               method=method)
+    got = list(sample_chain(omega0, params, 4, burn_in, thin, rng,
+                            method=method))
+    assert len(got) == len(want)
+    for (omega, dec), w in zip(got, want):
+        assert omega.to_bitmask() == w.to_bitmask()
+        assert omega.bonds.tobytes() == w.bonds.tobytes()
+        assert np.array_equal(dec.labels, decompose(omega).labels)
+    assert rng.random() == rng_oracle.random()
+
+
+@pytest.mark.parametrize("bc", [0, 1])
+def test_swendsen_wang_step_reuses_given_decomposition(bc):
+    params = FKParams(p=0.6, q=2.0, bc=bc)
+    for n in (2, 5, 12):
+        omega = bernoulli_bonds(build_box(n), 0.6, philox(71, n))
+        rng1, rng2 = philox(72, n), philox(72, n)
+        fresh = swendsen_wang_step(omega, params, rng1)
+        reused = swendsen_wang_step(omega, params, rng2, decompose(omega))
+        assert fresh.bonds.tobytes() == reused.bonds.tobytes()
+        # the Philox state holds small arrays, printed in full
+        assert repr(rng1.bit_generator.state) == repr(rng2.bit_generator.state)
+
+
+@pytest.mark.parametrize("n_samples,burn_in,thin",
+                         [(1, 0, 1), (4, 0, 3), (3, 5, 1), (5, 7, 2)])
+def test_sample_chain_labels_each_configuration_once(monkeypatch, n_samples,
+                                                     burn_in, thin):
+    calls = []
+    labels = fk.cluster_labels
+
+    def counting(g, bonds):
+        calls.append(1)
+        return labels(g, bonds)
+
+    monkeypatch.setattr(fk, "cluster_labels", counting)
+    g = build_box(6)
+    omega0 = bernoulli_bonds(g, 0.6, philox(81))
+    sw = FKParams(p=0.6, q=2.0, bc=1)
+    for _ in sample_chain(omega0, sw, n_samples, burn_in, thin, philox(82)):
+        pass
+    assert len(calls) == burn_in + n_samples * thin + 1
+    calls.clear()
+    single = FKParams(p=0.6, q=1.5, bc=1)
+    for _ in sample_chain(omega0, single, n_samples, burn_in, thin, philox(83),
+                          method="single-bond"):
+        pass
+    assert len(calls) == n_samples
+
+
+def test_sample_chain_rejects_unknown_method_at_call():
+    g = build_box(3)
+    with pytest.raises(ValueError, match="unknown method"):
+        sample_chain(BondConfig.all_open(g), FKParams(0.6, 2.0, 1), 2, 0, 1,
+                     philox(1), method="metropolis")
 
 
 def test_tail_statistics_geometric_oracle():
@@ -328,19 +396,6 @@ def test_tail_statistics_degenerate_cases():
     assert tail_statistics([1, 2, 3]).degenerate  # window too thin
     with pytest.raises(ValueError):
         tail_statistics([])
-
-
-def test_tail_statistics_from_decompositions():
-    g = build_box(3)
-    rng = philox(44)
-    decs = [decompose(bernoulli_bonds(g, 0.4, rng)) for _ in range(300)]
-    v = g.vertex_id(0, 0)
-    fit = tail_statistics(decs, v=v, min_hits=30)
-    sizes = [d.cluster_size_of(v) for d in decs]
-    fit2 = tail_statistics(sizes, min_hits=30)
-    assert fit.psi_hat == fit2.psi_hat
-    with pytest.raises(ValueError):
-        tail_statistics(decs)  # vertex id required
 
 
 def test_event_D_n_hand_cases():

@@ -330,7 +330,7 @@ def test_fss_conditions_against_direct_recomputation():
         assert c2 == (dec.max_interior <= 30.0 ** (params.s + 0.5))
         assert c3 == (inner >= (1 - params.delta) * theta * 625)
     with pytest.raises(ValueError):
-        fss_conditions(omega, params, p_critical(2.0) - 0.01)
+        fss_conditions(decompose(omega), params, p_critical(2.0) - 0.01)
 
 
 def _brute_zero_probability(sizes):
@@ -484,8 +484,8 @@ def _sw_sample(n, bc, seed, steps=8):
     burn-in from a Bernoulli start."""
     rng = philox(seed, bc)
     omega0 = bernoulli_bonds(build_box(n), 0.7, rng)
-    return sample_chain(omega0, FKParams(p=0.7, q=2.0, bc=bc), 1, steps, 1,
-                        rng)[0]
+    return next(sample_chain(omega0, FKParams(p=0.7, q=2.0, bc=bc), 1, steps,
+                             1, rng))[0]
 
 
 def _assert_greedy_matches_oracle(omega, h0, target):
@@ -543,7 +543,7 @@ def test_greedy_bisection_matches_oracle_on_unsorted_h0_with_closed_edges(
 
 def test_surgery_demo_labels_each_input_once_and_bisects(monkeypatch):
     # surgery-demo at its defaults: every surgery's input is labelled once,
-    # by the runner, and the greedy stage makes at most
+    # by the sample chain, and the greedy stage makes at most
     # (rejections + 1) (ceil(log2 |H0|) + 1) decompose calls, where the
     # edge-by-edge loop makes |H0| + 2
     surgery_module = importlib.import_module("soc_ising.surgery")
@@ -565,7 +565,7 @@ def test_surgery_demo_labels_each_input_once_and_bisects(monkeypatch):
         inputs.append(omega)
         return surgery(omega, b, params, dec)
 
-    for module in (experiments, surgery_module):
+    for module in (importlib.import_module("soc_ising.fk"), surgery_module):
         monkeypatch.setattr(module, "decompose", counted_decompose)
     monkeypatch.setattr(surgery_module, "maximal_subset_H1", counted_greedy)
     monkeypatch.setattr(experiments, "surgery", recorded_surgery)
