@@ -69,11 +69,19 @@ class BondConfig:
 
     @classmethod
     def from_bitmask(cls, g: BoxGeometry, mask: int) -> "BondConfig":
-        bits = (mask >> np.arange(g.n_edges)) & 1
-        return cls(g, bits.astype(np.uint8))
+        """The configuration whose open edges are the set bits of `mask`
+        (bit e = edge e), exact at any number of edges."""
+        mask = int(mask)
+        if not 0 <= mask < 1 << g.n_edges:
+            raise ValueError(f"bitmask outside [0, 2^{g.n_edges})")
+        raw = np.frombuffer(mask.to_bytes((g.n_edges + 7) // 8, "little"),
+                            dtype=np.uint8)
+        return cls(g, np.unpackbits(raw, count=g.n_edges, bitorder="little"))
 
     def to_bitmask(self) -> int:
-        return int((self.bonds.astype(np.int64) << np.arange(self.g.n_edges)).sum())
+        """Inverse of `from_bitmask`: a Python int, exact at any size."""
+        return int.from_bytes(np.packbits(self.bonds, bitorder="little").tobytes(),
+                              "little")
 
     def open_count(self) -> int:
         return int(self.bonds.sum())
@@ -451,12 +459,11 @@ def visit_counts(
     if g.n_edges > 20:
         raise ValueError("visit counting limited to <= 20 edges")
     counts = np.zeros(1 << g.n_edges, dtype=np.int64)
-    powers = 1 << np.arange(g.n_edges, dtype=np.int64)
     step = _chain_step(method, params, rng)
     omega = omega0
     for _ in range(steps):
         omega = step(omega, None)
-        counts[int(omega.bonds.astype(np.int64) @ powers)] += 1
+        counts[omega.to_bitmask()] += 1
     return counts
 
 

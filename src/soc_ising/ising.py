@@ -124,27 +124,55 @@ def heat_bath_table(t: float) -> np.ndarray:
     return table
 
 
-def heat_bath_sweep(config: SpinConfig, t: float, rng: np.random.Generator) -> int:
-    """One deterministic-order heat-bath pass over all interior sites, in
-    place; returns the number of sites whose spin changed.
+# uniforms drawn per block of sweeps, at most this many doubles (512 KB)
+_DRAW_BLOCK = 1 << 16
+
+# new spin by the outcome of `u < p`: take() reads False as 0, True as 1
+_SPIN_OF = np.array([-1, 1], dtype=np.int8)
+
+
+def heat_bath_sweep(config: SpinConfig, t: float, rng: np.random.Generator,
+                    sweeps: int = 1) -> int:
+    """`sweeps` deterministic-order heat-bath passes over all interior sites
+    at the one temperature t, in place; returns the total over the passes of
+    the number of sites whose spin changed.
 
     Sites are visited in two-color checkerboard order (interior sites with
     even x+y in lexicographic order, then odd ones); sites within a color
     class are mutually non-adjacent, so this equals the sequential update in
     that order while allowing vectorization.  One uniform is drawn per site,
-    in visit order.  Boundary spins never move.
+    in visit order, so one call draws what `sweeps` calls of one pass draw.
+    Boundary spins never move.
     """
     if t <= 0:
         raise ValueError("heat_bath_sweep needs T > 0; T = 0 is the frozen point mass")
-    spins = config.spins
-    table = heat_bath_table(t)
+    if sweeps < 1:
+        raise ValueError("sweeps must be >= 1")
+    g, spins = config.g, config.spins
+    n, n_int = g.n, g.interior_ids.size
+    if n_int == 0:
+        return 0
+    # entry h of the rolled table is table[h + 4]; take() wraps h < 0
+    table = np.roll(heat_bath_table(t), -4)
+    # interior site v has neighbours v -+ n (horizontal) and v -+ 1
+    # (vertical); entry v - n of the four shifted slices holds each
+    k = n * n - 2 * n
+    left, right = spins[:k], spins[2 * n:]
+    down, up = spins[n - 1:n - 1 + k], spins[n + 1:n + 1 + k]
+    cut = g.interior_even.size  # uniforms [0, cut) go to the even class
+    classes = [(sites, sites - n, lo, hi) for sites, lo, hi in (
+        (g.interior_even, 0, cut), (g.interior_odd, cut, n_int)) if sites.size]
+    per_block = max(1, _DRAW_BLOCK // n_int)
     flips = 0
-    for sites, nbr_t in config.g.color_classes:
-        h = spins[nbr_t].sum(axis=0)
-        u = rng.random(sites.size)
-        new = np.where(u < table[h + 4], 1, -1).astype(np.int8)
-        flips += int(np.count_nonzero(new != spins[sites]))
-        spins[sites] = new
+    for start in range(0, sweeps, per_block):
+        b = min(per_block, sweeps - start)
+        u = rng.random(b * n_int).reshape(b, n_int)
+        for row in u:
+            before = spins.copy()
+            for sites, at, lo, hi in classes:
+                h = (left + right + down + up).take(at)
+                spins[sites] = _SPIN_OF.take(row[lo:hi] < table.take(h))
+            flips += int(np.count_nonzero(before != spins))
     return flips
 
 

@@ -43,10 +43,6 @@ class BoxGeometry:
         neighbour falls outside the box.
     incident_edges : (n^2, 4) int array
         Edge ids parallel to `neighbors`, -1 padding.
-    color_classes : tuple of (sites, neighbors_t) pairs
-        One pair per non-empty checkerboard color class of the interior
-        (even x+y first): the class's vertex ids and their (4, k) transposed
-        neighbour ids, the gather layout of the heat-bath sweep.
     """
 
     def __init__(self, n: int):
@@ -101,10 +97,6 @@ class BoxGeometry:
         self.interior_ids = interior
         self.interior_even = interior[colors == 0]
         self.interior_odd = interior[colors == 1]
-        self.color_classes = tuple(
-            (sites, nbr[sites].T.copy())
-            for sites in (self.interior_even, self.interior_odd) if sites.size
-        )
 
         # interior half-grid used by the singleton count: even 1-norm
         self.halfgrid_mask = (~bm) & (((np.abs(x) + np.abs(y)) & 1) == 0)

@@ -346,6 +346,7 @@ def two_timescale_dynamics(
         raise ValueError("tau must be >= 1")
     config = SpinConfig.all_plus(g)
     t = feedback_temperature(config, a)
+    scale = float(g.n) ** (2.0 * a)
     n_rec = total // tau
     steps = np.empty(n_rec, dtype=np.int64)
     temps = np.empty(n_rec, dtype=np.float64)
@@ -354,11 +355,9 @@ def two_timescale_dynamics(
     floored = np.zeros(n_rec, dtype=bool)
     m_ns = np.full(n_rec, -1, dtype=np.int64)
     for r in range(n_rec):
-        nflip = 0
-        for _ in range(tau):
-            nflip += heat_bath_sweep(config, t, rng)
+        nflip = heat_bath_sweep(config, t, rng, tau)
         m = config.magnetization()
-        t = feedback_temperature(config, a)
+        t = (m * m) / scale  # feedback_temperature, from the m in hand
         if t == 0.0:
             t = EPS_T
             floored[r] = True

@@ -64,6 +64,23 @@ def test_bond_config_bitmask_roundtrip():
     assert BondConfig.all_closed(g).open_count() == 0
 
 
+def test_bond_config_bitmask_is_exact_above_63_edges():
+    g = build_box(8)
+    assert g.n_edges == 112
+    only_70 = np.zeros(g.n_edges, dtype=np.uint8)
+    only_70[70] = 1
+    random = (philox(8).random(g.n_edges) < 0.5).astype(np.uint8)
+    for bonds, mask in ((np.ones(g.n_edges, dtype=np.uint8), (1 << 112) - 1),
+                        (only_70, 1 << 70),
+                        (random, sum(1 << int(e) for e in np.flatnonzero(random)))):
+        assert BondConfig(g, bonds).to_bitmask() == mask
+        assert BondConfig.from_bitmask(g, mask).bonds.tobytes() == bonds.tobytes()
+    assert BondConfig.all_closed(g).to_bitmask() == 0
+    for mask in (-1, 1 << 112):
+        with pytest.raises(ValueError):
+            BondConfig.from_bitmask(g, mask)
+
+
 def test_close_edges_leaves_original_untouched():
     g = build_box(3)
     omega = BondConfig.all_open(g)

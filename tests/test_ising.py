@@ -183,23 +183,46 @@ def _random_interior(g, seed):
     return config
 
 
-def _assert_sweeps_match_oracle(start, t, rng_got, rng_want, sweeps=6):
+def _assert_sweeps_match_oracle(start, t, rng_got, rng_want, sweeps=6,
+                                window=1):
+    """`sweeps` oracle sweeps against calls of `window` sweeps each."""
     got, want = start.copy(), start.copy()
-    for _ in range(sweeps):
-        before = want.spins.copy()
-        heat_bath_sweep_oracle(want, t, rng_want)
-        flips = heat_bath_sweep(got, t, rng_got)
+    for done in range(0, sweeps, window):
+        k = min(window, sweeps - done)
+        oracle_flips = 0
+        for _ in range(k):
+            before = want.spins.copy()
+            heat_bath_sweep_oracle(want, t, rng_want)
+            oracle_flips += int((want.spins != before).sum())
+        flips = heat_bath_sweep(got, t, rng_got, k)
         assert np.array_equal(got.spins, want.spins)
-        assert flips == int((want.spins != before).sum())
+        assert flips == oracle_flips
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 16])
 @pytest.mark.parametrize("t", SWEEP_TEMPS)
 def test_sweep_equals_oracle_and_counts_its_flips(n, t):
-    rng_got, rng_want = philox(40 + n), philox(40 + n)
-    _assert_sweeps_match_oracle(_random_interior(build_box(n), n), t,
-                                rng_got, rng_want)
+    # sides 1 and 2 have no interior: each call returns 0 and draws nothing
+    for window in (1, 3, 6):
+        rng_got, rng_want = philox(40 + n), philox(40 + n)
+        _assert_sweeps_match_oracle(_random_interior(build_box(n), n), t,
+                                    rng_got, rng_want, window=window)
+        assert rng_got.random() == rng_want.random()
+
+
+@pytest.mark.parametrize("t", [0.5, T_CRITICAL])
+def test_window_spans_partial_draw_blocks(t):
+    # at side 128 a block holds 4 sweeps, so 9 sweeps draw 4 + 4 + 1
+    rng_got, rng_want = philox(128), philox(128)
+    _assert_sweeps_match_oracle(_random_interior(build_box(128), 128), t,
+                                rng_got, rng_want, sweeps=9, window=9)
     assert rng_got.random() == rng_want.random()
+
+
+def test_sweep_rejects_fewer_than_one_sweep():
+    c = SpinConfig.all_plus(build_box(4))
+    with pytest.raises(ValueError):
+        heat_bath_sweep(c, 1.0, philox(1), 0)
 
 
 @pytest.mark.parametrize("t", SWEEP_TEMPS)
@@ -214,7 +237,8 @@ def test_sweep_draws_on_table_values(t):
             continue
         draws = np.full(6 * g.interior_ids.size, v)
         _assert_sweeps_match_oracle(_random_interior(g, 6), t,
-                                    FixedDraws(draws), FixedDraws(draws))
+                                    FixedDraws(draws), FixedDraws(draws),
+                                    window=6)
 
 
 def test_sweep_only_moves_interior_sites():
