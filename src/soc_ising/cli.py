@@ -9,6 +9,7 @@ JSON error line."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import fields
@@ -20,7 +21,10 @@ from .experiments import (COMMANDS, ExperimentConfig, build_config,
 _KEYS = [f.name for f in fields(ExperimentConfig) if f.name != "command"]
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused after it:
+    parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="soc-ising",
         description="Run one experiment command and write its records.",

@@ -4,7 +4,9 @@ samplers, cluster events.
 Bond configurations live on the box edge list (1 = open).  Free boundary
 counts every open cluster; wired counts all boundary-touching vertices as a
 single cluster.  `cluster_labels` is the one routine that labels clusters
-from bonds, for one configuration or a stack of them; cluster
+from bonds, for one configuration or a stack of them: the open +y bonds
+join each x-row into vertical runs in one cumulative sum, and hooking with
+pointer jumping joins the runs across the open +x bonds.  Cluster
 decompositions built on it carry the observables used throughout:
 boundary-connected set, interior cluster sizes, singleton counts.
 `sample_chain` labels each kept sample once and yields it with its
@@ -58,6 +60,15 @@ class BondConfig:
             raise ValueError("bonds must be 0 or 1")
         self.g = g
         self.bonds = bonds
+
+    @classmethod
+    def _built(cls, g: BoxGeometry, bonds: np.ndarray) -> "BondConfig":
+        """A configuration from bonds the library has just built: a uint8
+        array of 0s and 1s of length g.n_edges, taken without a check."""
+        omega = object.__new__(cls)
+        omega.g = g
+        omega.bonds = bonds
+        return omega
 
     @classmethod
     def all_open(cls, g: BoxGeometry) -> "BondConfig":
@@ -171,32 +182,57 @@ def cluster_labels(g: BoxGeometry, bonds) -> np.ndarray:
     """Cluster ids of every vertex for one bond configuration (shape (E,))
     or for M of them (shape (M, E)); returns shape (M, n*n).
 
-    The rows form one block-diagonal graph.  Each open edge hooks the larger
-    of its two roots under the smaller (np.minimum.at), then pointer jumping
-    flattens the forest, until every open edge joins a single root.  Parents
-    only decrease, so each root is the smallest vertex of its cluster, and
-    ranking the roots row by row numbers the clusters of a row by first
-    appearance in vertex order (the Hoshen-Kopelman numbering).
+    Vertex v = i*n + j sits in x-row i.  In the edge order, x-row i < n-1
+    is a block of 2n - 1 edges, (v, v+1) then (v, v+n) for j < n-1 and
+    (v, v+n) last, and the last x-row holds its n - 1 edges (v, v+1); so
+    the +y and +x bonds of the M rows are strided views of `bonds`.  A
+    vertex starts a run unless its +y bond to v - 1 is open, and the run
+    ids, the running count of starts, increase in vertex order.
+    The rows form one block-diagonal graph of runs joined by the open +x
+    bonds.  Each such bond hooks the larger of its two root runs under the
+    smaller (np.minimum.at), then pointer jumping flattens the forest,
+    until every open +x bond joins a single root.  Parents only decrease,
+    so each root is the smallest run of its cluster, which holds the
+    cluster's smallest vertex; ranking the roots row by row numbers the
+    clusters of a row by first appearance in vertex order (the
+    Hoshen-Kopelman numbering).
     """
-    rows = np.atleast_2d(bonds)
-    nsq = g.n * g.n
-    r, e = rows.nonzero()
-    offset = r * nsq
-    # every vertex starts as its own root, and edge_a < edge_b
-    a = lo = g.edge_a[e] + offset
-    b = hi = g.edge_b[e] + offset
-    parent = np.arange(rows.shape[0] * nsq)
+    rows = np.asarray(bonds)
+    if rows.ndim == 1:
+        rows = rows[None]
+    m, n = rows.shape[0], g.n
+    w, k = 2 * n - 1, (n - 1) * (2 * n - 1)
+    head = rows[:, :k].reshape(m, n - 1, w)
+    # start[v]: the +y bond (v-1, v) is closed, so v starts a run
+    start = np.ones((m, n, n), dtype=bool)
+    np.equal(head[:, :, 0:w - 1:2], 0, out=start[:, :n - 1, 1:])
+    np.equal(rows[:, k:], 0, out=start[:, n - 1, 1:])
+    # run ids from 1; id 0 stays an unused root, which shifts every rank
+    # by the same 1
+    run = start.cumsum()
+    # xo[v]: the +x bond (v, v+n) is open
+    xo = np.zeros((m, n, n), dtype=bool)
+    xo[:, :n - 1, :n - 1] = head[:, :, 1::2]
+    xo[:, :n - 1, n - 1] = head[:, :, w - 1]
+    v = np.flatnonzero(xo)
+    # every run starts as its own root, and run[v] < run[v+n]
+    a = lo = run[v]
+    b = hi = run[n:][v]
+    parent = np.arange(run[-1] + 1 if run.size else 1)
     while a.size:
         np.minimum.at(parent, hi, lo)
         up = parent[parent]
-        while (up != parent).any():
+        while np.count_nonzero(up != parent):
             parent, up = up, up[up]
         ra, rb = parent[a], parent[b]
         split = ra != rb
+        if not split.any():
+            break
         a, b, ra, rb = a[split], b[split], ra[split], rb[split]
         lo, hi = np.minimum(ra, rb), np.maximum(ra, rb)
-    rank = (parent == np.arange(parent.size)).cumsum() - 1
-    return rank[parent].reshape(-1, nsq) - rank[::nsq, None]
+    rank = (parent == np.arange(parent.size)).cumsum()
+    labels = rank[parent[run]].reshape(m, n * n)
+    return labels - labels[:, :1]
 
 
 def decompose(omega: BondConfig) -> ClusterDecomposition:
@@ -285,6 +321,9 @@ def exact_fk_distribution(g: BoxGeometry | int, params: FKParams) -> FKDistribut
     return FKDistribution(g=g, params=params, probs=weights, z=z)
 
 
+_SIGNS = np.array([-1, 1], dtype=np.int8)
+
+
 def cluster_spins(g: BoxGeometry, labels: np.ndarray, rng: np.random.Generator,
                   wired: bool) -> np.ndarray:
     """Spins constant on each cluster of the labelling: fair signs drawn in
@@ -295,9 +334,10 @@ def cluster_spins(g: BoxGeometry, labels: np.ndarray, rng: np.random.Generator,
     draw = np.ones(k, dtype=bool)
     if wired:
         draw[labels[g.boundary_ids]] = False
-    n_draw = int(draw.sum())
+    n_draw = np.count_nonzero(draw)
     if n_draw:
-        signs[draw] = (2 * rng.integers(0, 2, size=n_draw) - 1).astype(np.int8)
+        # each draw of 0 or 1 picks the sign -1 or +1
+        signs[draw] = _SIGNS[rng.integers(0, 2, size=n_draw)]
     return signs[labels]
 
 
@@ -319,7 +359,7 @@ def swendsen_wang_step(omega: BondConfig, params: FKParams, rng: np.random.Gener
     spins = cluster_spins(g, labels, rng, wired=params.bc == 1)
     eq = spins[g.edge_a] == spins[g.edge_b]
     u = rng.random(g.n_edges)
-    return BondConfig(g, (eq & (u < params.p)).astype(np.uint8))
+    return BondConfig._built(g, (eq & (u < params.p)).view(np.uint8))
 
 
 def _bridge_query(omega: BondConfig, wired: bool):
@@ -418,7 +458,7 @@ def single_bond_heat_bath_sweep(
     ul = u.tolist()
     window = [e for e, ue in enumerate(ul) if lo <= ue < hi]
     if not window:
-        return BondConfig(g, decided)
+        return BondConfig._built(g, decided)
     new = decided.tobytes()
     bonds, connected = _bridge_query(omega, params.bc == 1)
     start = 0
@@ -428,12 +468,13 @@ def single_bond_heat_bath_sweep(
         bonds[e] = ul[e] < (p if connected(e) else merge_p)
         start = e + 1
     bonds[start:g.n_edges] = new[start:]
-    return BondConfig(g, np.frombuffer(bonds, dtype=np.uint8, count=g.n_edges))
+    return BondConfig._built(g, np.frombuffer(bonds, dtype=np.uint8,
+                                              count=g.n_edges))
 
 
 def bernoulli_bonds(g: BoxGeometry, p: float, rng: np.random.Generator) -> BondConfig:
     """Direct sample of independent bond percolation (the q = 1 law)."""
-    return BondConfig(g, (rng.random(g.n_edges) < p).astype(np.uint8))
+    return BondConfig._built(g, (rng.random(g.n_edges) < p).view(np.uint8))
 
 
 def _chain_step(method: str, params: FKParams, rng: np.random.Generator):

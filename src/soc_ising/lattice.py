@@ -64,9 +64,11 @@ class BoxGeometry:
         ea = np.concatenate([va, ha])
         eb = np.concatenate([va + 1, ha + n])
         order = np.lexsort((eb, ea))
-        self.edges = np.stack([ea[order], eb[order]], axis=1)
-        self.edge_a = self.edges[:, 0]
-        self.edge_b = self.edges[:, 1]
+        # each endpoint column is contiguous, which is faster to gather by;
+        # edges is their transposed view
+        ends = np.stack([ea[order], eb[order]])
+        self.edge_a, self.edge_b = ends
+        self.edges = ends.T
         self.n_edges = len(self.edges)
 
         self.boundary_mask = (x == lo) | (x == hi) | (y == lo) | (y == hi)

@@ -16,7 +16,8 @@ prefixes of H0 and labels a logarithmic number of configurations per
 rejected edge, with the same H1 and witness as the edge-by-edge loop.
 The stages take the input's decomposition as an optional `dec`, which
 must be the decomposition of omega itself, so that a surgery labels its
-unchanged input at most once.
+unchanged input at most once, and the greedy pass hands back the
+decompositions it made of omega with H1 closed and with H0 closed.
 """
 
 import math
@@ -113,54 +114,67 @@ def annulus_cut_H0(omega: BondConfig, n1: int | None = None,
 
 
 def maximal_subset_H1(omega: BondConfig, h0, target: int,
-                      dec: ClusterDecomposition | None = None) -> tuple[np.ndarray, int]:
+                      dec: ClusterDecomposition | None = None
+                      ) -> tuple[np.ndarray, int, ClusterDecomposition,
+                                 ClusterDecomposition]:
     """Greedy maximal subset H1 of h0 whose closure keeps the number of
     boundary-connected vertices >= target, and the first rejected edge e.
-    `dec`, when given, must be the decomposition of omega itself.
+    `dec`, when given, must be the decomposition of omega itself.  Also
+    returns the decompositions of omega with H1 closed and with all of h0
+    closed, which the stage labels on its way.
 
     Greedy in increasing edge order keeps an edge when closing it on top of
     the edges kept so far leaves the count >= target.  Closing extra edges
     only shrinks the boundary-connected set, so the count does not increase
-    along h0: from the kept set, greedy keeps the longest run h0[i:k] whose
-    joint closure still meets the target, rejects h0[k] and starts again at
-    k + 1.  Each run is found with one probe of all remaining edges and, if
-    that fails, a bisection over prefixes, so r rejections cost
-    O((r + 1) log |h0|) labellings instead of |h0|.  By the same
-    monotonicity every rejected edge still overshoots when added to the
-    final H1, so e witnesses maximality.
+    along h0, and closing an edge that is already closed changes nothing,
+    so greedy keeps every closed edge.  Along the open edges f of h0, from
+    the kept set, greedy keeps the longest run f[i:k] whose joint closure
+    still meets the target, rejects f[k] and starts again at k + 1.  Each
+    run is found with one probe of all remaining edges and, if that fails,
+    a bisection over prefixes, so r rejections cost O((r + 1) log |h0|)
+    labellings instead of |h0|.  By the same monotonicity every rejected
+    edge still overshoots when added to the final H1, so e witnesses
+    maximality.
     """
     h0 = np.asarray(sorted(int(e) for e in h0), dtype=np.int64)
-    m0 = decompose(close_edges(omega, h0)).m_count
-    m_full = (decompose(omega) if dec is None else dec).m_count
-    if not m0 < target <= m_full:
+    dec_h0 = decompose(close_edges(omega, h0))
+    # dec_cur: the decomposition of omega with the kept edges closed
+    dec_cur = decompose(omega) if dec is None else dec
+    if not dec_h0.m_count < target <= dec_cur.m_count:
         raise ValueError(
-            f"greedy cut needs count after full closure ({m0}) < target "
-            f"({target}) <= count before ({m_full})"
+            f"greedy cut needs count after full closure ({dec_h0.m_count}) "
+            f"< target ({target}) <= count before ({dec_cur.m_count})"
         )
+    f = h0[omega.bonds[h0] == 1]  # the open edges of h0, in order
     cur = omega.copy()  # omega with the kept edges closed
 
-    def meets_target(i: int, k: int) -> bool:
-        """Does closing h0[i:k] on top of the kept edges meet the target?"""
-        return decompose(close_edges(cur, h0[i:k])).m_count >= target
+    def probe(i: int, k: int) -> ClusterDecomposition:
+        """Decomposition with f[i:k] closed on top of the kept edges."""
+        return decompose(close_edges(cur, f[i:k]))
 
     rejected = []
     i = 0
-    # closing all of h0[i:] misses the target; at i = 0 that is m0 < target,
-    # so there is at least one rejection
-    while i < h0.size and (i == 0 or not meets_target(i, h0.size)):
-        lo, hi = i, h0.size  # closing h0[i:lo] meets the target, h0[i:hi] not
+    # closing all of f[i:] misses the target; at i = 0 that is the
+    # precondition, so there is at least one rejection
+    while i < f.size:
+        if i:
+            rest = probe(i, f.size)
+            if rest.m_count >= target:
+                dec_cur = rest
+                break
+        lo, hi = i, f.size  # closing f[i:lo] meets the target, f[i:hi] not
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if meets_target(i, mid):
-                lo = mid
+            dec_mid = probe(i, mid)
+            if dec_mid.m_count >= target:
+                lo, dec_cur = mid, dec_mid
             else:
                 hi = mid
-        cur.bonds[h0[i:lo]] = 0
+        cur.bonds[f[i:lo]] = 0
         rejected.append(lo)
         i = lo + 1
-    keep = np.ones(h0.size, dtype=bool)
-    keep[rejected] = False
-    return h0[keep], int(h0[rejected[0]])
+    out = f[rejected]
+    return h0[~np.isin(h0, out)], int(out[0]), dec_cur, dec_h0
 
 
 def exact_cut_H2(g: BoxGeometry, cluster, edges, v: int, m: int) -> np.ndarray:
@@ -279,14 +293,15 @@ def surgery(omega: BondConfig, b: int, params: EventParams,
         except ValueError:
             return failure("annulus-precondition")
         try:
-            h1, witness = maximal_subset_H1(omega, h0, target, dec0)
+            h1, witness, dec_h, dec_h0 = maximal_subset_H1(omega, h0, target,
+                                                           dec0)
         except ValueError:
             return failure("greedy-precondition", j_star=j_star, h0=h0)
-        omega_h1 = close_edges(omega, h1)
-        dec_h = decompose(omega_h1)
         if dec_h.m_count != target:
+            omega_h1 = close_edges(omega, h1)
             omega_we = close_edges(omega_h1, [witness])
-            dec_we = decompose(omega_we)
+            # after a single rejection, H1 and the witness make up all of H0
+            dec_we = dec_h0 if h0.size - h1.size == 1 else decompose(omega_we)
             va, vb = int(g.edge_a[witness]), int(g.edge_b[witness])
             # exactly one endpoint loses boundary contact
             v = va if not dec_we.m_mask[va] else vb

@@ -1,11 +1,12 @@
 """Small independent oracles shared by the test modules.
 
 Everything here is deliberately naive (BFS, direct enumeration, one
-mask at a time, one edge at a time) so that the library's vectorized
-cluster labelling, block-wise pushforwards, windowed single-bond sweep,
-table-driven heat-bath sweep, list-based Metropolis loop, bisecting
-surgery greedy stage, single-labelling sample chain and log-space code
-paths are checked against a second implementation rather than against
+mask at a time, one edge at a time) or the plainer design that a faster
+one replaced, so that the library's run-based cluster labelling,
+block-wise pushforwards, windowed single-bond sweep, table-driven
+heat-bath sweep, list-based Metropolis loop, bisecting surgery greedy
+stage, single-labelling sample chain and log-space code paths are
+checked against a second implementation rather than against
 themselves.
 """
 
@@ -65,6 +66,43 @@ def bfs_components(g, open_edges) -> list[set]:
                     queue.append(w)
         comps.append(comp)
     return comps
+
+
+def cluster_labels_oracle(g, bonds) -> np.ndarray:
+    """Hoshen-Kopelman cluster ids, shape (M, n*n), of one bond
+    configuration or a stack of them, by hooking and pointer jumping over
+    vertices: the edges are gathered through g.edge_a and g.edge_b, each
+    open edge hooks the larger of its two roots under the smaller, and
+    ranking the roots row by row numbers each row's clusters by first
+    appearance in vertex order."""
+    rows = np.atleast_2d(bonds)
+    nsq = g.n * g.n
+    r, e = rows.nonzero()
+    offset = r * nsq
+    # every vertex starts as its own root, and edge_a < edge_b
+    a = lo = g.edge_a[e] + offset
+    b = hi = g.edge_b[e] + offset
+    parent = np.arange(rows.shape[0] * nsq)
+    while a.size:
+        np.minimum.at(parent, hi, lo)
+        up = parent[parent]
+        while (up != parent).any():
+            parent, up = up, up[up]
+        ra, rb = parent[a], parent[b]
+        split = ra != rb
+        a, b, ra, rb = a[split], b[split], ra[split], rb[split]
+        lo, hi = np.minimum(ra, rb), np.maximum(ra, rb)
+    rank = (parent == np.arange(parent.size)).cumsum() - 1
+    return rank[parent].reshape(-1, nsq) - rank[::nsq, None]
+
+
+def bfs_labels(g, open_edges) -> np.ndarray:
+    """Cluster ids of one configuration from the BFS components, numbered
+    by first appearance in vertex order."""
+    labels = np.empty(g.n * g.n, dtype=np.int64)
+    for cid, comp in enumerate(sorted(bfs_components(g, open_edges), key=min)):
+        labels[sorted(comp)] = cid
+    return labels
 
 
 def cluster_counts(g, open_edges) -> tuple[int, int]:

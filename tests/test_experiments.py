@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 from dataclasses import fields
@@ -494,6 +495,36 @@ def test_cli_flags_mirror_config_fields():
         assert types[key].removesuffix(" | None") in experiments._PARSERS, key
     for a in actions:
         assert a.option_strings == ["--" + a.dest.replace("_", "-")]
+
+
+def test_cli_main_calls_in_one_process_match_separate_runs(tmp_path, capsys):
+    # the parser is built once per process; flags of one call must not
+    # reach the next (the first call's --method and --q would change the
+    # second's rows), and a rejected call leaves the parser as it was
+    calls = [
+        ["fk-sample", "--n", "6", "--q", "1.5", "--p", "0.6", "--method",
+         "single-bond", "--samples", "6", "--burn-in", "3", "--seed", "4"],
+        ["fk-sample", "--n", "6", "--p", "0.6", "--samples", "6",
+         "--burn-in", "3", "--seed", "4"],
+        ["soc-run", "--n", "5", "--tau", "4", "--total", "64", "--seed", "1"],
+    ]
+    outs = [tmp_path / str(i) for i in range(len(calls))]
+    src = str(Path(soc_ising.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    separate = []
+    for argv, out in zip(calls, outs):
+        subprocess.run([sys.executable, "-m", "soc_ising.cli", *argv,
+                        "--out", str(out)], check=True, capture_output=True,
+                       env=env, timeout=120)
+        separate.append({f.name: f.read_bytes() for f in out.iterdir()})
+    assert cli_main(["fk-sample", "--bc", "7"]) == 2
+    for argv, out in zip(calls, outs):
+        assert cli_main(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    for out, files in zip(outs, separate):
+        assert set(files) == {"metadata.json", "rows.csv", "summary.json"}
+        assert {f.name: f.read_bytes() for f in out.iterdir()} == files
+    assert separate[0]["rows.csv"] != separate[1]["rows.csv"]
 
 
 def test_cli_rejects_runs_without_records(capsys):

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
-    FixedDraws, bfs_components, cluster_counts,
+    FixedDraws, bfs_components, bfs_labels, cluster_counts,
+    cluster_labels_oracle,
     external_cluster_boundary_oracle, fk_law_oracle, philox,
     sample_chain_oracle, single_bond_sweep_oracle,
 )
@@ -81,6 +82,34 @@ def test_bond_config_bitmask_is_exact_above_63_edges():
             BondConfig.from_bitmask(g, mask)
 
 
+def test_bond_config_rejects_bad_bonds():
+    g = build_box(3)
+    for bad in (np.full(g.n_edges, 2), np.ones(g.n_edges - 1),
+                np.ones((2, g.n_edges)), [1] * (g.n_edges + 1), -np.ones(g.n_edges)):
+        with pytest.raises(ValueError):
+            BondConfig(g, bad)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize("bc", [0, 1])
+def test_library_built_bonds_pass_the_public_check(n, bc):
+    # the samplers build their configurations without the check; each
+    # must be one the checked constructor accepts unchanged
+    g = build_box(n)
+    rng = philox(n, bc)
+    params = FKParams(p=0.6, q=2.0, bc=bc)
+    omega = bernoulli_bonds(g, 0.5, rng)
+    built = [omega]
+    for _ in range(4):
+        built.append(swendsen_wang_step(built[-1], params, rng))
+        built.append(single_bond_heat_bath_sweep(built[-1], params, rng))
+    for omega in built:
+        assert omega.bonds.dtype == np.uint8 and omega.bonds.shape == (g.n_edges,)
+        checked = BondConfig(g, omega.bonds)
+        assert checked.bonds.tobytes() == omega.bonds.tobytes()
+        assert omega.g is g
+
+
 def test_close_edges_leaves_original_untouched():
     g = build_box(3)
     omega = BondConfig.all_open(g)
@@ -125,11 +154,71 @@ def test_cluster_labels_match_bfs_oracle(n, density, rows, seed):
     assert labels.shape == (rows, n * n)
     for row, lab in zip(bonds, labels):
         # oracle components numbered by first appearance in vertex order
-        expected = np.empty(n * n, dtype=np.int64)
-        for cid, comp in enumerate(sorted(bfs_components(g, row), key=min)):
-            expected[sorted(comp)] = cid
-        np.testing.assert_array_equal(lab, expected)
+        np.testing.assert_array_equal(lab, bfs_labels(g, row))
         np.testing.assert_array_equal(cluster_labels(g, row)[0], lab)
+
+
+def _all_configs(g):
+    masks = np.arange(1 << g.n_edges)
+    return ((masks[:, None] >> np.arange(g.n_edges)) & 1).astype(np.uint8)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cluster_labels_equal_oracle_on_every_small_config(n):
+    g = build_box(n)
+    bonds = _all_configs(g)
+    want = cluster_labels_oracle(g, bonds)
+    np.testing.assert_array_equal(cluster_labels(g, bonds), want)
+    # one row at a time, and in stacks that start past the first mask
+    for row, lab in zip(bonds, want):
+        np.testing.assert_array_equal(cluster_labels(g, row), lab[None])
+    for start in range(0, len(bonds), 37):
+        np.testing.assert_array_equal(cluster_labels(g, bonds[start:start + 37]),
+                                      want[start:start + 37])
+    if n < 3:
+        for row, lab in zip(bonds, want):
+            np.testing.assert_array_equal(lab, bfs_labels(g, row))
+
+
+@pytest.mark.parametrize("n", [4, 5, 8, 16, 17, 30, 64, 128])
+@pytest.mark.parametrize("density", [0.0, 0.3, 0.5, 0.6, 1.0])
+def test_cluster_labels_equal_oracles_on_random_configs(n, density):
+    g = build_box(n)
+    rows = 3 if n <= 64 else 2
+    bonds = (philox(n, int(10 * density)).random((rows, g.n_edges))
+             < density).astype(np.uint8)
+    labels = cluster_labels(g, bonds)
+    assert labels.shape == (rows, n * n)
+    np.testing.assert_array_equal(labels, cluster_labels_oracle(g, bonds))
+    for row, lab in zip(bonds, labels):
+        np.testing.assert_array_equal(cluster_labels(g, row)[0], lab)
+        np.testing.assert_array_equal(lab, bfs_labels(g, row))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 16, 64])
+def test_cluster_labels_all_open_and_all_closed(n):
+    g = build_box(n)
+    both = np.stack([BondConfig.all_open(g).bonds, BondConfig.all_closed(g).bonds])
+    labels = cluster_labels(g, both)
+    np.testing.assert_array_equal(labels[0], np.zeros(n * n, dtype=np.int64))
+    np.testing.assert_array_equal(labels[1], np.arange(n * n))
+    np.testing.assert_array_equal(labels, cluster_labels_oracle(g, both))
+    assert cluster_labels(g, both[:0]).shape == (0, n * n)
+
+
+@settings(derandomize=True, deadline=None)
+@given(n=st.integers(1, 40), rows=st.integers(1, 6),
+       densities=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_cluster_labels_equal_vertex_oracle(n, rows, densities, seed):
+    # each row at its own density, so one stack mixes sparse and dense rows
+    g = build_box(n)
+    density = np.resize(np.asarray(densities), rows)[:, None]
+    bonds = (philox(seed).random((rows, g.n_edges)) < density).astype(np.uint8)
+    np.testing.assert_array_equal(cluster_labels(g, bonds),
+                                  cluster_labels_oracle(g, bonds))
+    np.testing.assert_array_equal(cluster_labels(g, bonds.astype(bool)),
+                                  cluster_labels_oracle(g, bonds))
 
 
 def test_all_closed_counts():

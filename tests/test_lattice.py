@@ -52,6 +52,25 @@ def test_edges_are_sorted_and_unit_length():
         assert g.edge_id(b, a) == e
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_edge_endpoints_are_contiguous_and_laid_out_by_x_rows(n):
+    g = build_box(n)
+    for col, ends in enumerate((g.edge_a, g.edge_b)):
+        assert ends.flags.c_contiguous
+        np.testing.assert_array_equal(ends, g.edges[:, col])
+    # x-row i < n-1 is a block of 2n-1 edges: (v, v+1) and (v, v+n) for
+    # j < n-1, then (v, v+n); the last x-row holds its n-1 edges (v, v+1)
+    want = []
+    for i in range(n):
+        for j in range(n):
+            v = i * n + j
+            if j < n - 1:
+                want.append((v, v + 1))
+            if i < n - 1:
+                want.append((v, v + n))
+    assert [tuple(map(int, e)) for e in g.edges] == want
+
+
 @pytest.mark.parametrize("pair", [
     (5, 5),            # a vertex and itself
     (-1, 0),           # negative id

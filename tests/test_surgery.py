@@ -117,7 +117,7 @@ def test_greedy_maximality_recheck():
     full = decompose(close_edges(omega, h0)).m_count
     if not full < target <= m:
         pytest.skip("fixture misses the greedy precondition")
-    h1, witness = maximal_subset_H1(omega, h0, target)
+    h1, witness = maximal_subset_H1(omega, h0, target)[:2]
     assert decompose(close_edges(omega, h1)).m_count >= target
     kept = set(h1.tolist())
     assert witness in set(h0.tolist()) - kept
@@ -491,9 +491,13 @@ def _sw_sample(n, bc, seed, steps=8):
 def _assert_greedy_matches_oracle(omega, h0, target):
     want = maximal_subset_H1_oracle(omega, h0, target)
     for dec in (None, decompose(omega)):
-        h1, witness = maximal_subset_H1(omega, h0, target, dec)
+        h1, witness, dec_h1, dec_h0 = maximal_subset_H1(omega, h0, target, dec)
         assert h1.dtype == np.int64
         assert (h1.tolist(), witness) == (want[0].tolist(), want[1])
+        # the handed decompositions are those of the two closures
+        for got, closed in ((dec_h1, h1), (dec_h0, h0)):
+            np.testing.assert_array_equal(
+                got.labels, decompose(close_edges(omega, closed)).labels)
 
 
 @pytest.mark.parametrize("n", [12, 16, 20, 24, 30])
@@ -557,9 +561,9 @@ def test_surgery_demo_labels_each_input_once_and_bisects(monkeypatch):
 
     def counted_greedy(omega, h0, target, dec=None):
         start = len(labelled)
-        h1, witness = maximal_subset_H1(omega, h0, target, dec)
-        stages.append((len(h0), len(h0) - len(h1), len(labelled) - start))
-        return h1, witness
+        out = maximal_subset_H1(omega, h0, target, dec)
+        stages.append((len(h0), len(h0) - len(out[0]), len(labelled) - start))
+        return out
 
     def recorded_surgery(omega, b, params, dec=None):
         inputs.append(omega)
@@ -577,3 +581,77 @@ def test_surgery_demo_labels_each_input_once_and_bisects(monkeypatch):
     assert len(stages) >= cfg.samples // 2
     for size, rejections, calls in stages:
         assert calls <= (rejections + 1) * (math.ceil(math.log2(size)) + 1)
+
+
+def test_surgery_labels_no_configuration_twice(monkeypatch):
+    # surgery-demo --n 30 --p 0.7 --a 1.95 --samples 20 --burn-in 20
+    # --seed 7: the greedy stage hands back its decompositions of omega
+    # with H1 closed and with H0 closed, and bisects over the open edges
+    # of H0 only, so no surgery labels one configuration twice; the same
+    # run made 233 labellings inside surgeries, 66 of them repeats, when
+    # surgery labelled both closures again and the bisection probed
+    # closures that differed only by closed edges
+    surgery_module = importlib.import_module("soc_ising.surgery")
+    per_surgery = []  # the bonds of every decompose call, per surgery
+    inside = []  # holds the current surgery's list while one runs
+
+    def counted_decompose(omega):
+        if inside:
+            inside[0].append(omega.bonds.tobytes())
+        return decompose(omega)
+
+    def recorded_surgery(omega, b, params, dec=None):
+        per_surgery.append([])
+        inside.append(per_surgery[-1])
+        try:
+            res = surgery(omega, b, params, dec)
+        finally:
+            inside.clear()
+        h1_closed = close_edges(omega, res.h1).bonds.tobytes()
+        h0_closed = close_edges(omega, res.h0).bonds.tobytes()
+        assert per_surgery[-1].count(h1_closed) == 1
+        assert per_surgery[-1].count(h0_closed) == 1
+        return res
+
+    for module in (importlib.import_module("soc_ising.fk"), surgery_module):
+        monkeypatch.setattr(module, "decompose", counted_decompose)
+    monkeypatch.setattr(experiments, "surgery", recorded_surgery)
+    cfg = build_config("surgery-demo", {}, {
+        "n": "30", "p": "0.7", "a": "1.95", "samples": "20", "burn_in": "20",
+        "seed": "7"})
+    experiments._run_surgery_demo(cfg)
+    assert len(per_surgery) == 20
+    for bonds in per_surgery:
+        assert len(set(bonds)) == len(bonds)
+    assert sum(map(len, per_surgery)) == 182
+
+
+def test_surgery_results_unchanged_by_handed_decompositions(monkeypatch):
+    # the reference greedy stage hands back fresh decompositions of omega
+    # with H1 closed and with H1 and the witness closed, which is what
+    # surgery reads; targets over the whole range reach several rejections
+    surgery_module = importlib.import_module("soc_ising.surgery")
+
+    def fresh_greedy(omega, h0, target, dec=None):
+        h1, witness, _, _ = maximal_subset_H1(omega, h0, target, dec)
+        return (h1, witness, decompose(close_edges(omega, h1)),
+                decompose(close_edges(omega, list(h1) + [witness])))
+
+    params = EventParams(n=30, a=1.95)
+    rejections = set()
+    for seed in range(3):
+        omega = _sw_sample(30, 1, seed)
+        dec = decompose(omega)
+        for b in range(0, dec.m_count, 7):
+            got = surgery(omega, b, params, dec)
+            with monkeypatch.context() as patch:
+                patch.setattr(surgery_module, "maximal_subset_H1", fresh_greedy)
+                want = surgery(omega, b, params, dec)
+            assert got.stage == want.stage == "ok"
+            for key in ("h0", "h1", "h2", "h", "c0_sizes"):
+                np.testing.assert_array_equal(getattr(got, key), getattr(want, key))
+            assert ((got.m_after, got.witness_edge, got.fine_m, got.parity_unit)
+                    == (want.m_after, want.witness_edge, want.fine_m,
+                        want.parity_unit))
+            rejections.add(got.h0.size - got.h1.size)
+    assert max(rejections) > 1
