@@ -56,6 +56,12 @@ GOLDEN = {
         "6675adf1a80bc7db5e9405f64df5070ca68563561cf5fed1d541c8b0d501def0",
         "6f0b0f96221f0c5f58485573c56b7cc0eaf716fb282e15a354ea7f2e9afac71d",
     ),
+    # T = 0: the spin law is the point mass on all-plus
+    "coupling-verify-t0": (
+        ["coupling-verify", "--n", "3", "--t", "0"],
+        "ffda28c0bd3428ed2e9933d89666e4e4aa712caa573234f1258cd8d27d750739",
+        "dc334a6701e8ca91a602dcc5768e5c509b94fa88d7879f32ecbff87f7ef0230d",
+    ),
     "duality-verify": (
         ["duality-verify", "--n", "3", "--q", "1.5", "--seed", "6"],
         "865476ad4218d39a403c8e1d48f79e6124c96f569bd068ee176fdad26f3bfec8",
@@ -80,6 +86,13 @@ GOLDEN = {
          "--seed", "8"],
         "901ecfbb0e68d4de2dcc4e177d532c6c50dd73ffe953530d6fd652046383f378",
         "51f24f8e46d73366eab4f0a5fef5025db2f19a4bff0e0a28fb5ce3459a1519a4",
+    ),
+    # both partition sums, over every magnetization level
+    "enumerate-mu": (
+        ["enumerate", "--n", "4", "--variant", "mu", "--a", "1.9",
+         "--seed", "8"],
+        "98da5fa9786f3452961e74da65750bd12ae7fd913735c8cb38749f924bf6dcca",
+        "60b4a5aea4ea2cddf1a08ef94cc8f39ba323956493af50c9bc289e27d887a44a",
     ),
     "fss-freq": (
         ["fss-freq", "--n", "12,16", "--p", "0.6", "--samples", "10",
