@@ -16,7 +16,7 @@ from .lattice import BoxGeometry, as_box, build_box, dual_geometry
 from .ising import SpinConfig, enumerate_plus_configs, exact_ising_distribution
 from .fk import (
     BondConfig, FKParams, boundary_clusters, cluster_labels, cluster_spins,
-    enumerate_bond_configs, exact_fk_distribution,
+    enumerate_bond_configs, equal_spin_bonds, exact_fk_distribution,
 )
 
 
@@ -70,11 +70,7 @@ def es_fk_to_ising(omega: BondConfig, rng: np.random.Generator) -> SpinConfig:
 def es_ising_to_fk(config: SpinConfig, t: float, rng: np.random.Generator) -> BondConfig:
     """Bond half of the coupling: each equal-spin edge opens independently
     with probability 1 - exp(-2/t); unequal-spin edges stay closed."""
-    g = config.g
-    p = t_to_p(t)
-    eq = config.spins[g.edge_a] == config.spins[g.edge_b]
-    u = rng.random(g.n_edges)
-    return BondConfig(g, (eq & (u < p)).astype(np.uint8))
+    return equal_spin_bonds(config.g, config.spins, t_to_p(t), rng)
 
 
 def dual_config(omega: BondConfig) -> BondConfig:

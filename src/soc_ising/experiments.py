@@ -316,11 +316,10 @@ def _run_soc_run(cfg: ExperimentConfig):
             burn_in=_auto(cfg.burn_in, None),
             snapshot_every=cfg.snapshot_every,
         )
-        m_ns = traj.m_ns if traj.m_ns is not None else np.full(len(traj.steps), -1)
         for r in range(len(traj.steps)):
             rows.append([n, i, int(traj.steps[r]), float(traj.temps[r]),
                          int(traj.mags[r]), int(traj.flips[r]),
-                         bool(traj.floor_used[r]), int(m_ns[r])])
+                         bool(traj.floor_used[r]), int(traj.m_ns[r])])
         per_n.append({
             "n": n,
             "records": len(traj.steps),

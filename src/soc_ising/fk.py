@@ -341,6 +341,16 @@ def cluster_spins(g: BoxGeometry, labels: np.ndarray, rng: np.random.Generator,
     return signs[labels]
 
 
+def equal_spin_bonds(g: BoxGeometry, spins: np.ndarray, p: float,
+                     rng: np.random.Generator) -> BondConfig:
+    """Bond half of the Edwards-Sokal coupling: one uniform per edge, in
+    edge order; an edge opens iff its endpoints carry equal spins and its
+    uniform is below p."""
+    eq = spins[g.edge_a] == spins[g.edge_b]
+    u = rng.random(g.n_edges)
+    return BondConfig._built(g, (eq & (u < p)).view(np.uint8))
+
+
 def swendsen_wang_step(omega: BondConfig, params: FKParams, rng: np.random.Generator,
                        dec: ClusterDecomposition | None = None) -> BondConfig:
     """One cluster-update step targeting the q = 2 random-cluster law.
@@ -356,10 +366,8 @@ def swendsen_wang_step(omega: BondConfig, params: FKParams, rng: np.random.Gener
         raise ValueError("cluster step is specific to q = 2")
     g = omega.g
     labels = cluster_labels(g, omega.bonds)[0] if dec is None else dec.labels
-    spins = cluster_spins(g, labels, rng, wired=params.bc == 1)
-    eq = spins[g.edge_a] == spins[g.edge_b]
-    u = rng.random(g.n_edges)
-    return BondConfig._built(g, (eq & (u < params.p)).view(np.uint8))
+    return equal_spin_bonds(g, cluster_spins(g, labels, rng, wired=params.bc == 1),
+                            params.p, rng)
 
 
 def _bridge_query(omega: BondConfig, wired: bool):

@@ -7,7 +7,7 @@ point mass on the all-plus configuration.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -176,6 +176,17 @@ def heat_bath_sweep(config: SpinConfig, t: float, rng: np.random.Generator,
     return flips
 
 
+def _row_prob(spins: np.ndarray, probs: np.ndarray, config) -> float:
+    """Probability of a SpinConfig or raw spin array under the law whose
+    rows are `spins`: the probability of the row it equals, 0.0 when it
+    equals none (a wrong length included)."""
+    arr = config.spins if isinstance(config, SpinConfig) else np.asarray(config)
+    if arr.shape != spins.shape[1:]:
+        return 0.0
+    hit = np.flatnonzero((spins == arr).all(axis=1))
+    return float(probs[hit[0]]) if hit.size else 0.0
+
+
 @dataclass
 class IsingDistribution:
     """Exact plus-boundary Gibbs law from full enumeration of interior spins.
@@ -194,19 +205,10 @@ class IsingDistribution:
     magnetizations: np.ndarray
     log_z: float
     z: float
-    _index: dict = field(repr=False, default_factory=dict)
-
-    def __post_init__(self):
-        if not self._index:
-            self._index = {
-                row.tobytes(): i for i, row in enumerate(self.spins)
-            }
 
     def prob_of(self, config) -> float:
         """Probability of a SpinConfig or raw spin array (0 off support)."""
-        arr = config.spins if isinstance(config, SpinConfig) else np.asarray(config, dtype=np.int8)
-        i = self._index.get(arr.astype(np.int8).tobytes())
-        return float(self.probs[i]) if i is not None else 0.0
+        return _row_prob(self.spins, self.probs, config)
 
     def magnetization_law(self) -> dict[int, float]:
         law: dict[int, float] = {}
@@ -241,6 +243,13 @@ class PlusTable:
     energies: np.ndarray
     magnetizations: np.ndarray
 
+    def log_gibbs(self, t: float) -> tuple[np.ndarray, float]:
+        """Log-probabilities of the rows under the Gibbs law at T = t > 0,
+        and the log partition sum."""
+        neg = -self.energies / t
+        log_z = _logsumexp(neg)
+        return neg - log_z, log_z
+
 
 def plus_table(g: BoxGeometry) -> PlusTable:
     """The plus-boundary table of the box, built once per caller."""
@@ -269,13 +278,11 @@ def exact_ising_distribution(g: BoxGeometry | int, t: float) -> IsingDistributio
             log_z=math.inf, z=math.inf,
         )
     table = plus_table(g)
-    rows, energies, mags = table.spins, table.energies, table.magnetizations
-    neg = -energies / t
-    log_z = _logsumexp(neg)
-    probs = np.exp(neg - log_z)
+    log_p, log_z = table.log_gibbs(t)
+    probs = np.exp(log_p)
     probs /= probs.sum()
     z = math.exp(log_z) if log_z < 709 else math.inf
     return IsingDistribution(
-        n=g.n, t=t, spins=rows, probs=probs, energies=energies,
-        magnetizations=mags, log_z=log_z, z=z,
+        n=g.n, t=t, spins=table.spins, probs=probs, energies=table.energies,
+        magnetizations=table.magnetizations, log_z=log_z, z=z,
     )

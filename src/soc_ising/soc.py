@@ -16,8 +16,8 @@ import numpy as np
 
 from .lattice import BoxGeometry, as_box
 from .ising import (
-    SpinConfig, T_CRITICAL, PlusTable, _logsumexp, plus_table, heat_bath_sweep,
-    feedback_temperature,
+    SpinConfig, T_CRITICAL, PlusTable, _logsumexp, _row_prob, plus_table,
+    heat_bath_sweep, feedback_temperature,
 )
 from .fk import p_critical, decompose
 from .coupling import phi_n, es_ising_to_fk
@@ -118,78 +118,59 @@ class ExactMuN:
     probs: np.ndarray = field(repr=False)
     z_direct: float
     z_rewrite: float
-    _index: dict = field(repr=False, default_factory=dict)
 
-    def __post_init__(self):
-        for row in range(self.spins.shape[0]):
-            self._index[self.spins[row].tobytes()] = row
+    def prob_of(self, config) -> float:
+        """Probability of a SpinConfig or raw spin array (0 off support)."""
+        return _row_prob(self.spins, self.probs, config)
 
-    def prob_of(self, config: SpinConfig) -> float:
-        row = self._index.get(config.spins.tobytes())
-        return float(self.probs[row]) if row is not None else 0.0
+
+def _mu_front(g: BoxGeometry | int, a: float) -> tuple[BoxGeometry, PlusTable, float, np.ndarray]:
+    """Set-up shared by the exact self-tuned laws: the box (side <= 4), its
+    plus table, n^(2a), and each row's temperature m^2 / n^(2a)."""
+    g = as_box(g)
+    if g.n > 4:
+        raise ValueError("exact self-tuned law limited to side <= 4")
+    table = plus_table(g)
+    mags = table.magnetizations
+    # with a plus boundary on side <= 4 the magnetization never vanishes
+    assert (mags != 0).all()
+    n2a = float(g.n) ** (2 * a)
+    return g, table, n2a, (mags.astype(float) ** 2) / n2a
 
 
 def exact_mu_n(g: BoxGeometry | int, a: float) -> ExactMuN:
     """Enumerate the self-tuned law on a box of side <= 4."""
-    g = as_box(g)
-    n = g.n
-    if n > 4:
-        raise ValueError("exact self-tuned law limited to side <= 4")
-    table = plus_table(g)
-    spins, energies, mags = table.spins, table.energies, table.magnetizations
-    nsq = n * n
-    n2a = float(n) ** (2 * a)
-
-    def log_weight_at(b2: int) -> np.ndarray:
-        # log of the plus-boundary Gibbs probabilities at T = b2 / n^(2a)
-        t = b2 / n2a
-        le = -energies / t
-        return le - _logsumexp(le)
-
-    # with a plus boundary on side <= 4 the magnetization never vanishes
-    assert (mags != 0).all()
-    log_w = np.empty(len(mags), dtype=np.float64)
-    for b2 in sorted(set(int(m) * int(m) for m in mags)):
-        rows = np.flatnonzero(mags * mags == b2)
-        log_w[rows] = log_weight_at(b2)[rows]
-    weights = np.exp(log_w)
+    g, table, n2a, temps = _mu_front(g, a)
+    mags = table.magnetizations
+    ms = mags.tolist()
+    # log Gibbs law of the table at each level's temperature, by m^2
+    level = {b2: table.log_gibbs(b2 / n2a)[0] for b2 in {m * m for m in ms}}
+    weights = np.exp([level[m * m][i] for i, m in enumerate(ms)])
     z_direct = float(weights.sum())
 
     z_rewrite = 0.0
-    for b in range(-nsq, nsq + 1):
-        if b == 0:
-            continue  # T = 0 charges only all-plus, whose m is n^2 > 0
-        rows = np.flatnonzero(mags == b)
-        if rows.size == 0:
-            continue
-        lw = log_weight_at(b * b)
-        z_rewrite += float(np.exp(_logsumexp(lw[rows])))
+    for b in sorted(set(ms)):
+        z_rewrite += float(np.exp(_logsumexp(level[b * b][mags == b])))
 
     return ExactMuN(
-        g=g, a=a, spins=spins, mags=mags, energies=energies,
-        temps=(mags.astype(float) ** 2) / n2a,
-        probs=weights / z_direct, z_direct=z_direct, z_rewrite=z_rewrite,
+        g=g, a=a, spins=table.spins, mags=mags, energies=table.energies,
+        temps=temps, probs=weights / z_direct, z_direct=z_direct,
+        z_rewrite=z_rewrite,
     )
 
 
 def exact_mu_prime(g: BoxGeometry | int, a: float) -> ExactMuN:
     """Enumerate the unnormalized-weight variant exp(-H(sigma)/T(sigma)) on
-    a box of side <= 4; configurations with m = 0 carry weight zero.  The
-    z_rewrite field repeats z_direct (no level decomposition applies)."""
-    g = as_box(g)
-    n = g.n
-    if n > 4:
-        raise ValueError("exact self-tuned law limited to side <= 4")
-    table = plus_table(g)
-    spins, energies, mags = table.spins, table.energies, table.magnetizations
-    n2a = float(n) ** (2 * a)
-    log_w = np.where(mags == 0, -np.inf, -energies * n2a / np.maximum(mags.astype(float) ** 2, 1e-300))
+    a box of side <= 4.  The z_rewrite field repeats z_direct (no level
+    decomposition applies)."""
+    g, table, n2a, temps = _mu_front(g, a)
+    mags = table.magnetizations
+    log_w = -table.energies * n2a / mags.astype(float) ** 2
     log_z = _logsumexp(log_w)
-    weights = np.exp(log_w - log_z)
     return ExactMuN(
-        g=g, a=a, spins=spins, mags=mags, energies=energies,
-        temps=(mags.astype(float) ** 2) / n2a,
-        probs=weights, z_direct=math.exp(log_z), z_rewrite=math.exp(log_z),
+        g=g, a=a, spins=table.spins, mags=mags, energies=table.energies,
+        temps=temps, probs=np.exp(log_w - log_z), z_direct=math.exp(log_z),
+        z_rewrite=math.exp(log_z),
     )
 
 
@@ -220,14 +201,12 @@ class DeviationReport:
 
 def _plus_mag_tail(table: PlusTable, t: float, lo: float | None, hi: float | None) -> float:
     """mu+ probability that |m| >= lo (and/or <= hi) at temperature t."""
-    energies = table.energies
     am = np.abs(table.magnetizations)
     if t == 0:
-        probs = (energies == energies.min()).astype(float)
+        probs = (table.energies == table.energies.min()).astype(float)
         probs /= probs.sum()
     else:
-        le = -energies / t
-        probs = np.exp(le - _logsumexp(le))
+        probs = np.exp(table.log_gibbs(t)[0])
     keep = np.ones(len(am), dtype=bool)
     if lo is not None:
         keep &= am >= lo
@@ -251,7 +230,7 @@ def deviation_bound_check(g: BoxGeometry | int, a: float, eps: float) -> Deviati
     if eps <= 0:
         raise ValueError("eps must be positive")
     mu = exact_mu_n(g, a)
-    table = plus_table(g)
+    table = PlusTable(mu.spins, mu.energies, mu.mags)
     nsq = n * n
     n2a = float(n) ** (2 * a)
 

@@ -422,9 +422,9 @@ def fss_conditions(dec: ClusterDecomposition, params: EventParams,
     theta = theta_asymptotic(p)
     c1 = dec.m_count <= (1.0 + params.delta) * theta * g.n * g.n
     c2 = dec.max_interior <= float(g.n) ** (params.s + 0.5)
-    inner = int((dec.m_mask & g.sub_box_mask(params.n1)).sum())
-    n1side = int(g.sub_box_mask(params.n1).sum())
-    c3 = inner >= (1.0 - params.delta) * theta * n1side
+    sub = g.sub_box_mask(params.n1)
+    inner = int((dec.m_mask & sub).sum())
+    c3 = inner >= (1.0 - params.delta) * theta * int(sub.sum())
     return c1, c2, c3
 
 

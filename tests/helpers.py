@@ -5,11 +5,12 @@ mask at a time, one edge at a time) or the plainer design that a faster
 one replaced, so that the library's run-based cluster labelling,
 block-wise pushforwards, windowed single-bond sweep, table-driven
 heat-bath sweep, list-based Metropolis loop, bisecting surgery greedy
-stage, single-labelling sample chain and log-space code paths are
-checked against a second implementation rather than against
-themselves.
+stage, single-labelling sample chain, log-space code paths and the
+exact spin laws built on one plus table are checked against a second
+implementation rather than against themselves.
 """
 
+import dataclasses
 import math
 from collections import deque
 
@@ -22,9 +23,12 @@ from soc_ising.fk import (
     enumerate_bond_configs, exact_fk_distribution, single_bond_heat_bath_sweep,
     swendsen_wang_step,
 )
-from soc_ising.ising import SpinConfig, exact_ising_distribution, feedback_temperature
-from soc_ising.lattice import as_box, build_box
-from soc_ising.soc import EPS_T
+from soc_ising.ising import (
+    T_CRITICAL, IsingDistribution, SpinConfig, _logsumexp, exact_ising_distribution,
+    feedback_temperature, plus_table,
+)
+from soc_ising.lattice import BoxGeometry, as_box, build_box
+from soc_ising.soc import EPS_T, DeviationReport, ExactMuN
 
 
 def philox(seed: int, chain: int = 0) -> np.random.Generator:
@@ -459,3 +463,166 @@ def sample_chain_oracle(omega0, params, n_samples, burn_in, thin, rng,
             omega = step(omega, params, rng)
         out.append(omega)
     return out
+
+
+def assert_fields_bit_equal(got, want) -> None:
+    """Every field of two law dataclasses holds the same bits: arrays in
+    dtype, shape and bytes, numbers as float64 bytes; a box by its side."""
+    for f in dataclasses.fields(want):
+        x, y = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(y, BoxGeometry):
+            assert x.n == y.n, f.name
+            continue
+        x, y = np.asarray(x), np.asarray(y)
+        assert (x.dtype, x.shape) == (y.dtype, y.shape), f.name
+        assert x.tobytes() == y.tobytes(), f.name
+
+
+def prob_of_oracle(spins, probs, config) -> float:
+    """Probability of a SpinConfig or raw spin array under the law with
+    rows `spins`, through a dict keyed by each row's int8 bytes."""
+    index = {row.tobytes(): i for i, row in enumerate(spins)}
+    arr = config.spins if isinstance(config, SpinConfig) else np.asarray(config, dtype=np.int8)
+    i = index.get(arr.astype(np.int8).tobytes())
+    return float(probs[i]) if i is not None else 0.0
+
+
+def exact_ising_distribution_oracle(g, t: float) -> IsingDistribution:
+    """The plus-boundary Gibbs law spelled out: -E/T, its logsumexp, and
+    the normalized exponentials; T = 0 is the all-plus point mass."""
+    g = as_box(g)
+    if t == 0:
+        rows = np.ones((1, g.n * g.n), dtype=np.int8)
+        e = -float(g.n_edges)
+        return IsingDistribution(
+            n=g.n, t=0.0, spins=rows, probs=np.array([1.0]),
+            energies=np.array([e]), magnetizations=np.array([g.n * g.n]),
+            log_z=math.inf, z=math.inf,
+        )
+    table = plus_table(g)
+    rows, energies, mags = table.spins, table.energies, table.magnetizations
+    neg = -energies / t
+    log_z = _logsumexp(neg)
+    probs = np.exp(neg - log_z)
+    probs /= probs.sum()
+    z = math.exp(log_z) if log_z < 709 else math.inf
+    return IsingDistribution(
+        n=g.n, t=t, spins=rows, probs=probs, energies=energies,
+        magnetizations=mags, log_z=log_z, z=z,
+    )
+
+
+def exact_mu_n_oracle(g, a: float) -> ExactMuN:
+    """The self-tuned law with every level's Gibbs law computed afresh for
+    each partition sum, and the rewrite sum run over b = -n^2..n^2."""
+    g = as_box(g)
+    n = g.n
+    table = plus_table(g)
+    spins, energies, mags = table.spins, table.energies, table.magnetizations
+    nsq = n * n
+    n2a = float(n) ** (2 * a)
+
+    def log_weight_at(b2: int) -> np.ndarray:
+        t = b2 / n2a
+        le = -energies / t
+        return le - _logsumexp(le)
+
+    log_w = np.empty(len(mags), dtype=np.float64)
+    for b2 in sorted(set(int(m) * int(m) for m in mags)):
+        rows = np.flatnonzero(mags * mags == b2)
+        log_w[rows] = log_weight_at(b2)[rows]
+    weights = np.exp(log_w)
+    z_direct = float(weights.sum())
+
+    z_rewrite = 0.0
+    for b in range(-nsq, nsq + 1):
+        if b == 0:
+            continue
+        rows = np.flatnonzero(mags == b)
+        if rows.size == 0:
+            continue
+        lw = log_weight_at(b * b)
+        z_rewrite += float(np.exp(_logsumexp(lw[rows])))
+
+    return ExactMuN(
+        g=g, a=a, spins=spins, mags=mags, energies=energies,
+        temps=(mags.astype(float) ** 2) / n2a,
+        probs=weights / z_direct, z_direct=z_direct, z_rewrite=z_rewrite,
+    )
+
+
+def exact_mu_prime_oracle(g, a: float) -> ExactMuN:
+    """The weight exp(-H/T(sigma)) with m = 0 rows guarded to weight zero."""
+    g = as_box(g)
+    n = g.n
+    table = plus_table(g)
+    spins, energies, mags = table.spins, table.energies, table.magnetizations
+    n2a = float(n) ** (2 * a)
+    log_w = np.where(mags == 0, -np.inf, -energies * n2a / np.maximum(mags.astype(float) ** 2, 1e-300))
+    log_z = _logsumexp(log_w)
+    weights = np.exp(log_w - log_z)
+    return ExactMuN(
+        g=g, a=a, spins=spins, mags=mags, energies=energies,
+        temps=(mags.astype(float) ** 2) / n2a,
+        probs=weights, z_direct=math.exp(log_z), z_rewrite=math.exp(log_z),
+    )
+
+
+def _plus_mag_tail_oracle(table, t: float, lo, hi) -> float:
+    """mu+ probability that |m| >= lo (and/or <= hi), with the Gibbs law at
+    t spelled out."""
+    energies = table.energies
+    am = np.abs(table.magnetizations)
+    if t == 0:
+        probs = (energies == energies.min()).astype(float)
+        probs /= probs.sum()
+    else:
+        le = -energies / t
+        probs = np.exp(le - _logsumexp(le))
+    keep = np.ones(len(am), dtype=bool)
+    if lo is not None:
+        keep &= am >= lo
+    if hi is not None:
+        keep &= am <= hi
+    return float(probs[keep].sum())
+
+
+def deviation_bound_check_oracle(g, a: float, eps: float) -> DeviationReport:
+    """Both deviation inequalities from a second enumeration of the plus
+    table and the oracle self-tuned law."""
+    g = as_box(g)
+    n = g.n
+    mu = exact_mu_n_oracle(g, a)
+    table = plus_table(g)
+    nsq = n * n
+    n2a = float(n) ** (2 * a)
+
+    t_hi = T_CRITICAL + eps
+    thr_hi = float(n) ** a * math.sqrt(t_hi)
+    lhs_above = float(mu.probs[mu.temps >= t_hi].sum())
+    grid_above = [b * b / n2a for b in range(nsq + 1) if b * b / n2a >= t_hi]
+    grid_above.append(t_hi)
+    rhs_above = (nsq + 1) / mu.z_direct * max(
+        _plus_mag_tail_oracle(table, t, lo=thr_hi, hi=None) for t in grid_above
+    )
+
+    t_lo = T_CRITICAL - eps
+    if t_lo < 0:
+        lhs_below = 0.0
+        rhs_below = 0.0
+        grid_below = []
+    else:
+        thr_lo = float(n) ** a * math.sqrt(t_lo)
+        lhs_below = float(mu.probs[mu.temps <= t_lo].sum())
+        grid_below = [b * b / n2a for b in range(nsq + 1) if b * b / n2a <= t_lo]
+        grid_below.append(t_lo)
+        rhs_below = (nsq + 1) / mu.z_direct * max(
+            _plus_mag_tail_oracle(table, t, lo=None, hi=thr_lo) for t in grid_below
+        )
+
+    return DeviationReport(
+        n=n, a=a, eps=eps, z_n=mu.z_direct,
+        lhs_above=lhs_above, rhs_above=rhs_above,
+        lhs_below=lhs_below, rhs_below=rhs_below,
+        grid_above=np.array(grid_above), grid_below=np.array(grid_below),
+    )

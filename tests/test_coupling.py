@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    FixedDraws,
     bond_pushforward_oracle,
     duality_check_oracle,
     philox,
@@ -98,14 +99,18 @@ def test_es_ising_to_fk_zero_temperature_opens_everything():
 
 def test_es_ising_to_fk_only_opens_agreeing_edges():
     g = build_box(4)
-    rng = philox(17)
+    u = philox(17).random(g.n_edges)
     sigma = SpinConfig.all_plus(g)
     for v in g.interior_ids[::2]:
         sigma.flip(int(v))
-    omega = es_ising_to_fk(sigma, 1.3, rng)
+    omega = es_ising_to_fk(sigma, 1.3, FixedDraws(u))
     s = sigma.spins
     open_e = np.flatnonzero(omega.bonds)
     assert (s[g.edge_a[open_e]] == s[g.edge_b[open_e]]).all()
+    # edge e opens iff its spins agree and its uniform is below p
+    eq = s[g.edge_a] == s[g.edge_b]
+    assert omega.bonds.dtype == np.uint8
+    assert omega.bonds.tolist() == (eq & (u < t_to_p(1.3))).astype(int).tolist()
 
 
 @pytest.mark.parametrize("t", [0.8, T_CRITICAL, 5.0])

@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 from scipy.special import expit, logsumexp
 
-from helpers import FixedDraws, heat_bath_sweep_oracle, philox
+from helpers import (
+    FixedDraws, assert_fields_bit_equal, exact_ising_distribution_oracle,
+    heat_bath_sweep_oracle, philox, prob_of_oracle,
+)
 from soc_ising import (
     SpinConfig,
     T_CRITICAL,
@@ -103,12 +106,41 @@ def test_exact_distribution_zero_temperature():
     assert dist.prob_of(zero_temperature_config(g)) == 1.0
 
 
+@pytest.mark.parametrize("t", [0.0, EPS_T, 0.5, T_CRITICAL, 100.0])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_exact_distribution_equals_oracle(n, t):
+    assert_fields_bit_equal(exact_ising_distribution(n, t),
+                            exact_ising_distribution_oracle(n, t))
+
+
+@pytest.mark.parametrize("t", [0.0, 1.5])
+@pytest.mark.parametrize("n", [1, 3, 4])
+def test_prob_of_reads_every_plus_row(n, t):
+    # at T = 0 every row but all-plus is off the support
+    g = build_box(n)
+    dist = exact_ising_distribution(g, t)
+    for row in plus_table(g).spins:
+        want = prob_of_oracle(dist.spins, dist.probs, row)
+        assert dist.prob_of(SpinConfig(g, row)) == want
+        assert dist.prob_of(row) == want
+    assert sum(dist.prob_of(row) for row in plus_table(g).spins) == pytest.approx(1.0)
+
+
 def test_prob_of_off_support_is_zero():
     dist = exact_ising_distribution(3, 1.5)
     g = build_box(3)
     bad = SpinConfig.all_plus(g)
     bad.flip(g.vertex_id(1, 0))  # boundary flip leaves the support
-    assert dist.prob_of(bad) == 0.0
+    zero_entry = np.ones(9, dtype=np.int8)
+    zero_entry[g.vertex_id(1, 1)] = 0
+    half = np.ones(9)
+    half[g.vertex_id(1, 1)] = 0.5
+    for config in (bad, np.ones(8, dtype=np.int8), np.ones(10, dtype=np.int8),
+                   zero_entry, half):
+        assert dist.prob_of(config) == 0.0
+        assert prob_of_oracle(dist.spins, dist.probs, config) == 0.0
+    # a float array holding a row's spins reads that row
+    assert dist.prob_of(np.ones(9)) == dist.prob_of(zero_temperature_config(g)) > 0.0
 
 
 def test_conditional_plus_probability():

@@ -6,12 +6,17 @@ import math
 import numpy as np
 import pytest
 
-from helpers import naive_mu_prime_oracle, philox, two_timescale_oracle
+from helpers import (
+    assert_fields_bit_equal, deviation_bound_check_oracle, exact_mu_n_oracle,
+    exact_mu_prime_oracle, naive_mu_prime_oracle, philox, prob_of_oracle,
+    two_timescale_oracle,
+)
 from soc_ising import (
     EPS_T,
     DeviationReport,
     FeedbackParams,
     SocTrajectory,
+    SpinConfig,
     T_CRITICAL,
     build_box,
     deviation_bound_check,
@@ -142,6 +147,35 @@ def test_exact_mu_prime_hand_oracle_n3():
     assert abs(mu.probs.sum() - 1.0) < 1e-12
     idx = int(np.flatnonzero(mu.mags == 9)[0])
     assert abs(mu.probs[idx] - 0.9948860957409982) < 1e-12
+
+
+@pytest.mark.parametrize("a", [1.8, 1.94, 1.99])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_exact_mu_laws_equal_oracles(n, a):
+    assert_fields_bit_equal(exact_mu_n(n, a), exact_mu_n_oracle(n, a))
+    assert_fields_bit_equal(exact_mu_prime(n, a), exact_mu_prime_oracle(n, a))
+
+
+@pytest.mark.parametrize("exact", [exact_mu_n, exact_mu_prime])
+@pytest.mark.parametrize("n", [1, 3, 4])
+def test_mu_prob_of_reads_every_row(n, exact):
+    g = build_box(n)
+    mu = exact(g, 1.94)
+    for row, p in zip(mu.spins, mu.probs):
+        assert mu.prob_of(SpinConfig(g, row)) == p
+        assert prob_of_oracle(mu.spins, mu.probs, row) == p
+    bad = SpinConfig.all_plus(g)
+    bad.flip(0)  # a corner is a boundary site
+    assert mu.prob_of(bad) == prob_of_oracle(mu.spins, mu.probs, bad) == 0.0
+
+
+# eps = 3.0 puts T_c - eps below 0, where the lower inequality is empty
+@pytest.mark.parametrize("eps", [0.1, 0.5, 3.0])
+@pytest.mark.parametrize("a", [1.8, 1.94, 1.99])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_deviation_bound_check_equals_oracle(n, a, eps):
+    assert_fields_bit_equal(deviation_bound_check(n, a, eps),
+                            deviation_bound_check_oracle(n, a, eps))
 
 
 def test_mu_and_mu_prime_differ():
