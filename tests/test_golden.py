@@ -34,6 +34,19 @@ GOLDEN = {
         "30aa1e92154e3c7273cc2d5736fe642b1de7db6e4ba16c623140b58f573ccc31",
         "02da67f35ab4da556545b92e0a1cbfb14edff5b9d6efb51e3034c158563328c7",
     ),
+    # odd sides, one sweep per call: no pad column in the sweep layout
+    "soc-run-odd": (
+        ["soc-run", "--n", "17,9", "--tau", "1", "--total", "200"],
+        "ce72a6c4b9deedf3e1f2be3622a2bf6d7182f91391319766d8e70a2ebaee42df",
+        "d43a0b651a2568b9e70f187749ef5c14d03a66189d5b2beaae1b5604ec2f39b9",
+    ),
+    # at side 129 a draw block holds 4 sweeps: each window of 9 draws
+    # 4 + 4 + 1
+    "soc-run-split-blocks": (
+        ["soc-run", "--n", "129", "--tau", "9", "--total", "36"],
+        "dcc492f1c9db87e639879ad1b6e81ae019cfc72835f3c92a5b0098db5ce4834f",
+        "42eb0c0ed42db1b943005f5273adae8af3944f1aa1a4a4ff9dde57f1978ce74b",
+    ),
     "soc-compare-tiny": (
         ["soc-compare", "--n", "2,3", "--total", "50"],
         "95b2bd9516c3a1c3cfe358295507d7acc78b70c56f9d95ef9455acdd823daa02",
