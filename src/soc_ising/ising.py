@@ -7,7 +7,7 @@ point mass on the all-plus configuration.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -127,8 +127,142 @@ def heat_bath_table(t: float) -> np.ndarray:
 # uniforms drawn per block of sweeps, at most this many doubles (512 KB)
 _DRAW_BLOCK = 1 << 16
 
-# new spin by the outcome of `u < p`: take() reads False as 0, True as 1
-_SPIN_OF = np.array([-1, 1], dtype=np.int8)
+
+@dataclass(frozen=True)
+class _SweepLayout:
+    """The side-n box as the heat-bath sweep stores it.
+
+    Rows have the odd width w = n | 1 (one pad column when n is even), so
+    grid site (x, y) sits at q = x w + y and its colour is q & 1.  Colour
+    class c holds the slots q = 2i + c at index c * half + i, one byte each
+    (1 for spin +1).  A class-0 slot i has its neighbours at class-1
+    indices i - 1, i, i - (w+1)/2 and i + (w-1)/2; a class-1 slot i at
+    class-0 indices i, i + 1, i - (w-1)/2 and i + (w+1)/2.
+    """
+
+    n: int
+    w: int
+    half: int
+    interior: int  # interior sites, so uniforms per sweep
+    per_block: int  # sweeps per block of at most _DRAW_BLOCK uniforms
+    # the spin copied into each slot; pad slots copy site 0, which no
+    # interior site reads
+    slot_site: np.ndarray
+    site_slot: np.ndarray  # slot each spin is copied back from
+    # per nonempty class: the slots from its first interior site to its
+    # last, and the four slices of the other class holding their neighbours
+    spans: tuple[tuple[slice, tuple[slice, ...]], ...]
+    # the interior rows of one class and x parity, as (src, src_step, dst,
+    # count, length): row j holds uniforms src + j src_step on, in visit
+    # order, and slots dst + j w on
+    runs: tuple[tuple[int, int, int, int, int], ...]
+    # workspaces of finished calls at this side, for later calls; a call
+    # pops the one it uses, so concurrent calls never share one
+    spare: list = field(default_factory=list, compare=False, repr=False)
+
+    def run_views(self, src: np.ndarray, dst: np.ndarray) -> list:
+        """(into dst, of src) view pairs that copy each row of `src`, one
+        entry per interior site in visit order, to the interior slots of
+        the same row of `dst`.  The runs are read in whole steps, so `src`
+        rows need n and `dst` rows w spare columns."""
+        b, w = src.shape[0], self.w
+        return [(dst[:, d0:d0 + w * count].reshape(b, count, w)[:, :, :length],
+                 src[:, s0:s0 + step * count].reshape(b, count, step)[:, :, :length])
+                for s0, step, d0, count, length in self.runs]
+
+
+@lru_cache(maxsize=None)
+def _sweep_layout(n: int) -> _SweepLayout:
+    w = n | 1
+    half = (n * w + 1) // 2
+    slot = np.arange(2 * half, dtype=np.int32)
+    q = 2 * (slot % half) + slot // half
+    x, y = q // w, q % w
+    index = np.min_scalar_type(2 * half)
+    slot_site = np.where((x < n) & (y < n), x * n + y, 0).astype(index)
+    v = np.arange(n * n, dtype=np.int32)
+    q = v // n * w + v % n
+    site_slot = ((q & 1) * half + (q >> 1)).astype(index)
+    shifts = ((-1, 0, -(w + 1) // 2, (w - 1) // 2),
+              (0, 1, -(w - 1) // 2, (w + 1) // 2))
+    spans, runs, src = [], [], 0
+    for c in (0, 1):
+        # interior row x holds its class-c sites from y0 in {1, 2} on, step 2
+        rows = []
+        for x in range(1, n - 1):
+            y0 = 2 - ((x + c) & 1)
+            length = len(range(y0, n - 1, 2))
+            if length:
+                rows.append((src, c * half + (x * w + y0) // 2, length))
+                src += length
+        if not rows:
+            continue
+        lo, hi = rows[0][1], rows[-1][1] + rows[-1][2]
+        other = (1 - 2 * c) * half
+        spans.append((slice(lo, hi), tuple(
+            slice(lo + other + d, hi + other + d) for d in shifts[c])))
+        for group in (rows[0::2], rows[1::2]):
+            if group:
+                s0, d0, length = group[0]
+                step = group[1][0] - s0 if len(group) > 1 else length
+                runs.append((s0, step, d0, len(group), length))
+    return _SweepLayout(n, w, half, src, max(1, _DRAW_BLOCK // max(src, 1)),
+                        slot_site, site_slot, tuple(spans), tuple(runs))
+
+
+class _SweepWork:
+    """The buffers of a sweep call on `lay`, for up to `rows` sweeps per draw
+    block, and the views of them that its inner loops read, built once."""
+
+    def __init__(self, lay: _SweepLayout, rows: int):
+        self.rows, self.n_int, self.per_block = rows, lay.interior, lay.per_block
+        self.plus = np.empty(2 * lay.half, dtype=bool)  # the slots
+        self.buf = buf = self.plus.view(np.uint8)
+        # per block, a rank per uniform in visit order, then in slot order
+        self.rank = np.empty((rows, lay.interior + lay.n), dtype=np.uint8)
+        self.ranks = np.empty((rows, buf.size + lay.w), dtype=np.uint8)
+        self.runs = lay.run_views(self.rank, self.ranks)
+        self.updates = [(span, self.plus[span], *(buf[s] for s in nbrs),
+                         np.empty(span.stop - span.start, dtype=np.uint8))
+                        for span, nbrs in lay.spans]
+
+    def sweep(self, t: float, rng: np.random.Generator, sweeps: int) -> int:
+        """`sweeps` sweeps of `plus` in place; returns the number of slot
+        changes over them.
+
+        p[k] is the chance of +1 with k plus neighbours (h = 2k - 4).  It
+        does not decrease in k, so u < p[k] exactly when k >= rank(u),
+        where rank(u) = #{j : p[j] <= u}.  A block of uniforms becomes
+        ranks once; a class update is then three adds and one compare of
+        contiguous slices.
+        """
+        buf, ranks = self.buf, self.ranks
+        p = heat_bath_table(t)[::2, None, None]
+        # a slot outside the interior gets rank 0 where it holds +1 and
+        # 0 - 1 = 255 where it holds -1, so it never changes
+        np.subtract(buf, 1, out=ranks[:, :buf.size])
+        flips = 0
+        for start in range(0, sweeps, self.per_block):
+            b = min(self.per_block, sweeps - start)
+            self.rank_uniforms(rng, b, p)
+            for dst, src in self.runs:
+                dst[:b] = src[:b]
+            for row in ranks[:b]:
+                before = buf.copy()
+                for span, out, left, right, down, up, k in self.updates:
+                    np.add(left, right, out=k)
+                    k += down
+                    k += up
+                    np.greater_equal(k, row[span], out=out)
+                flips += int(np.count_nonzero(buf != before))
+        return flips
+
+    def rank_uniforms(self, rng: np.random.Generator, b: int, p: np.ndarray):
+        """Draw b sweeps' uniforms into `rank` as their ranks in visit order;
+        they are freed on return, before the next block's are drawn."""
+        u = rng.random(b * self.n_int).reshape(b, self.n_int)
+        np.add.reduce((u >= p).view(np.uint8), axis=0,
+                      out=self.rank[:b, :self.n_int])
 
 
 def heat_bath_sweep(config: SpinConfig, t: float, rng: np.random.Generator,
@@ -142,37 +276,28 @@ def heat_bath_sweep(config: SpinConfig, t: float, rng: np.random.Generator,
     class are mutually non-adjacent, so this equals the sequential update in
     that order while allowing vectorization.  One uniform is drawn per site,
     in visit order, so one call draws what `sweeps` calls of one pass draw.
-    Boundary spins never move.
+    Boundary spins never move.  The spins are copied once into the colour
+    classes of `_SweepLayout` and once back.
     """
     if t <= 0:
         raise ValueError("heat_bath_sweep needs T > 0; T = 0 is the frozen point mass")
     if sweeps < 1:
         raise ValueError("sweeps must be >= 1")
     g, spins = config.g, config.spins
-    n, n_int = g.n, g.interior_ids.size
-    if n_int == 0:
+    if g.interior_ids.size == 0:
         return 0
-    # entry h of the rolled table is table[h + 4]; take() wraps h < 0
-    table = np.roll(heat_bath_table(t), -4)
-    # interior site v has neighbours v -+ n (horizontal) and v -+ 1
-    # (vertical); entry v - n of the four shifted slices holds each
-    k = n * n - 2 * n
-    left, right = spins[:k], spins[2 * n:]
-    down, up = spins[n - 1:n - 1 + k], spins[n + 1:n + 1 + k]
-    cut = g.interior_even.size  # uniforms [0, cut) go to the even class
-    classes = [(sites, sites - n, lo, hi) for sites, lo, hi in (
-        (g.interior_even, 0, cut), (g.interior_odd, cut, n_int)) if sites.size]
-    per_block = max(1, _DRAW_BLOCK // n_int)
-    flips = 0
-    for start in range(0, sweeps, per_block):
-        b = min(per_block, sweeps - start)
-        u = rng.random(b * n_int).reshape(b, n_int)
-        for row in u:
-            before = spins.copy()
-            for sites, at, lo, hi in classes:
-                h = (left + right + down + up).take(at)
-                spins[sites] = _SPIN_OF.take(row[lo:hi] < table.take(h))
-            flips += int(np.count_nonzero(before != spins))
+    lay = _sweep_layout(g.n)
+    rows = min(lay.per_block, sweeps)
+    try:
+        work = lay.spare.pop()
+    except IndexError:
+        work = None
+    if work is None or work.rows < rows:  # a smaller one is dropped
+        work = _SweepWork(lay, rows)
+    np.greater(spins.take(lay.slot_site), 0, out=work.plus)
+    flips = work.sweep(t, rng, sweeps)
+    np.subtract(2 * work.buf.view(np.int8).take(lay.site_slot), 1, out=spins)
+    lay.spare.append(work)
     return flips
 
 
@@ -281,7 +406,10 @@ def exact_ising_distribution(g: BoxGeometry | int, t: float) -> IsingDistributio
     log_p, log_z = table.log_gibbs(t)
     probs = np.exp(log_p)
     probs /= probs.sum()
-    z = math.exp(log_z) if log_z < 709 else math.inf
+    try:
+        z = math.exp(log_z)
+    except OverflowError:
+        z = math.inf
     return IsingDistribution(
         n=g.n, t=t, spins=table.spins, probs=probs, energies=table.energies,
         magnetizations=table.magnetizations, log_z=log_z, z=z,

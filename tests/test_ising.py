@@ -1,9 +1,12 @@
 """Plus-boundary Ising law: exact enumeration, dynamics, feedback map."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import expit, logsumexp
 
 from helpers import (
@@ -22,11 +25,15 @@ from soc_ising import (
     zero_temperature_config,
 )
 from soc_ising.ising import (
-    IsingParams, _logsumexp, enumerate_plus_configs, heat_bath_table, plus_table,
+    IsingParams, _SweepWork, _logsumexp, _sweep_layout, enumerate_plus_configs,
+    heat_bath_table, plus_table,
 )
 from soc_ising.soc import EPS_T
 
 SWEEP_TEMPS = [EPS_T, 0.5, 1.0, T_CRITICAL, 100.0]
+# the smallest subnormal and a huge T: 2h/T overflows to +-inf, or rounds
+# every table entry to 0.5
+EXTREME_TEMPS = [5e-324, 1e300]
 
 
 def test_critical_temperature_value():
@@ -106,7 +113,15 @@ def test_exact_distribution_zero_temperature():
     assert dist.prob_of(zero_temperature_config(g)) == 1.0
 
 
-@pytest.mark.parametrize("t", [0.0, EPS_T, 0.5, T_CRITICAL, 100.0])
+def test_partition_sum_is_finite_up_to_the_float_maximum():
+    # log Z = 709.4 is below log(DBL_MAX) = 709.78, so Z is finite
+    dist = exact_ising_distribution(5, 40 / 709.4)
+    assert dist.log_z == 709.4
+    assert dist.z == math.exp(709.4) == 1.2260423226426727e+308
+    assert exact_ising_distribution(5, 40 / 720).z == math.inf
+
+
+@pytest.mark.parametrize("t", [0.0, EPS_T, 0.5, T_CRITICAL, 100.0, 40 / 709.4])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_exact_distribution_equals_oracle(n, t):
     assert_fields_bit_equal(exact_ising_distribution(n, t),
@@ -231,10 +246,11 @@ def _assert_sweeps_match_oracle(start, t, rng_got, rng_want, sweeps=6,
         assert flips == oracle_flips
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 16])
-@pytest.mark.parametrize("t", SWEEP_TEMPS)
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 9, 16, 17, 31, 32, 33])
+@pytest.mark.parametrize("t", SWEEP_TEMPS + EXTREME_TEMPS)
 def test_sweep_equals_oracle_and_counts_its_flips(n, t):
-    # sides 1 and 2 have no interior: each call returns 0 and draws nothing
+    # sides 1 and 2 have no interior: each call returns 0 and draws nothing;
+    # even sides carry a pad column in the sweep's layout, odd ones do not
     for window in (1, 3, 6):
         rng_got, rng_want = philox(40 + n), philox(40 + n)
         _assert_sweeps_match_oracle(_random_interior(build_box(n), n), t,
@@ -242,13 +258,143 @@ def test_sweep_equals_oracle_and_counts_its_flips(n, t):
         assert rng_got.random() == rng_want.random()
 
 
-@pytest.mark.parametrize("t", [0.5, T_CRITICAL])
+@pytest.mark.parametrize("t", [0.5, T_CRITICAL] + EXTREME_TEMPS)
 def test_window_spans_partial_draw_blocks(t):
-    # at side 128 a block holds 4 sweeps, so 9 sweeps draw 4 + 4 + 1
-    rng_got, rng_want = philox(128), philox(128)
-    _assert_sweeps_match_oracle(_random_interior(build_box(128), 128), t,
-                                rng_got, rng_want, sweeps=9, window=9)
+    # at sides 128 and 129 a block holds 4 sweeps, so 9 sweeps draw 4 + 4 + 1
+    for n in (128, 129):
+        rng_got, rng_want = philox(n), philox(n)
+        _assert_sweeps_match_oracle(_random_interior(build_box(n), n), t,
+                                    rng_got, rng_want, sweeps=9, window=9)
+        assert rng_got.random() == rng_want.random()
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(n=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1),
+       t=st.sampled_from(SWEEP_TEMPS + EXTREME_TEMPS) | st.floats(0.01, 100.0),
+       window=st.integers(1, 7), any_boundary=st.booleans())
+def test_sweep_equals_oracle_on_random_boxes(n, seed, t, window, any_boundary):
+    # a start with minus spins on the boundary too: they must stay put
+    g = build_box(n)
+    start = _random_interior(g, seed)
+    if any_boundary:
+        start.spins[:] = philox(seed, 2).choice(
+            np.array([-1, 1], dtype=np.int8), size=n * n)
+    rng_got, rng_want = philox(seed), philox(seed)
+    _assert_sweeps_match_oracle(start, t, rng_got, rng_want, sweeps=window,
+                                window=window)
     assert rng_got.random() == rng_want.random()
+
+
+LAYOUT_SIDES = [1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 31, 32, 33]
+
+
+@pytest.mark.parametrize("n", LAYOUT_SIDES)
+def test_sweep_layout_reads_each_interior_sites_neighbours(n):
+    g = build_box(n)
+    lay = _sweep_layout(n)
+    assert np.array_equal(lay.slot_site[lay.site_slot], np.arange(n * n))
+    for v in g.interior_ids:
+        slot = int(lay.site_slot[v])
+        (span, nbrs), = [(span, nbrs) for span, nbrs in lay.spans
+                         if span.start <= slot < span.stop
+                         and slot // lay.half == span.start // lay.half]
+        read = [int(lay.slot_site[s.start + slot - span.start]) for s in nbrs]
+        assert sorted(read) == sorted(g.neighbors[v]), v
+
+
+@pytest.mark.parametrize("n", LAYOUT_SIDES)
+def test_sweep_layout_places_each_uniform_at_its_site(n):
+    # uniforms go to the interior sites in visit order: even class, then odd
+    g = build_box(n)
+    lay = _sweep_layout(n)
+    visit = np.concatenate([g.interior_even, g.interior_odd])
+    src = np.full((3, lay.interior + n), -2)
+    src[:, :lay.interior] = np.arange(lay.interior) + 1000 * np.arange(3)[:, None]
+    dst = np.full((3, 2 * lay.half + lay.w), -1)
+    for into, of in lay.run_views(src, dst):
+        into[...] = of
+    want = np.full_like(dst, -1)
+    want[:, lay.site_slot[visit]] = src[:, :lay.interior]
+    assert np.array_equal(dst, want)
+
+
+@pytest.mark.parametrize("t", [100.0, EPS_T])
+@pytest.mark.parametrize("n", [3, 4, 5, 16, 17])
+def test_boundary_and_pad_slots_never_change(n, t):
+    # every slot outside the interior, pad slots and minus boundary spins
+    # included, keeps its value over a window
+    g = build_box(n)
+    lay = _sweep_layout(n)
+    work = _SweepWork(lay, 7)
+    plus = work.plus
+    plus[:] = philox(n, 3).random(plus.size) < 0.5
+    fixed = np.ones(plus.size, dtype=bool)
+    fixed[lay.site_slot[g.interior_ids]] = False
+    before = plus.copy()
+    work.sweep(t, philox(n), 7)
+    assert np.array_equal(plus[fixed], before[fixed])
+    if t == 100.0:
+        assert not np.array_equal(plus, before)
+
+
+def test_sweep_reuses_a_large_enough_workspace():
+    # a call takes the last call's workspace when its blocks fit, else a
+    # new one replaces it; the sweeps match the oracle either way
+    g = build_box(9)
+    lay = _sweep_layout(9)
+    lay.spare.clear()
+    got, want = _random_interior(g, 9), _random_interior(g, 9)
+    rng_got, rng_want = philox(9), philox(9)
+    works = []
+    for window in (3, 1, 3, 7, 2):
+        flips = heat_bath_sweep(got, 1.5, rng_got, window)
+        oracle_flips = 0
+        for _ in range(window):
+            before = want.spins.copy()
+            heat_bath_sweep_oracle(want, 1.5, rng_want)
+            oracle_flips += int((want.spins != before).sum())
+        assert flips == oracle_flips
+        assert np.array_equal(got.spins, want.spins)
+        work, = lay.spare
+        works.append(work)
+    assert [w.rows for w in works] == [3, 3, 3, 7, 7]
+    assert works[0] is works[1] is works[2] and works[3] is works[4]
+
+
+def test_concurrent_sweeps_at_one_side_match_sequential_ones():
+    # calls at one side share a pool of workspaces; each call pops its own,
+    # so threads never write into one another's buffers
+    g = build_box(12)
+
+    def run(seed, out):
+        config, rng = _random_interior(g, seed), philox(seed)
+        flips = [heat_bath_sweep(config, 1.5, rng, w) for w in (1, 3, 2, 5) * 30]
+        out[seed] = flips, config.spins.copy()
+
+    want, got = {}, {}
+    for seed in range(6):
+        run(seed, want)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(seed, got))
+                   for seed in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for seed in range(6):
+        assert got[seed][0] == want[seed][0]
+        assert np.array_equal(got[seed][1], want[seed][1])
+
+
+def test_heat_bath_table_never_decreases():
+    # the sweep's threshold ranks rest on this
+    for t in np.concatenate([EXPIT_TEMPS, SWEEP_TEMPS, EXTREME_TEMPS]):
+        assert (np.diff(heat_bath_table(float(t))) >= 0).all(), t
 
 
 def test_sweep_rejects_fewer_than_one_sweep():
