@@ -175,14 +175,11 @@ class _SweepLayout:
 def _sweep_layout(n: int) -> _SweepLayout:
     w = n | 1
     half = (n * w + 1) // 2
-    slot = np.arange(2 * half, dtype=np.int32)
-    q = 2 * (slot % half) + slot // half
-    x, y = q // w, q % w
-    index = np.min_scalar_type(2 * half)
-    slot_site = np.where((x < n) & (y < n), x * n + y, 0).astype(index)
     v = np.arange(n * n, dtype=np.int32)
     q = v // n * w + v % n
-    site_slot = ((q & 1) * half + (q >> 1)).astype(index)
+    site_slot = ((q & 1) * half + (q >> 1)).astype(np.min_scalar_type(2 * half))
+    slot_site = np.zeros(2 * half, dtype=site_slot.dtype)
+    slot_site[site_slot] = v
     shifts = ((-1, 0, -(w + 1) // 2, (w - 1) // 2),
               (0, 1, -(w - 1) // 2, (w + 1) // 2))
     spans, runs, src = [], [], 0
@@ -297,7 +294,10 @@ def heat_bath_sweep(config: SpinConfig, t: float, rng: np.random.Generator,
     np.greater(spins.take(lay.slot_site), 0, out=work.plus)
     flips = work.sweep(t, rng, sweeps)
     np.subtract(2 * work.buf.view(np.int8).take(lay.site_slot), 1, out=spins)
-    lay.spare.append(work)
+    # kept for the next call when small; a larger one costs little to
+    # rebuild next to its call's sweeps, and would hold memory meanwhile
+    if work.ranks.nbytes <= _DRAW_BLOCK:
+        lay.spare.append(work)
     return flips
 
 

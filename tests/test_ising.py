@@ -359,6 +359,9 @@ def test_sweep_reuses_a_large_enough_workspace():
         works.append(work)
     assert [w.rows for w in works] == [3, 3, 3, 7, 7]
     assert works[0] is works[1] is works[2] and works[3] is works[4]
+    # 4 rows of 16,641 slot ranks exceed 64 KB: that workspace is not kept
+    heat_bath_sweep(SpinConfig.all_plus(build_box(128)), 1.5, philox(9), 4)
+    assert not _sweep_layout(128).spare
 
 
 def test_concurrent_sweeps_at_one_side_match_sequential_ones():
