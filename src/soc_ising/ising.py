@@ -145,10 +145,6 @@ class _SweepLayout:
     half: int
     interior: int  # interior sites, so uniforms per sweep
     per_block: int  # sweeps per block of at most _DRAW_BLOCK uniforms
-    # the spin copied into each slot; pad slots copy site 0, which no
-    # interior site reads
-    slot_site: np.ndarray
-    site_slot: np.ndarray  # slot each spin is copied back from
     # per nonempty class: the slots from its first interior site to its
     # last, and the four slices of the other class holding their neighbours
     spans: tuple[tuple[slice, tuple[slice, ...]], ...]
@@ -175,11 +171,6 @@ class _SweepLayout:
 def _sweep_layout(n: int) -> _SweepLayout:
     w = n | 1
     half = (n * w + 1) // 2
-    v = np.arange(n * n, dtype=np.int32)
-    q = v // n * w + v % n
-    site_slot = ((q & 1) * half + (q >> 1)).astype(np.min_scalar_type(2 * half))
-    slot_site = np.zeros(2 * half, dtype=site_slot.dtype)
-    slot_site[site_slot] = v
     shifts = ((-1, 0, -(w + 1) // 2, (w - 1) // 2),
               (0, 1, -(w - 1) // 2, (w + 1) // 2))
     spans, runs, src = [], [], 0
@@ -204,7 +195,7 @@ def _sweep_layout(n: int) -> _SweepLayout:
                 step = group[1][0] - s0 if len(group) > 1 else length
                 runs.append((s0, step, d0, len(group), length))
     return _SweepLayout(n, w, half, src, max(1, _DRAW_BLOCK // max(src, 1)),
-                        slot_site, site_slot, tuple(spans), tuple(runs))
+                        tuple(spans), tuple(runs))
 
 
 class _SweepWork:
@@ -213,8 +204,14 @@ class _SweepWork:
 
     def __init__(self, lay: _SweepLayout, rows: int):
         self.rows, self.n_int, self.per_block = rows, lay.interior, lay.per_block
-        self.plus = np.empty(2 * lay.half, dtype=bool)  # the slots
+        self.plus = np.ones(2 * lay.half, dtype=bool)  # the slots
         self.buf = buf = self.plus.view(np.uint8)
+        # the spins over rows of width w; slot i of class c is grid cell
+        # 2i + c (the pad column is never read by an interior site)
+        grid = np.ones((lay.n, lay.w), dtype=np.int8)
+        self.box, flat = grid[:, :lay.n], grid.reshape(-1)
+        self.classes = [(cells, self.plus[c * lay.half:][:cells.size])
+                        for c, cells in ((0, flat[0::2]), (1, flat[1::2]))]
         # per block, a rank per uniform in visit order, then in slot order
         self.rank = np.empty((rows, lay.interior + lay.n), dtype=np.uint8)
         self.ranks = np.empty((rows, buf.size + lay.w), dtype=np.uint8)
@@ -291,9 +288,14 @@ def heat_bath_sweep(config: SpinConfig, t: float, rng: np.random.Generator,
         work = None
     if work is None or work.rows < rows:  # a smaller one is dropped
         work = _SweepWork(lay, rows)
-    np.greater(spins.take(lay.slot_site), 0, out=work.plus)
+    box = spins.reshape(g.n, g.n)
+    work.box[...] = box
+    for cells, slots in work.classes:
+        np.greater(cells, 0, out=slots)
     flips = work.sweep(t, rng, sweeps)
-    np.subtract(2 * work.buf.view(np.int8).take(lay.site_slot), 1, out=spins)
+    for cells, slots in work.classes:
+        cells[...] = slots
+    np.subtract(2 * work.box, 1, out=box)
     # kept for the next call when small; a larger one costs little to
     # rebuild next to its call's sweeps, and would hold memory meanwhile
     if work.ranks.nbytes <= _DRAW_BLOCK:

@@ -288,18 +288,24 @@ def test_sweep_equals_oracle_on_random_boxes(n, seed, t, window, any_boundary):
 LAYOUT_SIDES = [1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 31, 32, 33]
 
 
+def _slot_of(lay, v):
+    """The slot of site v = x n + y: cell q = x w + y of colour class q & 1."""
+    q = v // lay.n * lay.w + v % lay.n
+    return (q & 1) * lay.half + q // 2
+
+
 @pytest.mark.parametrize("n", LAYOUT_SIDES)
 def test_sweep_layout_reads_each_interior_sites_neighbours(n):
     g = build_box(n)
     lay = _sweep_layout(n)
-    assert np.array_equal(lay.slot_site[lay.site_slot], np.arange(n * n))
+    assert len(set(_slot_of(lay, np.arange(n * n)))) == n * n
     for v in g.interior_ids:
-        slot = int(lay.site_slot[v])
+        slot = _slot_of(lay, v)
         (span, nbrs), = [(span, nbrs) for span, nbrs in lay.spans
                          if span.start <= slot < span.stop
                          and slot // lay.half == span.start // lay.half]
-        read = [int(lay.slot_site[s.start + slot - span.start]) for s in nbrs]
-        assert sorted(read) == sorted(g.neighbors[v]), v
+        read = [s.start + slot - span.start for s in nbrs]
+        assert sorted(read) == sorted(_slot_of(lay, g.neighbors[v])), v
 
 
 @pytest.mark.parametrize("n", LAYOUT_SIDES)
@@ -314,7 +320,7 @@ def test_sweep_layout_places_each_uniform_at_its_site(n):
     for into, of in lay.run_views(src, dst):
         into[...] = of
     want = np.full_like(dst, -1)
-    want[:, lay.site_slot[visit]] = src[:, :lay.interior]
+    want[:, _slot_of(lay, visit)] = src[:, :lay.interior]
     assert np.array_equal(dst, want)
 
 
@@ -329,7 +335,7 @@ def test_boundary_and_pad_slots_never_change(n, t):
     plus = work.plus
     plus[:] = philox(n, 3).random(plus.size) < 0.5
     fixed = np.ones(plus.size, dtype=bool)
-    fixed[lay.site_slot[g.interior_ids]] = False
+    fixed[_slot_of(lay, g.interior_ids)] = False
     before = plus.copy()
     work.sweep(t, philox(n), 7)
     assert np.array_equal(plus[fixed], before[fixed])
