@@ -231,7 +231,7 @@ class _SweepWork:
         contiguous slices.
         """
         buf, ranks = self.buf, self.ranks
-        p = heat_bath_table(t)[::2, None, None]
+        p = heat_bath_table(t)[::2]
         # a slot outside the interior gets rank 0 where it holds +1 and
         # 0 - 1 = 255 where it holds -1, so it never changes
         np.subtract(buf, 1, out=ranks[:, :buf.size])
@@ -252,11 +252,14 @@ class _SweepWork:
         return flips
 
     def rank_uniforms(self, rng: np.random.Generator, b: int, p: np.ndarray):
-        """Draw b sweeps' uniforms into `rank` as their ranks in visit order;
-        they are freed on return, before the next block's are drawn."""
+        """Draw b sweeps' uniforms into `rank` as their ranks in visit order.
+        One compare per entry of p keeps each temporary at a byte per
+        uniform, and the uniforms are freed before the next block's."""
         u = rng.random(b * self.n_int).reshape(b, self.n_int)
-        np.add.reduce((u >= p).view(np.uint8), axis=0,
-                      out=self.rank[:b, :self.n_int])
+        rank = self.rank[:b, :self.n_int]
+        np.greater_equal(u, p[0], out=rank)
+        for pj in p[1:]:
+            rank += u >= pj
 
 
 def heat_bath_sweep(config: SpinConfig, t: float, rng: np.random.Generator,
