@@ -52,6 +52,19 @@ GOLDEN = {
         "95b2bd9516c3a1c3cfe358295507d7acc78b70c56f9d95ef9455acdd823daa02",
         "f5a12d022690fd7b1da514850bb5e08145bf8eb9d7e6b5d98c43b15d377e364a",
     ),
+    # a = 1.5: the unaccounted chains accept 45-50% of their proposals
+    "soc-compare-hot": (
+        ["soc-compare", "--n", "8,16", "--a", "1.5", "--total", "200"],
+        "86cbf14c3ddd0de10856dda296a16ce13fd3d6d238c8e9221dc0da3f6fef510e",
+        "38d0d0ebe0fc1e61a3145d6166c9e9f9269da436141dffd45d23e79a802cb6dd",
+    ),
+    # side 33: 80 sweeps of 961 proposals draw more than one block of
+    # 2^16 proposals
+    "soc-compare-blocks": (
+        ["soc-compare", "--n", "33", "--total", "80"],
+        "18c95b371fa24b7b75d804276a856024b1bb55cd03cc72d2cbcfb0b37d09df0e",
+        "9601668d6df730fa808fa9e1f5e7dae254f2b41011e3a1de8df51727f77f510f",
+    ),
     "fk-sample-sw": (
         ["fk-sample", "--n", "16", "--p", "0.6", "--samples", "30",
          "--burn-in", "10", "--seed", "3"],
