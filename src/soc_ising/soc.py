@@ -11,6 +11,7 @@ critical temperature.
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -356,6 +357,57 @@ def two_timescale_dynamics(
     )
 
 
+# proposals per block of draws: a block's picks and uniforms take at most
+# 768 KB
+_PROPOSAL_BLOCK = 1 << 16
+# first window of proposals the screen tests; each miss doubles it
+_SCREEN_WINDOW = 256
+# first stretch of proposals the scalar loop takes after a screened
+# acceptance; each stretch that flips doubles it, one that flips nothing
+# hands back to the screen
+_SCALAR_STRETCH = 16
+
+
+def _acceptance_table(h: int, m: int, n2a: float, accounted: bool) -> np.ndarray:
+    """Thresholds of the frozen state (h, m): a proposal at a spin s with
+    neighbour sum `local` is accepted exactly when its uniform u satisfies
+    u < thr[5 (s + 1) + local + 4].
+
+    Each entry is the scalar loop's own expression and `math.exp`; 2.0
+    stands for log_acc >= 0 (always accepted) and -1.0 for m' = 0 (never).
+    Odd slots are unused."""
+    thr = np.full(19, -1.0)
+    for s in (-1, 1):
+        m_new = m - 2 * s
+        if m_new == 0:
+            continue
+        for local in (-4, -2, 0, 2, 4):
+            dh = 2 * s * local
+            if accounted:
+                log_acc = h / (m * m / n2a) - (h + dh) / (m_new * m_new / n2a)
+            else:
+                log_acc = -dh / (m * m / n2a)
+            thr[5 * (s + 1) + local + 4] = (
+                2.0 if log_acc >= 0 else math.exp(log_acc))
+    return thr
+
+
+def _first_acceptance(us: np.ndarray, picks: np.ndarray, site_thr: np.ndarray,
+                      pos: int, end: int) -> int:
+    """Index of the first proposal in [pos, end) whose uniform falls below
+    its site's threshold, or end; windows double from _SCREEN_WINDOW."""
+    w = _SCREEN_WINDOW
+    while pos < end:
+        stop = min(pos + w, end)
+        hit = us[pos:stop] < site_thr.take(picks[pos:stop])
+        i = int(hit.argmax())
+        if hit[i]:
+            return pos + i
+        pos = stop
+        w *= 2
+    return end
+
+
 def naive_mu_prime_dynamics(
     g: BoxGeometry | int,
     a: float,
@@ -372,51 +424,116 @@ def naive_mu_prime_dynamics(
     judged by Delta H / T at the current temperature only, the variant
     whose self-organization the model's construction does not guarantee.
     One sweep is one proposal per interior site; records one row per sweep.
+
+    Each sweep draws its picks with one `rng.integers(0, ni, ni)` call
+    (int32, the same values and generator state as int64) and then its
+    uniforms with one `rng.random(ni)` call; blocks of at most 2^16
+    proposals are drawn ahead and stacked.  Between two flips the state
+    (H, m) is frozen, so a proposal's fate depends only on its spin, its
+    neighbour sum and its uniform: `_acceptance_table` gives, per state,
+    the 10 thresholds that decide u < thr exactly as the scalar test
+    does.  numpy screens the stacked proposals against them and skips
+    every rejection up to the next acceptance; from there a scalar loop
+    runs the proposals one by one, and hands back to the screen after a
+    stretch that flips nothing.  The output is the same as running every
+    proposal in turn, draw for draw.
     """
     g = as_box(g)
+    n = g.n
     interior = g.interior_ids
     ni = interior.size
-    n2a = float(g.n) ** (2 * a)
-    # plain Python lists: per-element numpy indexing would dominate the loop
-    spins = [1] * (g.n * g.n)
-    m = g.n * g.n
+    n2a = float(n) ** (2 * a)
+    m0 = m = n * n
     h = -g.n_edges
+    # plain Python lists: per-element numpy indexing would dominate the loop
+    spins = [1] * (n * n)
     sites = interior.tolist()
     nbrs = g.neighbors[interior].tolist()
-    steps = np.empty(total, dtype=np.int64)
-    temps = np.empty(total, dtype=np.float64)
-    mags = np.empty(total, dtype=np.int64)
-    flips = np.empty(total, dtype=np.int64)
-    for sweep in range(total):
-        picks = rng.integers(0, ni, size=ni).tolist()
-        us = rng.random(ni).tolist()
-        nflip = 0
-        for k, u in zip(picks, us):
-            v = sites[k]
-            s = spins[v]
-            v0, v1, v2, v3 = nbrs[k]
-            local = spins[v0] + spins[v1] + spins[v2] + spins[v3]
-            dh = 2 * s * local
-            m_new = m - 2 * s
-            if m_new == 0:
-                continue  # zero-weight target state
-            if account_for_T_change:
-                log_acc = h / (m * m / n2a) - (h + dh) / (m_new * m_new / n2a)
-            else:
-                log_acc = -dh / (m * m / n2a)
-            if log_acc >= 0 or u < math.exp(log_acc):
-                spins[v] = -s
-                m = m_new
-                h += dh
-                nflip += 1
-        steps[sweep] = sweep + 1
-        temps[sweep] = m * m / n2a
-        mags[sweep] = m
-        flips[sweep] = nflip
+    # spin + 1 per site, read in place by the screen
+    plus1 = bytearray([2]) * (n * n)
+    grid = np.frombuffer(plus1, dtype=np.uint8).reshape(n, n)
+    tables: dict[tuple[int, int], np.ndarray] = {}
+    # one entry per sweep segment of a scalar stretch that flipped: the
+    # proposal count at its end, m there, and its flips
+    seg_end, seg_m, seg_flips = [], [], []
+    exp = math.exp
+    per_block = max(1, _PROPOSAL_BLOCK // ni) if ni else 0
+    done = 0
+    while ni and done < total:
+        nb = min(per_block, total - done)
+        picks = np.empty((nb, ni), dtype=np.int32)
+        us = np.empty((nb, ni))
+        for r in range(nb):
+            picks[r] = rng.integers(0, ni, size=ni, dtype=np.int32)
+            rng.random(out=us[r])
+        picks, us = picks.ravel(), us.ravel()
+        base, end, pos = done * ni, nb * ni, 0
+        while pos < end:
+            thr = tables.get((h, m))
+            if thr is None:
+                thr = tables[h, m] = _acceptance_table(
+                    h, m, n2a, account_for_T_change)
+            # 5 (s + 1) + local + 4 per interior site, in slot order
+            code = grid[1:-1, 1:-1] * 5
+            code += grid[:-2, 1:-1]
+            code += grid[2:, 1:-1]
+            code += grid[1:-1, :-2]
+            code += grid[1:-1, 2:]
+            pos = _first_acceptance(us, picks, thr.take(code.ravel()),
+                                    pos, end)
+            stretch = _SCALAR_STRETCH
+            while pos < end:
+                stop = min(pos + stretch, end)
+                kit = iter(picks[pos:stop].tolist())
+                uit = iter(us[pos:stop].tolist())
+                flipped = 0
+                while pos < stop:
+                    seg = min(stop, pos - pos % ni + ni)
+                    nflip = 0
+                    for k, u in zip(islice(kit, seg - pos), uit):
+                        v = sites[k]
+                        s = spins[v]
+                        v0, v1, v2, v3 = nbrs[k]
+                        local = spins[v0] + spins[v1] + spins[v2] + spins[v3]
+                        dh = 2 * s * local
+                        m_new = m - 2 * s
+                        if m_new == 0:
+                            continue  # zero-weight target state
+                        # the expression _acceptance_table tabulates; a
+                        # call per proposal would slow this loop by a fifth
+                        if account_for_T_change:
+                            log_acc = (h / (m * m / n2a)
+                                       - (h + dh) / (m_new * m_new / n2a))
+                        else:
+                            log_acc = -dh / (m * m / n2a)
+                        if log_acc >= 0 or u < exp(log_acc):
+                            spins[v] = -s
+                            plus1[v] = 1 - s
+                            m = m_new
+                            h += dh
+                            nflip += 1
+                    pos = seg
+                    if nflip:
+                        seg_end.append(base + seg)
+                        seg_m.append(m)
+                        seg_flips.append(nflip)
+                        flipped += nflip
+                if not flipped:
+                    break
+                stretch *= 2
+        done += nb
+    sweep_end = np.arange(1, total + 1, dtype=np.int64) * ni
+    at = np.array(seg_end, dtype=np.int64)
+    mags = np.array([m0] + seg_m, dtype=np.int64)[
+        np.searchsorted(at, sweep_end, side="right")]
+    flips = np.zeros(total, dtype=np.int64)
+    if seg_end:
+        np.add.at(flips, (at - 1) // ni, seg_flips)
     if burn_in is None:
         burn_in = total // 4
     return SocTrajectory(
         n=g.n, a=a, tau=1, variant="mu-prime" if account_for_T_change else "mu-prime-naive",
-        steps=steps, temps=temps, mags=mags, flips=flips,
-        floor_used=np.zeros(total, dtype=bool), burn_in=burn_in,
+        steps=np.arange(1, total + 1, dtype=np.int64), temps=mags * mags / n2a,
+        mags=mags, flips=flips, floor_used=np.zeros(total, dtype=bool),
+        burn_in=burn_in,
     )

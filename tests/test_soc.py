@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
     assert_fields_bit_equal, deviation_bound_check_oracle, exact_mu_n_oracle,
@@ -29,6 +30,7 @@ from soc_ising import (
     theta_asymptotic,
     two_timescale_dynamics,
 )
+from soc_ising.soc import _PROPOSAL_BLOCK
 
 
 def test_feedback_params_ranges():
@@ -266,22 +268,71 @@ def test_two_timescale_equals_copy_and_compare_oracle(n, snapshot_every):
     assert rng_got.random() == rng_want.random()
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8])
-@pytest.mark.parametrize("a", [1.94, 1.99])
+def _assert_naive_matches_oracle(n, a, total, seed, accounted):
+    rng_got, rng_want = philox(seed), philox(seed)
+    got = naive_mu_prime_dynamics(n, a, total, rng_got,
+                                  account_for_T_change=accounted)
+    temps, mags, flips = naive_mu_prime_oracle(n, a, total, rng_want,
+                                               account_for_T_change=accounted)
+    assert np.array_equal(got.steps, np.arange(1, total + 1))
+    for name, g_arr, w_arr in (("temps", got.temps, temps),
+                               ("mags", got.mags, mags),
+                               ("flips", got.flips, flips)):
+        assert g_arr.dtype == w_arr.dtype, name
+        assert np.array_equal(g_arr, w_arr), name
+    assert got.steps.dtype == np.int64 and got.floor_used.dtype == bool
+    assert repr(rng_got.bit_generator.state) == repr(rng_want.bit_generator.state)
+    assert rng_got.random() == rng_want.random()
+    return got
+
+
+def _naive_total(n):
+    """300 sweeps, or at sides 16 and 33 two sweeps more than one block of
+    draws holds."""
+    if n in (16, 33):
+        return _PROPOSAL_BLOCK // (n - 2) ** 2 + 2
+    return 300
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 16, 33])
+@pytest.mark.parametrize("a", [0.5, 1.5, 1.94, 1.99])
 @pytest.mark.parametrize("accounted", [True, False])
 def test_naive_dynamics_equals_numpy_oracle(n, a, accounted):
-    rng_got, rng_want = philox(70 + n), philox(70 + n)
-    got = naive_mu_prime_dynamics(n, a, 300, rng_got,
-                                  account_for_T_change=accounted)
-    temps, mags, flips = naive_mu_prime_oracle(n, a, 300, rng_want,
-                                               account_for_T_change=accounted)
-    assert np.array_equal(got.steps, np.arange(1, 301))
-    assert np.array_equal(got.temps, temps)
-    assert np.array_equal(got.mags, mags)
-    assert np.array_equal(got.flips, flips)
+    got = _assert_naive_matches_oracle(n, a, _naive_total(n), 70 + n,
+                                       accounted)
     # side 3 rarely leaves all-plus in 300 sweeps; larger sides must move
     assert n < 4 or got.flips.sum() > 0
-    assert rng_got.random() == rng_want.random()
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(n=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1),
+       a=st.sampled_from([0.5, 1.5, 1.8, 1.94, 1.99]) | st.floats(0.2, 2.2),
+       total=st.integers(1, 40), accounted=st.booleans())
+def test_naive_dynamics_equals_oracle_on_random_settings(n, seed, a, total,
+                                                         accounted):
+    _assert_naive_matches_oracle(n, a, total, seed, accounted)
+
+
+@pytest.mark.parametrize("ni", [1, 2, 3, 36, 37, 196, 3844])
+@pytest.mark.parametrize("buffered", [False, True])
+def test_int32_picks_equal_int64_picks(ni, buffered):
+    # the chain draws its picks as int32: the same values, and the same
+    # generator state after the call, including a buffered 32-bit half
+    rng32, rng64 = philox(ni), philox(ni)
+    if buffered:
+        rng32.integers(0, 2)
+        rng64.integers(0, 2)
+    assert rng32.bit_generator.state["has_uint32"] == int(buffered)
+    for _ in range(3):
+        got = rng32.integers(0, ni, size=ni, dtype=np.int32)
+        want = rng64.integers(0, ni, size=ni)
+        assert got.dtype == np.int32 and want.dtype == np.int64
+        assert np.array_equal(got, want)
+        s32, s64 = rng32.bit_generator.state, rng64.bit_generator.state
+        assert (s32["has_uint32"], s32["uinteger"]) == (s64["has_uint32"],
+                                                        s64["uinteger"])
+        assert repr(s32) == repr(s64)
+    assert rng32.random() == rng64.random()
 
 
 @pytest.mark.parametrize("n", [1, 2])
