@@ -102,6 +102,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown command: {self.command}")
         if not self.n or any(int(m) < 1 for m in self.n):
             raise ValueError("n: box sides must be integers >= 1")
+        if not (math.isfinite(self.a) and self.a > 0):
+            raise ValueError(f"a: the feedback exponent must be finite and "
+                             f"> 0, got {self.a!r}")
         if self.t is not None and self.t < 0:
             raise ValueError("t: temperature must be >= 0")
         if self.p is not None and not 0.0 <= self.p <= 1.0:
@@ -342,10 +345,10 @@ def _run_soc_compare(cfg: ExperimentConfig):
                 burn_in=_auto(cfg.burn_in, None),
             )
             chain += 1
-            for r in range(len(traj.steps)):
-                rows.append([n, traj.variant, int(traj.steps[r]),
-                             float(traj.temps[r]), int(traj.mags[r]),
-                             int(traj.flips[r])])
+            records = zip(traj.steps.tolist(), traj.temps.tolist(),
+                          traj.mags.tolist(), traj.flips.tolist())
+            rows.extend([n, traj.variant, step, t, m, f]
+                        for step, t, m, f in records)
             cells.append({"n": n, "variant": traj.variant,
                           **_trajectory_summary(traj)})
     return cols, rows, {"t_critical": T_CRITICAL, "cells": cells}
@@ -595,7 +598,20 @@ _RUNNERS = {
 COMMANDS = tuple(_RUNNERS)
 
 
+# CSV spelling of each exact built-in cell type; anything else (numpy
+# scalars among it) takes the isinstance path of _csv_cell
+_CELL_FORMAT = {
+    bool: lambda x: "1" if x else "0",
+    int: str,
+    float: repr,
+    str: str,
+}
+
+
 def _csv_cell(x) -> str:
+    fmt = _CELL_FORMAT.get(type(x))
+    if fmt is not None:
+        return fmt(x)
     if isinstance(x, (bool, np.bool_)):
         return "1" if x else "0"
     if isinstance(x, (int, np.integer)):

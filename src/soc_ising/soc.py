@@ -139,25 +139,33 @@ def _mu_front(g: BoxGeometry | int, a: float) -> tuple[BoxGeometry, PlusTable, f
     return g, table, n2a, (mags.astype(float) ** 2) / n2a
 
 
-def exact_mu_n(g: BoxGeometry | int, a: float) -> ExactMuN:
-    """Enumerate the self-tuned law on a box of side <= 4."""
+def _mu_n_with_laws(g: BoxGeometry | int, a: float
+                    ) -> tuple[ExactMuN, PlusTable, dict[float, np.ndarray]]:
+    """The self-tuned law on a box of side <= 4, with its plus table and
+    the table's log Gibbs law at each level's temperature m^2 / n^(2a),
+    keyed by that temperature."""
     g, table, n2a, temps = _mu_front(g, a)
     mags = table.magnetizations
     ms = mags.tolist()
-    # log Gibbs law of the table at each level's temperature, by m^2
-    level = {b2: table.log_gibbs(b2 / n2a)[0] for b2 in {m * m for m in ms}}
-    weights = np.exp([level[m * m][i] for i, m in enumerate(ms)])
+    laws = {b2 / n2a: table.log_gibbs(b2 / n2a)[0] for b2 in {m * m for m in ms}}
+    weights = np.exp([laws[m * m / n2a][i] for i, m in enumerate(ms)])
     z_direct = float(weights.sum())
 
     z_rewrite = 0.0
     for b in sorted(set(ms)):
-        z_rewrite += float(np.exp(_logsumexp(level[b * b][mags == b])))
+        z_rewrite += float(np.exp(_logsumexp(laws[b * b / n2a][mags == b])))
 
-    return ExactMuN(
+    mu = ExactMuN(
         g=g, a=a, spins=table.spins, mags=mags, energies=table.energies,
         temps=temps, probs=weights / z_direct, z_direct=z_direct,
         z_rewrite=z_rewrite,
     )
+    return mu, table, laws
+
+
+def exact_mu_n(g: BoxGeometry | int, a: float) -> ExactMuN:
+    """Enumerate the self-tuned law on a box of side <= 4."""
+    return _mu_n_with_laws(g, a)[0]
 
 
 def exact_mu_prime(g: BoxGeometry | int, a: float) -> ExactMuN:
@@ -200,14 +208,19 @@ class DeviationReport:
         return self.lhs_below <= self.rhs_below + 1e-12
 
 
-def _plus_mag_tail(table: PlusTable, t: float, lo: float | None, hi: float | None) -> float:
-    """mu+ probability that |m| >= lo (and/or <= hi) at temperature t."""
+def _plus_mag_tail(table: PlusTable, t: float, lo: float | None, hi: float | None,
+                   laws: dict[float, np.ndarray]) -> float:
+    """mu+ probability that |m| >= lo (and/or <= hi) at temperature t.
+    `laws` holds the table's log Gibbs law per temperature t > 0; a
+    missing one is computed and added."""
     am = np.abs(table.magnetizations)
     if t == 0:
         probs = (table.energies == table.energies.min()).astype(float)
         probs /= probs.sum()
     else:
-        probs = np.exp(table.log_gibbs(t)[0])
+        if t not in laws:
+            laws[t] = table.log_gibbs(t)[0]
+        probs = np.exp(laws[t])
     keep = np.ones(len(am), dtype=bool)
     if lo is not None:
         keep &= am >= lo
@@ -222,7 +235,8 @@ def deviation_bound_check(g: BoxGeometry | int, a: float, eps: float) -> Deviati
     The supremum over temperatures is exact: the only temperatures that can
     carry probability are b^2 / n^(2a) for integer levels b, so the grid is
     those values (restricted to the relevant side of T_c) together with the
-    interval endpoint.
+    interval endpoint.  Each distinct temperature's Gibbs law is computed
+    once per call, the levels' shared with μ_n.
     """
     g = as_box(g)
     n = g.n
@@ -230,8 +244,7 @@ def deviation_bound_check(g: BoxGeometry | int, a: float, eps: float) -> Deviati
         raise ValueError("deviation check limited to side <= 4")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    mu = exact_mu_n(g, a)
-    table = PlusTable(mu.spins, mu.energies, mu.mags)
+    mu, table, laws = _mu_n_with_laws(g, a)
     nsq = n * n
     n2a = float(n) ** (2 * a)
 
@@ -241,7 +254,7 @@ def deviation_bound_check(g: BoxGeometry | int, a: float, eps: float) -> Deviati
     grid_above = [b * b / n2a for b in range(nsq + 1) if b * b / n2a >= t_hi]
     grid_above.append(t_hi)
     rhs_above = (nsq + 1) / mu.z_direct * max(
-        _plus_mag_tail(table, t, lo=thr_hi, hi=None) for t in grid_above
+        _plus_mag_tail(table, t, lo=thr_hi, hi=None, laws=laws) for t in grid_above
     )
 
     t_lo = T_CRITICAL - eps
@@ -255,7 +268,7 @@ def deviation_bound_check(g: BoxGeometry | int, a: float, eps: float) -> Deviati
         grid_below = [b * b / n2a for b in range(nsq + 1) if b * b / n2a <= t_lo]
         grid_below.append(t_lo)
         rhs_below = (nsq + 1) / mu.z_direct * max(
-            _plus_mag_tail(table, t, lo=None, hi=thr_lo) for t in grid_below
+            _plus_mag_tail(table, t, lo=None, hi=thr_lo, laws=laws) for t in grid_below
         )
 
     return DeviationReport(

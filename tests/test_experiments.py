@@ -211,6 +211,18 @@ def test_csv_cell_formatting():
     assert cell("sw") == "sw"
 
 
+@pytest.mark.parametrize("x", [True, False, 0, -3, 2 ** 40, 0.1 + 0.2, -0.0,
+                               5e-324, 1.7976931348623157e308, math.inf])
+def test_csv_cell_spells_python_and_numpy_scalars_alike(x):
+    # the exact-type path for built-ins and the isinstance path for numpy
+    # scalars write the same bytes
+    cell = experiments._csv_cell
+    as_numpy = np.asarray([x])[0]
+    assert type(as_numpy) is not type(x)
+    assert cell(x) == cell(as_numpy)
+    assert cell(x) == cell(as_numpy.tolist())
+
+
 def test_run_enumerate_files_and_metadata(tmp_path):
     # n = 4 has a 2 x 2 interior, so 16 spin configurations
     out = tmp_path / "enum"
@@ -415,6 +427,18 @@ def test_cli_exponent_outside_range_exit_2(argv, capsys):
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "config"
     assert err["message"].startswith("a:")
+
+
+@pytest.mark.parametrize("command", ["soc-run", "soc-compare", "enumerate"])
+@pytest.mark.parametrize("a", ["0", "-1", "nan", "inf"])
+def test_cli_exponent_not_finite_and_positive_exit_2(command, a, tmp_path,
+                                                     capsys):
+    out = tmp_path / "never"
+    assert cli_main([command, "--a", a, "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config"
+    assert err["message"].startswith("a:")
+    assert not out.exists()
 
 
 def test_cli_success_and_json_line(tmp_path, capsys):

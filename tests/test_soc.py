@@ -30,6 +30,7 @@ from soc_ising import (
     theta_asymptotic,
     two_timescale_dynamics,
 )
+from soc_ising.ising import PlusTable
 from soc_ising.soc import _PROPOSAL_BLOCK
 
 
@@ -178,6 +179,24 @@ def test_mu_prob_of_reads_every_row(n, exact):
 def test_deviation_bound_check_equals_oracle(n, a, eps):
     assert_fields_bit_equal(deviation_bound_check(n, a, eps),
                             deviation_bound_check_oracle(n, a, eps))
+
+
+def test_deviation_bound_check_computes_each_gibbs_law_once(monkeypatch):
+    # side 4, a = 1.94, eps = 0.1: the grids hold 17 temperatures b^2 /
+    # n^(2a) (b = 0 is the ground state, no Gibbs law) and the two interval
+    # ends; the five levels of mu_n are among them, so 18 distinct laws
+    temps = []
+    log_gibbs = PlusTable.log_gibbs
+
+    def counted(self, t):
+        temps.append(t)
+        return log_gibbs(self, t)
+
+    monkeypatch.setattr(PlusTable, "log_gibbs", counted)
+    rep = deviation_bound_check(4, 1.94, 0.1)
+    assert len(temps) == len(set(temps)) == 18
+    monkeypatch.undo()
+    assert_fields_bit_equal(rep, deviation_bound_check_oracle(4, 1.94, 0.1))
 
 
 def test_mu_and_mu_prime_differ():
