@@ -376,9 +376,11 @@ _PROPOSAL_BLOCK = 1 << 16
 # first window of proposals the screen tests; each miss doubles it
 _SCREEN_WINDOW = 256
 # first stretch of proposals the scalar loop takes after a screened
-# acceptance; each stretch that flips doubles it, one that flips nothing
-# hands back to the screen
+# acceptance; each stretch that flips doubles it, up to the maximum that
+# bounds the lists a stretch converts, and one that flips nothing hands
+# back to the screen
 _SCALAR_STRETCH = 16
+_SCALAR_STRETCH_MAX = 1 << 12
 
 
 def _acceptance_table(h: int, m: int, n2a: float, accounted: bool) -> np.ndarray:
@@ -408,7 +410,11 @@ def _acceptance_table(h: int, m: int, n2a: float, accounted: bool) -> np.ndarray
 def _first_acceptance(us: np.ndarray, picks: np.ndarray, site_thr: np.ndarray,
                       pos: int, end: int) -> int:
     """Index of the first proposal in [pos, end) whose uniform falls below
-    its site's threshold, or end; windows double from _SCREEN_WINDOW."""
+    its site's threshold, or end; windows double from _SCREEN_WINDOW.
+
+    The scalar loop tests the proposal found here again, so the screen
+    must never pass over an acceptance; stopping early would cost time
+    only."""
     w = _SCREEN_WINDOW
     while pos < end:
         stop = min(pos + w, end)
@@ -533,7 +539,7 @@ def naive_mu_prime_dynamics(
                         flipped += nflip
                 if not flipped:
                     break
-                stretch *= 2
+                stretch = min(2 * stretch, _SCALAR_STRETCH_MAX)
         done += nb
     sweep_end = np.arange(1, total + 1, dtype=np.int64) * ni
     at = np.array(seg_end, dtype=np.int64)
