@@ -236,7 +236,7 @@ def deviation_bound_check(g: BoxGeometry | int, a: float, eps: float) -> Deviati
     carry probability are b^2 / n^(2a) for integer levels b, so the grid is
     those values (restricted to the relevant side of T_c) together with the
     interval endpoint.  Each distinct temperature's Gibbs law is computed
-    once per call, the levels' shared with μ_n.
+    once per call, the levels' shared with mu_n.
     """
     g = as_box(g)
     n = g.n
@@ -418,10 +418,9 @@ def _first_acceptance(us: np.ndarray, picks: np.ndarray, site_thr: np.ndarray,
     w = _SCREEN_WINDOW
     while pos < end:
         stop = min(pos + w, end)
-        hit = us[pos:stop] < site_thr.take(picks[pos:stop])
-        i = int(hit.argmax())
-        if hit[i]:
-            return pos + i
+        hit = np.flatnonzero(us[pos:stop] < site_thr.take(picks[pos:stop]))
+        if hit.size:
+            return pos + int(hit[0])
         pos = stop
         w *= 2
     return end
@@ -541,13 +540,14 @@ def naive_mu_prime_dynamics(
                     break
                 stretch = min(2 * stretch, _SCALAR_STRETCH_MAX)
         done += nb
-    sweep_end = np.arange(1, total + 1, dtype=np.int64) * ni
-    at = np.array(seg_end, dtype=np.int64)
+    # segments never cross a sweep's end, so sweep r's m is the one after
+    # the last segment of sweeps 0..r; the float sums of the integer flip
+    # counts are exact
+    seg_sweep = (np.array(seg_end, dtype=np.int64) - 1) // ni
     mags = np.array([m0] + seg_m, dtype=np.int64)[
-        np.searchsorted(at, sweep_end, side="right")]
-    flips = np.zeros(total, dtype=np.int64)
-    if seg_end:
-        np.add.at(flips, (at - 1) // ni, seg_flips)
+        np.bincount(seg_sweep, minlength=total).cumsum()]
+    flips = np.bincount(seg_sweep, weights=seg_flips,
+                        minlength=total).astype(np.int64)
     if burn_in is None:
         burn_in = total // 4
     return SocTrajectory(
