@@ -371,8 +371,8 @@ def two_timescale_dynamics(
 
 
 # proposals per block of draws: a block's picks and uniforms take at most
-# 768 KB
-_PROPOSAL_BLOCK = 1 << 16
+# 48 KB, little enough not to raise a run's peak memory
+_PROPOSAL_BLOCK = 1 << 12
 # first window of proposals the screen tests; each miss doubles it
 _SCREEN_WINDOW = 256
 # first stretch of proposals the scalar loop takes after a screened
@@ -445,8 +445,8 @@ def naive_mu_prime_dynamics(
 
     Each sweep draws its picks with one `rng.integers(0, ni, ni)` call
     (int32, the same values and generator state as int64) and then its
-    uniforms with one `rng.random(ni)` call; blocks of at most 2^16
-    proposals are drawn ahead and stacked.  Between two flips the state
+    uniforms with one `rng.random(ni)` call; blocks of at most 2^12
+    proposals (at least one sweep) are drawn ahead and stacked.  Between two flips the state
     (H, m) is frozen, so a proposal's fate depends only on its spin, its
     neighbour sum and its uniform: `_acceptance_table` gives, per state,
     the 10 thresholds that decide u < thr exactly as the scalar test

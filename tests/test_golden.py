@@ -58,8 +58,7 @@ GOLDEN = {
         "86cbf14c3ddd0de10856dda296a16ce13fd3d6d238c8e9221dc0da3f6fef510e",
         "38d0d0ebe0fc1e61a3145d6166c9e9f9269da436141dffd45d23e79a802cb6dd",
     ),
-    # side 33: 80 sweeps of 961 proposals draw more than one block of
-    # 2^16 proposals
+    # side 33: 80 sweeps of 961 proposals span many blocks of draws
     "soc-compare-blocks": (
         ["soc-compare", "--n", "33", "--total", "80"],
         "18c95b371fa24b7b75d804276a856024b1bb55cd03cc72d2cbcfb0b37d09df0e",

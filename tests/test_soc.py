@@ -306,10 +306,10 @@ def _assert_naive_matches_oracle(n, a, total, seed, accounted):
 
 
 def _naive_total(n):
-    """300 sweeps, or at sides 16 and 33 two sweeps more than one block of
-    draws holds."""
+    """300 sweeps, or at sides 16 and 33 two sweeps more than three blocks
+    of draws hold."""
     if n in (16, 33):
-        return _PROPOSAL_BLOCK // (n - 2) ** 2 + 2
+        return 3 * (_PROPOSAL_BLOCK // (n - 2) ** 2) + 2
     return 300
 
 
