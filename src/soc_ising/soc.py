@@ -471,9 +471,9 @@ def naive_mu_prime_dynamics(
     plus1 = bytearray([2]) * (n * n)
     grid = np.frombuffer(plus1, dtype=np.uint8).reshape(n, n)
     tables: dict[tuple[int, int], np.ndarray] = {}
-    # one entry per sweep segment of a scalar stretch that flipped: the
-    # proposal count at its end, m there, and its flips
-    seg_end, seg_m, seg_flips = [], [], []
+    # one entry per sweep segment of a scalar stretch that flipped: its
+    # sweep, m at its end, and its flips
+    seg_sweep, seg_m, seg_flips = [], [], []
     exp = math.exp
     per_block = max(1, _PROPOSAL_BLOCK // ni) if ni else 0
     done = 0
@@ -485,7 +485,7 @@ def naive_mu_prime_dynamics(
             picks[r] = rng.integers(0, ni, size=ni, dtype=np.int32)
             rng.random(out=us[r])
         picks, us = picks.ravel(), us.ravel()
-        base, end, pos = done * ni, nb * ni, 0
+        end, pos = nb * ni, 0
         while pos < end:
             thr = tables.get((h, m))
             if thr is None:
@@ -532,7 +532,7 @@ def naive_mu_prime_dynamics(
                             nflip += 1
                     pos = seg
                     if nflip:
-                        seg_end.append(base + seg)
+                        seg_sweep.append(done + (seg - 1) // ni)
                         seg_m.append(m)
                         seg_flips.append(nflip)
                         flipped += nflip
@@ -540,10 +540,9 @@ def naive_mu_prime_dynamics(
                     break
                 stretch = min(2 * stretch, _SCALAR_STRETCH_MAX)
         done += nb
-    # segments never cross a sweep's end, so sweep r's m is the one after
-    # the last segment of sweeps 0..r; the float sums of the integer flip
-    # counts are exact
-    seg_sweep = (np.array(seg_end, dtype=np.int64) - 1) // ni
+    # sweep r's m is the one after the last segment of sweeps 0..r; the
+    # float sums of the integer flip counts are exact
+    seg_sweep = np.array(seg_sweep, dtype=np.int64)
     mags = np.array([m0] + seg_m, dtype=np.int64)[
         np.bincount(seg_sweep, minlength=total).cumsum()]
     flips = np.bincount(seg_sweep, weights=seg_flips,
