@@ -371,10 +371,13 @@ def two_timescale_dynamics(
 
 
 # proposals per block of draws: a block's picks and uniforms take at most
-# 48 KB, little enough not to raise a run's peak memory
+# 48 KB
 _PROPOSAL_BLOCK = 1 << 12
-# first window of proposals the screen tests; each miss doubles it
+# first window of proposals the screen tests; each miss doubles it, up to
+# the maximum that keeps the screen's temporaries at a few KB (larger ones
+# raised a run's peak memory)
 _SCREEN_WINDOW = 256
+_SCREEN_WINDOW_MAX = 1024
 # first stretch of proposals the scalar loop takes after a screened
 # acceptance; each stretch that flips doubles it, up to the maximum that
 # bounds the lists a stretch converts, and one that flips nothing hands
@@ -410,7 +413,8 @@ def _acceptance_table(h: int, m: int, n2a: float, accounted: bool) -> np.ndarray
 def _first_acceptance(us: np.ndarray, picks: np.ndarray, site_thr: np.ndarray,
                       pos: int, end: int) -> int:
     """Index of the first proposal in [pos, end) whose uniform falls below
-    its site's threshold, or end; windows double from _SCREEN_WINDOW.
+    its site's threshold, or end; windows double from _SCREEN_WINDOW up to
+    _SCREEN_WINDOW_MAX.
 
     The scalar loop tests the proposal found here again, so the screen
     must never pass over an acceptance; stopping early would cost time
@@ -422,7 +426,7 @@ def _first_acceptance(us: np.ndarray, picks: np.ndarray, site_thr: np.ndarray,
         if hit.size:
             return pos + int(hit[0])
         pos = stop
-        w *= 2
+        w = min(2 * w, _SCREEN_WINDOW_MAX)
     return end
 
 
