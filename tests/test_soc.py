@@ -31,7 +31,7 @@ from soc_ising import (
     two_timescale_dynamics,
 )
 from soc_ising.ising import PlusTable
-from soc_ising.soc import _PROPOSAL_BLOCK
+from soc_ising._mu_prime import _PROPOSAL_BLOCK
 
 
 def test_feedback_params_ranges():
@@ -326,7 +326,7 @@ def test_naive_dynamics_equals_numpy_oracle(n, a, accounted):
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(n=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1),
        a=st.sampled_from([0.5, 1.5, 1.8, 1.94, 1.99]) | st.floats(0.2, 2.2),
-       total=st.integers(1, 40), accounted=st.booleans())
+       total=st.integers(1, 100), accounted=st.booleans())
 def test_naive_dynamics_equals_oracle_on_random_settings(n, seed, a, total,
                                                          accounted):
     _assert_naive_matches_oracle(n, a, total, seed, accounted)
