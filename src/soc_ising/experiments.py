@@ -598,20 +598,14 @@ _RUNNERS = {
 COMMANDS = tuple(_RUNNERS)
 
 
-# CSV spelling of each exact built-in cell type; anything else (numpy
-# scalars among it) takes the isinstance path of _csv_cell
-_CELL_FORMAT = {
-    bool: lambda x: "1" if x else "0",
-    int: str,
-    float: repr,
-    str: str,
-}
-
-
 def _csv_cell(x) -> str:
-    fmt = _CELL_FORMAT.get(type(x))
-    if fmt is not None:
-        return fmt(x)
+    # exact built-in types first; bool and numpy scalars take the
+    # isinstance path
+    kind = type(x)
+    if kind is float:
+        return repr(x)
+    if kind is int or kind is str:
+        return str(x)
     if isinstance(x, (bool, np.bool_)):
         return "1" if x else "0"
     if isinstance(x, (int, np.integer)):
