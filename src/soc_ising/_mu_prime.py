@@ -136,8 +136,8 @@ def metropolis_records(g: BoxGeometry, n2a: float, total: int,
                         m_new = m - 2 * s
                         if m_new == 0:
                             continue  # zero-weight target state
-                        # the expression _acceptance_table tabulates; a
-                        # call per proposal would slow this loop by a fifth
+                        # the expression _acceptance_table tabulates,
+                        # inline because it runs once per proposal
                         if accounted:
                             log_acc = (h / (m * m / n2a)
                                        - (h + dh) / (m_new * m_new / n2a))
