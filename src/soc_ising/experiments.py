@@ -345,10 +345,9 @@ def _run_soc_compare(cfg: ExperimentConfig):
                 burn_in=_auto(cfg.burn_in, None),
             )
             chain += 1
-            records = zip(traj.steps.tolist(), traj.temps.tolist(),
-                          traj.mags.tolist(), traj.flips.tolist())
-            rows.extend([n, traj.variant, step, t, m, f]
-                        for step, t, m, f in records)
+            for step, t, m, f in zip(traj.steps.tolist(), traj.temps.tolist(),
+                                     traj.mags.tolist(), traj.flips.tolist()):
+                rows.append([n, traj.variant, step, t, m, f])
             cells.append({"n": n, "variant": traj.variant,
                           **_trajectory_summary(traj)})
     return cols, rows, {"t_critical": T_CRITICAL, "cells": cells}
