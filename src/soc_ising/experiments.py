@@ -35,8 +35,10 @@ from .fk import (
     sample_chain,
     tail_statistics,
 )
-from .coupling import dual_parameter, duality_check, es_pushforward_check
+from .coupling import (
+    dual_parameter, duality_check, es_pushforward_check, t_to_p)
 from .soc import (
+    FeedbackParams,
     edge_closing_price,
     exact_mu_n,
     exact_mu_prime,
@@ -105,18 +107,22 @@ class ExperimentConfig:
         if not (math.isfinite(self.a) and self.a > 0):
             raise ValueError(f"a: the feedback exponent must be finite and "
                              f"> 0, got {self.a!r}")
-        if self.t is not None and self.t < 0:
-            raise ValueError("t: temperature must be >= 0")
+        # each check is worded so that nan fails it
+        if self.t is not None and not (math.isfinite(self.t) and self.t >= 0):
+            raise ValueError(f"t: temperature must be finite and >= 0, got "
+                             f"{self.t!r}")
         if self.p is not None and not 0.0 <= self.p <= 1.0:
             raise ValueError("p: bond density must lie in [0, 1]")
-        if self.q < 1:
-            raise ValueError("q: cluster weight must be >= 1")
+        if not (math.isfinite(self.q) and self.q >= 1):
+            raise ValueError(f"q: cluster weight must be finite and >= 1, "
+                             f"got {self.q!r}")
         if self.bc not in (0, 1):
             raise ValueError("bc: 0 (free) or 1 (wired)")
         if self.method not in ("sw", "single-bond"):
             raise ValueError("method: 'sw' or 'single-bond'")
-        if self.tau < 1 or self.total < 1 or self.thin < 1 or self.samples < 1:
-            raise ValueError("tau, total, thin, samples must be >= 1")
+        for key in ("tau", "total", "thin", "samples"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key}: must be >= 1")
         if self.burn_in < -1:
             raise ValueError("burn_in: -1 (auto) or >= 0")
         # runs with no record after burn-in have no statistics to report
@@ -134,7 +140,7 @@ class ExperimentConfig:
                 raise ValueError(f"n: {self.command} takes one box side in "
                                  f"[{lo}, {hi}]")
         if (self.command in ("surgery-demo", "fss-freq")
-                and not 31.0 / 16.0 < self.a < 2.0):
+                and not FeedbackParams(self.a).valid_conditional_range):
             raise ValueError(f"a: {self.command} needs the exponent in "
                              f"(31/16, 2), got {self.a!r}")
         if self.command in _SAMPLING:
@@ -162,8 +168,10 @@ class ExperimentConfig:
             raise ValueError("seed: a 64-bit unsigned integer")
         if self.snapshot_every < 0:
             raise ValueError("snapshot_every: 0 (off) or a positive stride")
-        if self.delta <= 0 or self.k_budget <= 0:
-            raise ValueError("delta and k_budget must be positive")
+        for key in ("delta", "k_budget"):
+            val = getattr(self, key)
+            if not (math.isfinite(val) and val > 0):
+                raise ValueError(f"{key}: must be finite and > 0, got {val!r}")
         if self.min_hits < 1:
             raise ValueError("min_hits must be >= 1")
         if self.v is not None and self.v < 0:
@@ -319,10 +327,11 @@ def _run_soc_run(cfg: ExperimentConfig):
             burn_in=_auto(cfg.burn_in, None),
             snapshot_every=cfg.snapshot_every,
         )
-        for r in range(len(traj.steps)):
-            rows.append([n, i, int(traj.steps[r]), float(traj.temps[r]),
-                         int(traj.mags[r]), int(traj.flips[r]),
-                         bool(traj.floor_used[r]), int(traj.m_ns[r])])
+        for step, t, m, f, floored, m_n in zip(
+                traj.steps.tolist(), traj.temps.tolist(), traj.mags.tolist(),
+                traj.flips.tolist(), traj.floor_used.tolist(),
+                traj.m_ns.tolist()):
+            rows.append([n, i, step, t, m, f, floored, m_n])
         per_n.append({
             "n": n,
             "records": len(traj.steps),
@@ -394,8 +403,7 @@ def _run_coupling_verify(cfg: ExperimentConfig):
     rows = []
     for t in ts:
         spin_err, bond_err = es_pushforward_check(n, t)
-        p = 1.0 - math.exp(-2.0 / t) if t > 0 else 1.0
-        rows.append([n, float(t), p, spin_err, bond_err])
+        rows.append([n, float(t), t_to_p(t), spin_err, bond_err])
     worst = max(max(r[3], r[4]) for r in rows)
     return cols, rows, {"n": n, "temperatures": [float(t) for t in ts],
                         "max_error": worst}

@@ -41,8 +41,8 @@ class FKParams:
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("p must be in [0, 1]")
-        if self.q < 1:
-            raise ValueError("q must be >= 1")
+        if not (math.isfinite(self.q) and self.q >= 1):
+            raise ValueError(f"q must be finite and >= 1, got {self.q!r}")
         if self.bc not in (0, 1):
             raise ValueError("bc must be 0 (free) or 1 (wired)")
 

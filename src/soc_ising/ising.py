@@ -27,8 +27,9 @@ class IsingParams:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if self.t < 0:
-            raise ValueError("temperature must be >= 0")
+        if not (math.isfinite(self.t) and self.t >= 0):
+            raise ValueError(f"temperature must be finite and >= 0, got "
+                             f"{self.t!r}")
 
 
 class SpinConfig:

@@ -37,8 +37,8 @@ class FeedbackParams:
     rho: float = field(init=False)
 
     def __post_init__(self):
-        if self.a <= 0:
-            raise ValueError("exponent a must be positive")
+        if not (math.isfinite(self.a) and self.a > 0):
+            raise ValueError(f"exponent a must be finite and > 0, got {self.a!r}")
         self.valid_theorem_range = 81.0 / 41.0 < self.a < 2.0
         self.valid_conditional_range = 31.0 / 16.0 < self.a < 2.0
         self.rho = max(self.a / 2.0, 33.0 / 2.0 - 8.0 * self.a)
@@ -391,12 +391,13 @@ def naive_mu_prime_dynamics(
     uniforms with one `rng.random(ni)` call; blocks of at most 2^12
     proposals (at least one sweep) are drawn ahead and stacked.  Between
     two flips the state (H, m) is frozen, so a proposal's fate depends
-    only on its spin, its neighbour sum and its uniform: one table of 10
-    thresholds per state decides u < thr exactly as the scalar test does.
-    numpy screens the stacked proposals against the table and skips every
-    rejection up to the next acceptance; from there a scalar loop runs the
-    proposals one by one, and hands back to the screen after a stretch
-    that flips nothing.  The output is the same as running every proposal
+    only on its spin, its neighbour sum and its uniform: a table of 10
+    thresholds, built for the state each time the screen starts, decides
+    u < thr exactly as the scalar test does.  numpy screens the stacked
+    proposals against the table and skips every rejection up to the next
+    acceptance; from there a scalar loop runs the proposals one by one,
+    records each flip's sweep and m, and hands back to the screen after a
+    stretch that flips nothing.  The output is the same as running every proposal
     in turn, draw for draw.  The kernel lives in `_mu_prime`.
     """
     # imported on first use; see the module's docstring

@@ -29,7 +29,7 @@ import numpy as np
 
 from .lattice import BoxGeometry
 from .fk import BondConfig, ClusterDecomposition, decompose, close_edges
-from .soc import theta_asymptotic
+from .soc import FeedbackParams, theta_asymptotic
 
 
 @dataclass
@@ -51,12 +51,12 @@ class EventParams:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("side must be >= 1")
-        if not 31.0 / 16.0 < self.a < 2.0:
+        if not FeedbackParams(self.a).valid_conditional_range:
             raise ValueError("exponent a must lie in (31/16, 2)")
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
-        if self.K <= 0:
-            raise ValueError("K must be positive")
+        if not (math.isfinite(self.delta) and self.delta > 0):
+            raise ValueError(f"delta must be finite and > 0, got {self.delta!r}")
+        if not (math.isfinite(self.K) and self.K > 0):
+            raise ValueError(f"K must be finite and > 0, got {self.K!r}")
         assert self.lam > self.mu > self.nu
 
     @property

@@ -441,6 +441,57 @@ def test_cli_exponent_not_finite_and_positive_exit_2(command, a, tmp_path,
     assert not out.exists()
 
 
+# a command that reads each key, with the other settings it needs; nan
+# must fail each check as inf does
+_NON_FINITE = [
+    ("coupling-verify", "t", {}),
+    ("duality-verify", "q", {}),
+    ("fk-sample", "q", {"method": "single-bond"}),
+    ("surgery-demo", "delta", {}),
+    ("fss-freq", "delta", {"p": "0.6"}),
+    ("surgery-demo", "k_budget", {}),
+]
+
+
+@pytest.mark.parametrize("command, key, extra", _NON_FINITE)
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_build_config_rejects_non_finite_values(command, key, extra, bad):
+    with pytest.raises(ValueError, match=f"^{key}: .*finite"):
+        build_config(command, overrides={**extra, key: bad})
+
+
+@pytest.mark.parametrize("command, key, extra", _NON_FINITE)
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_cli_non_finite_values_exit_2(command, key, extra, bad, tmp_path,
+                                      capsys):
+    out = tmp_path / "never"
+    argv = [command, "--out", str(out)]
+    for k, v in {**extra, key: bad}.items():
+        argv += [f"--{k.replace('_', '-')}", v]
+    assert cli_main(argv) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config"
+    assert err["message"].startswith(f"{key}:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["soc-run", "--tau", "0"], "tau: must be >= 1"),
+    (["soc-run", "--total", "0"], "total: must be >= 1"),
+    (["fk-sample", "--thin", "0"], "thin: must be >= 1"),
+    (["fk-sample", "--samples", "0"], "samples: must be >= 1"),
+    (["surgery-demo", "--delta", "0"], "delta: must be finite and > 0"),
+    (["surgery-demo", "--k-budget", "0"], "k_budget: must be finite and > 0"),
+    (["coupling-verify", "--t", "-1"], "t: temperature must be finite and >= 0"),
+    (["duality-verify", "--q", "0.5"], "q: cluster weight must be finite and >= 1"),
+])
+def test_cli_split_messages_name_one_key(argv, message, capsys):
+    assert cli_main(argv) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config"
+    assert err["message"].startswith(message)
+
+
 def test_cli_success_and_json_line(tmp_path, capsys):
     out = tmp_path / "cli"
     code = cli_main(["enumerate", "--n", "3", "--out", str(out)])

@@ -53,6 +53,12 @@ def test_params_validation():
         FKParams(p=0.5, q=2.0, bc=2)
 
 
+@pytest.mark.parametrize("q", [math.nan, math.inf])
+def test_fk_params_reject_non_finite_q(q):
+    with pytest.raises(ValueError, match="finite"):
+        FKParams(p=0.5, q=q, bc=1)
+
+
 def test_bond_config_bitmask_roundtrip():
     g = build_box(3)
     rng = philox(5)

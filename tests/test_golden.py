@@ -64,6 +64,13 @@ GOLDEN = {
         "18c95b371fa24b7b75d804276a856024b1bb55cd03cc72d2cbcfb0b37d09df0e",
         "9601668d6df730fa808fa9e1f5e7dae254f2b41011e3a1de8df51727f77f510f",
     ),
+    # side 67: a sweep of 4,225 proposals fills a draw block by itself,
+    # and the scalar stretch reaches its cap inside it
+    "soc-compare-one-sweep-blocks": (
+        ["soc-compare", "--n", "67", "--a", "0.5", "--total", "3"],
+        "675f9874760f861b4cc06feb50f65ad4d94cd7e980c63050dd697da6e473f1fe",
+        "426a49c99305224b366c874cec1664cdb24456b32bbb314472f8b28d9ffce150",
+    ),
     "fk-sample-sw": (
         ["fk-sample", "--n", "16", "--p", "0.6", "--samples", "30",
          "--burn-in", "10", "--seed", "3"],

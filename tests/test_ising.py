@@ -48,6 +48,12 @@ def test_params_validation():
         IsingParams(n=3, t=-0.5)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_ising_params_reject_non_finite_t(t):
+    with pytest.raises(ValueError, match="finite"):
+        IsingParams(n=3, t=t)
+
+
 def test_spin_config_tracks_magnetization():
     g = build_box(3)
     c = SpinConfig.all_plus(g)

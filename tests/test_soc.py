@@ -2,6 +2,9 @@
 deviation bounds, and the two dynamics."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from helpers import (
     exact_mu_prime_oracle, naive_mu_prime_oracle, philox, prob_of_oracle,
     two_timescale_oracle,
 )
+import soc_ising
 from soc_ising import (
     EPS_T,
     DeviationReport,
@@ -46,6 +50,12 @@ def test_feedback_params_ranges():
     assert abs(FeedbackParams(a=1.94).rho - 0.98) < 1e-12
     with pytest.raises(ValueError):
         FeedbackParams(a=-1.0)
+
+
+@pytest.mark.parametrize("a", [0.0, math.nan, math.inf, -math.inf])
+def test_feedback_params_reject_non_finite_or_non_positive(a):
+    with pytest.raises(ValueError, match="finite"):
+        FeedbackParams(a=a)
 
 
 def test_fixed_point_frozen_oracle_values():
@@ -321,6 +331,38 @@ def test_naive_dynamics_equals_numpy_oracle(n, a, accounted):
                                        accounted)
     # side 3 rarely leaves all-plus in 300 sweeps; larger sides must move
     assert n < 4 or got.flips.sum() > 0
+
+
+# a sweep of 4,096 (side 66) or 4,225 (side 67) proposals fills a draw
+# block by itself; at side 67 the scalar stretch reaches its cap in it
+@pytest.mark.parametrize("n", [66, 67])
+@pytest.mark.parametrize("a", [0.5, 1.99])
+@pytest.mark.parametrize("total", [2, 3, 4])
+@pytest.mark.parametrize("accounted", [True, False])
+def test_naive_dynamics_equals_oracle_at_one_sweep_per_block(n, a, total,
+                                                             accounted):
+    _assert_naive_matches_oracle(n, a, total, 90 + n, accounted)
+
+
+def test_chain_kernel_is_imported_on_first_use(tmp_path):
+    # a fresh interpreter: this module has imported the kernel already
+    src = str(Path(soc_ising.__file__).resolve().parents[1])
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1])\n"
+        "import numpy as np, soc_ising\n"
+        "from soc_ising.cli import main\n"
+        "seen = ['soc_ising._mu_prime' in sys.modules]\n"
+        "main(['soc-run', '--n', '6', '--tau', '2', '--total', '8',\n"
+        "      '--out', sys.argv[2]])\n"
+        "seen.append('soc_ising._mu_prime' in sys.modules)\n"
+        "soc_ising.naive_mu_prime_dynamics(\n"
+        "    4, 1.99, 2, np.random.Generator(np.random.Philox(0)))\n"
+        "seen.append('soc_ising._mu_prime' in sys.modules)\n"
+        "print(seen)\n")
+    out = subprocess.run([sys.executable, "-c", code, src,
+                          str(tmp_path / "run")], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "[False, False, True]"
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
