@@ -104,18 +104,18 @@ class ExperimentConfig:
             raise ValueError(f"unknown command: {self.command}")
         if not self.n or any(int(m) < 1 for m in self.n):
             raise ValueError("n: box sides must be integers >= 1")
-        if not (math.isfinite(self.a) and self.a > 0):
-            raise ValueError(f"a: the feedback exponent must be finite and "
-                             f"> 0, got {self.a!r}")
-        # each check is worded so that nan fails it
-        if self.t is not None and not (math.isfinite(self.t) and self.t >= 0):
-            raise ValueError(f"t: temperature must be finite and >= 0, got "
-                             f"{self.t!r}")
+        # each bound is worded so that nan fails it
+        for key, ok, bound in (("a", self.a > 0, "> 0"),
+                               ("t", self.t is None or self.t >= 0, ">= 0"),
+                               ("q", self.q >= 1, ">= 1"),
+                               ("delta", self.delta > 0, "> 0"),
+                               ("k_budget", self.k_budget > 0, "> 0")):
+            val = getattr(self, key)
+            if not (ok and (val is None or math.isfinite(val))):
+                raise ValueError(f"{key}: must be finite and {bound}, got "
+                                 f"{val!r}")
         if self.p is not None and not 0.0 <= self.p <= 1.0:
             raise ValueError("p: bond density must lie in [0, 1]")
-        if not (math.isfinite(self.q) and self.q >= 1):
-            raise ValueError(f"q: cluster weight must be finite and >= 1, "
-                             f"got {self.q!r}")
         if self.bc not in (0, 1):
             raise ValueError("bc: 0 (free) or 1 (wired)")
         if self.method not in ("sw", "single-bond"):
@@ -168,10 +168,6 @@ class ExperimentConfig:
             raise ValueError("seed: a 64-bit unsigned integer")
         if self.snapshot_every < 0:
             raise ValueError("snapshot_every: 0 (off) or a positive stride")
-        for key in ("delta", "k_budget"):
-            val = getattr(self, key)
-            if not (math.isfinite(val) and val > 0):
-                raise ValueError(f"{key}: must be finite and > 0, got {val!r}")
         if self.min_hits < 1:
             raise ValueError("min_hits must be >= 1")
         if self.v is not None and self.v < 0:

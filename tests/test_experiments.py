@@ -482,8 +482,8 @@ def test_cli_non_finite_values_exit_2(command, key, extra, bad, tmp_path,
     (["fk-sample", "--samples", "0"], "samples: must be >= 1"),
     (["surgery-demo", "--delta", "0"], "delta: must be finite and > 0"),
     (["surgery-demo", "--k-budget", "0"], "k_budget: must be finite and > 0"),
-    (["coupling-verify", "--t", "-1"], "t: temperature must be finite and >= 0"),
-    (["duality-verify", "--q", "0.5"], "q: cluster weight must be finite and >= 1"),
+    (["coupling-verify", "--t", "-1"], "t: must be finite and >= 0"),
+    (["duality-verify", "--q", "0.5"], "q: must be finite and >= 1"),
 ])
 def test_cli_split_messages_name_one_key(argv, message, capsys):
     assert cli_main(argv) == 2
