@@ -85,8 +85,8 @@ def metropolis_records(g: BoxGeometry, n2a: float, total: int,
     # spin + 1 per site, read in place by the screen
     plus1 = bytearray([2]) * (n * n)
     grid = np.frombuffer(plus1, dtype=np.uint8).reshape(n, n)
-    # per flip: its sweep and the m it leaves
-    flip_sweep, m_after = [], []
+    # per sweep: its flip count and the m after its last flip, 0 if none
+    flips, m_end = [0] * total, [0] * total
     exp = math.exp
     t = m * m / n2a
     per_block = max(1, _PROPOSAL_BLOCK // ni) if ni else 0
@@ -113,7 +113,7 @@ def metropolis_records(g: BoxGeometry, n2a: float, total: int,
             stretch = _SCALAR_STRETCH
             while pos < end:
                 stop = min(pos + stretch, end)
-                before = len(m_after)
+                flipped = False
                 for j, k, u in zip(range(base + pos, base + stop),
                                    picks[pos:stop].tolist(),
                                    us[pos:stop].tolist()):
@@ -138,15 +138,17 @@ def metropolis_records(g: BoxGeometry, n2a: float, total: int,
                         m = m_new
                         t = m * m / n2a
                         h += dh
-                        flip_sweep.append(j // ni)
-                        m_after.append(m)
+                        sw = j // ni
+                        flips[sw] += 1
+                        m_end[sw] = m
+                        flipped = True
                 pos = stop
-                if len(m_after) == before:
+                if not flipped:
                     break
                 stretch = min(2 * stretch, _SCALAR_STRETCH_MAX)
         done += nb
-    # sweep r's m is the one after its last flip or an earlier sweep's
-    flips = np.bincount(np.array(flip_sweep, dtype=np.int64),
-                        minlength=total)
-    mags = np.array([m0] + m_after, dtype=np.int64)[flips.cumsum()]
-    return mags, flips
+    # a sweep with no flip (m = 0 is never reached) keeps the m before it
+    m = m0
+    for r, m_r in enumerate(m_end):
+        m = m_end[r] = m_r or m
+    return np.array(m_end, dtype=np.int64), np.array(flips, dtype=np.int64)

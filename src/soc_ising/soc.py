@@ -396,9 +396,10 @@ def naive_mu_prime_dynamics(
     u < thr exactly as the scalar test does.  numpy screens the stacked
     proposals against the table and skips every rejection up to the next
     acceptance; from there a scalar loop runs the proposals one by one,
-    records each flip's sweep and m, and hands back to the screen after a
-    stretch that flips nothing.  The output is the same as running every proposal
-    in turn, draw for draw.  The kernel lives in `_mu_prime`.
+    counts each flip in its sweep and keeps the m after the sweep's last
+    flip, and hands back to the screen after a stretch that flips nothing.
+    The output is the same as running every proposal in turn, draw for
+    draw.  The kernel lives in `_mu_prime`.
     """
     # imported on first use; see the module's docstring
     from ._mu_prime import metropolis_records

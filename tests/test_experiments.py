@@ -359,6 +359,17 @@ def test_fss_frequency_rejects_subcritical_density():
                                             "samples": "5"})
 
 
+def test_coupling_verify_writes_the_checked_bond_density(tmp_path):
+    # at T = 10, 1 - exp(-2/T) ends in ...818 and -expm1(-2/T), the
+    # density that es_pushforward_check uses, in ...815
+    out = tmp_path / "cv"
+    run(build_config("coupling-verify", overrides={"n": "1", "t": "10",
+                                                   "out": str(out)}))
+    with open(out / "rows.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["p"] for r in rows] == ["0.18126924692201815"]
+
+
 def test_coupling_verify_box_guard():
     with pytest.raises(ValueError, match="^n: coupling-verify takes one box side"):
         build_config("coupling-verify", overrides={"n": "4"})

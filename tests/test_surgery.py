@@ -16,7 +16,6 @@ from helpers import (
 from soc_ising import (
     BondConfig,
     EventParams,
-    FeedbackParams,
     FKParams,
     annulus_cut_H0,
     bernoulli_bonds,
@@ -51,7 +50,10 @@ def test_event_params_validation_and_derived_values():
     with pytest.raises(ValueError):
         EventParams(n=30, a=1.9)  # below 31/16
     with pytest.raises(ValueError):
+        EventParams(n=30, a=31.0 / 16.0)  # the range is open
+    with pytest.raises(ValueError):
         EventParams(n=30, a=2.0)
+    assert EventParams(n=30, a=1.999).a == 1.999
     with pytest.raises(ValueError):
         EventParams(n=0, a=1.95)
     with pytest.raises(ValueError):
@@ -65,17 +67,6 @@ def test_event_params_validation_and_derived_values():
 def test_event_params_reject_non_finite_values(kwargs):
     with pytest.raises(ValueError):
         EventParams(**{"n": 30, "a": 1.95, **kwargs})
-
-
-@pytest.mark.parametrize("a", [1.9, 31.0 / 16.0, 1.95, 1.999, 2.0])
-def test_event_params_share_the_conditional_range(a):
-    ok = FeedbackParams(a).valid_conditional_range
-    try:
-        EventParams(n=30, a=a)
-    except ValueError:
-        assert not ok
-    else:
-        assert ok
 
 
 def _path_config(n=12, length=5):
