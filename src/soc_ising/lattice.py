@@ -235,29 +235,22 @@ class DualGeometry:
         self.primal = build_box(n)
         self.dual = build_box(n - 1)
         g, d = self.primal, self.dual
-        # identified dual endpoints: shift (0,0) for odd n, (1,1) for even n
+        # shift (0,0) for odd n, (1,1) for even n: the dual edge crossing e
+        # ends at e's lower endpoint shifted by (s, s) and starts one step back
+        # across e (a +y dual edge for a horizontal e, +x for a vertical one)
         s = 0 if n % 2 == 1 else 1
-        edge_map = np.full(g.n_edges, -1, dtype=np.int64)
-        primal_of = np.full(d.n_edges, -1, dtype=np.int64)
-        for e in np.flatnonzero(g.interior_edge_mask):
-            a, b = g.edges[e]
-            ax, ay = g.coord(int(a))
-            bx, by = g.coord(int(b))
-            if bx == ax + 1:  # horizontal edge -> vertical dual edge
-                p1 = (ax + s, ay - 1 + s)
-                p2 = (ax + s, ay + s)
-            else:  # vertical edge -> horizontal dual edge
-                p1 = (ax - 1 + s, ay + s)
-                p2 = (ax + s, ay + s)
-            de = d.edge_id(d.vertex_id(*p1), d.vertex_id(*p2))
-            if primal_of[de] != -1:
-                raise AssertionError("dual edge hit twice; pairing broken")
-            edge_map[int(e)] = de
-            primal_of[de] = int(e)
-        if int(g.interior_edge_mask.sum()) != d.n_edges:
-            raise AssertionError("interior/dual edge counts disagree")
-        self.edge_map = edge_map
-        self.primal_of = primal_of
+        interior = np.flatnonzero(g.interior_edge_mask)
+        a = g.edge_a[interior]
+        horiz = g.edge_b[interior] - a == n
+        x = g.coords[a, 0] + s - ~horiz
+        y = g.coords[a, 1] + s - horiz
+        de = d.incident_edges[(x - d.lo) * d.n + (y - d.lo), np.where(horiz, 2, 3)]
+        if not np.array_equal(np.sort(de), np.arange(d.n_edges)):
+            raise AssertionError("interior and dual edges do not pair; pairing broken")
+        self.edge_map = np.full(g.n_edges, -1, dtype=np.int64)
+        self.edge_map[interior] = de
+        self.primal_of = np.empty(d.n_edges, dtype=np.int64)
+        self.primal_of[de] = interior
 
 
 @lru_cache(maxsize=None)

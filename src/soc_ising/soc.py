@@ -138,14 +138,12 @@ def _mu_front(g: BoxGeometry | int, a: float) -> tuple[BoxGeometry, PlusTable, f
     return g, table, n2a, (mags.astype(float) ** 2) / n2a
 
 
-def _mu_n_with_laws(g: BoxGeometry | int, a: float
-                    ) -> tuple[ExactMuN, PlusTable, dict[float, np.ndarray]]:
-    """The self-tuned law on a box of side <= 4, with its plus table and
-    the table's log Gibbs law at each level's temperature m^2 / n^(2a),
-    keyed by that temperature."""
+def exact_mu_n(g: BoxGeometry | int, a: float) -> ExactMuN:
+    """Enumerate the self-tuned law on a box of side <= 4."""
     g, table, n2a, temps = _mu_front(g, a)
     mags = table.magnetizations
     ms = mags.tolist()
+    # the table's log Gibbs law at each level's temperature m^2 / n^(2a)
     laws = {b2 / n2a: table.log_gibbs(b2 / n2a)[0] for b2 in {m * m for m in ms}}
     weights = np.exp([laws[m * m / n2a][i] for i, m in enumerate(ms)])
     z_direct = float(weights.sum())
@@ -154,17 +152,11 @@ def _mu_n_with_laws(g: BoxGeometry | int, a: float
     for b in sorted(set(ms)):
         z_rewrite += float(np.exp(_logsumexp(laws[b * b / n2a][mags == b])))
 
-    mu = ExactMuN(
+    return ExactMuN(
         g=g, a=a, spins=table.spins, mags=mags, energies=table.energies,
         temps=temps, probs=weights / z_direct, z_direct=z_direct,
         z_rewrite=z_rewrite,
     )
-    return mu, table, laws
-
-
-def exact_mu_n(g: BoxGeometry | int, a: float) -> ExactMuN:
-    """Enumerate the self-tuned law on a box of side <= 4."""
-    return _mu_n_with_laws(g, a)[0]
 
 
 def exact_mu_prime(g: BoxGeometry | int, a: float) -> ExactMuN:
@@ -207,19 +199,14 @@ class DeviationReport:
         return self.lhs_below <= self.rhs_below + 1e-12
 
 
-def _plus_mag_tail(table: PlusTable, t: float, lo: float | None, hi: float | None,
-                   laws: dict[float, np.ndarray]) -> float:
-    """mu+ probability that |m| >= lo (and/or <= hi) at temperature t.
-    `laws` holds the table's log Gibbs law per temperature t > 0; a
-    missing one is computed and added."""
+def _plus_mag_tail(table: PlusTable, t: float, lo: float | None, hi: float | None) -> float:
+    """mu+ probability that |m| >= lo (and/or <= hi) at temperature t."""
     am = np.abs(table.magnetizations)
     if t == 0:
         probs = (table.energies == table.energies.min()).astype(float)
         probs /= probs.sum()
     else:
-        if t not in laws:
-            laws[t] = table.log_gibbs(t)[0]
-        probs = np.exp(laws[t])
+        probs = np.exp(table.log_gibbs(t)[0])
     keep = np.ones(len(am), dtype=bool)
     if lo is not None:
         keep &= am >= lo
@@ -228,50 +215,46 @@ def _plus_mag_tail(table: PlusTable, t: float, lo: float | None, hi: float | Non
     return float(probs[keep].sum())
 
 
+def _deviation_side(mu: ExactMuN, table: PlusTable, t_end: float, above: bool
+                    ) -> tuple[float, float, list[float]]:
+    """One deviation inequality, for T >= t_end (above) or T <= t_end:
+    mu_n's mass on that side, the bound (n^2 + 1) / Z_n times the largest
+    mu+ tail of |m| beyond n^a sqrt(t_end) over the side's temperature
+    grid, and the grid."""
+    n = mu.g.n
+    nsq = n * n
+    n2a = float(n) ** (2 * mu.a)
+    side = np.greater_equal if above else np.less_equal
+    thr = float(n) ** mu.a * math.sqrt(t_end)
+    lhs = float(mu.probs[side(mu.temps, t_end)].sum())
+    grid = [b * b / n2a for b in range(nsq + 1) if side(b * b / n2a, t_end)]
+    grid.append(t_end)
+    lo, hi = (thr, None) if above else (None, thr)
+    rhs = (nsq + 1) / mu.z_direct * max(_plus_mag_tail(table, t, lo, hi) for t in grid)
+    return lhs, rhs, grid
+
+
 def deviation_bound_check(g: BoxGeometry | int, a: float, eps: float) -> DeviationReport:
     """Evaluate both deviation inequalities exactly on a box of side <= 4.
 
     The supremum over temperatures is exact: the only temperatures that can
     carry probability are b^2 / n^(2a) for integer levels b, so the grid is
     those values (restricted to the relevant side of T_c) together with the
-    interval endpoint.  Each distinct temperature's Gibbs law is computed
-    once per call, the levels' shared with mu_n.
+    interval endpoint.  The mu+ tails read mu_n's own rows.
     """
     g = as_box(g)
-    n = g.n
-    if n > 4:
+    if g.n > 4:
         raise ValueError("deviation check limited to side <= 4")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    mu, table, laws = _mu_n_with_laws(g, a)
-    nsq = n * n
-    n2a = float(n) ** (2 * a)
-
-    t_hi = T_CRITICAL + eps
-    thr_hi = float(n) ** a * math.sqrt(t_hi)
-    lhs_above = float(mu.probs[mu.temps >= t_hi].sum())
-    grid_above = [b * b / n2a for b in range(nsq + 1) if b * b / n2a >= t_hi]
-    grid_above.append(t_hi)
-    rhs_above = (nsq + 1) / mu.z_direct * max(
-        _plus_mag_tail(table, t, lo=thr_hi, hi=None, laws=laws) for t in grid_above
-    )
-
+    mu = exact_mu_n(g, a)
+    table = PlusTable(mu.spins, mu.energies, mu.mags)
+    lhs_above, rhs_above, grid_above = _deviation_side(mu, table, T_CRITICAL + eps, True)
     t_lo = T_CRITICAL - eps
-    if t_lo < 0:
-        lhs_below = 0.0
-        rhs_below = 0.0
-        grid_below = []
-    else:
-        thr_lo = float(n) ** a * math.sqrt(t_lo)
-        lhs_below = float(mu.probs[mu.temps <= t_lo].sum())
-        grid_below = [b * b / n2a for b in range(nsq + 1) if b * b / n2a <= t_lo]
-        grid_below.append(t_lo)
-        rhs_below = (nsq + 1) / mu.z_direct * max(
-            _plus_mag_tail(table, t, lo=None, hi=thr_lo, laws=laws) for t in grid_below
-        )
-
+    lhs_below, rhs_below, grid_below = (
+        _deviation_side(mu, table, t_lo, False) if t_lo >= 0 else (0.0, 0.0, []))
     return DeviationReport(
-        n=n, a=a, eps=eps, z_n=mu.z_direct,
+        n=g.n, a=a, eps=eps, z_n=mu.z_direct,
         lhs_above=lhs_above, rhs_above=rhs_above,
         lhs_below=lhs_below, rhs_below=rhs_below,
         grid_above=np.array(grid_above), grid_below=np.array(grid_below),

@@ -5,9 +5,10 @@ mask at a time, one edge at a time) or the plainer design that a faster
 one replaced, so that the library's run-based cluster labelling,
 block-wise pushforwards, windowed single-bond sweep, table-driven
 heat-bath sweep, list-based Metropolis loop, bisecting surgery greedy
-stage, single-labelling sample chain, log-space code paths and the
-exact spin laws built on one plus table are checked against a second
-implementation rather than against themselves.
+stage, single-labelling sample chain, log-space code paths, the exact
+spin laws built on one plus table and the dual pairing's array formulas
+are checked against a second implementation rather than against
+themselves.
 """
 
 import dataclasses
@@ -211,6 +212,34 @@ def duality_check_oracle(n: int, p: float, q: float) -> float:
         pushed[dmask] += pr
     target = exact_fk_distribution(gd, FKParams(dual_parameter(p, q), q, 0))
     return float(np.abs(pushed - target.probs).max())
+
+
+def dual_maps_oracle(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """`DualGeometry(n)`'s `edge_map` and `primal_of`, one interior edge at
+    a time: each dual edge is found by its two endpoints' coordinates."""
+    g, d = build_box(n), build_box(n - 1)
+    # identified dual endpoints: shift (0,0) for odd n, (1,1) for even n
+    s = 0 if n % 2 == 1 else 1
+    edge_map = np.full(g.n_edges, -1, dtype=np.int64)
+    primal_of = np.full(d.n_edges, -1, dtype=np.int64)
+    for e in np.flatnonzero(g.interior_edge_mask):
+        a, b = g.edges[e]
+        ax, ay = g.coord(int(a))
+        bx, by = g.coord(int(b))
+        if bx == ax + 1:  # horizontal edge -> vertical dual edge
+            p1 = (ax + s, ay - 1 + s)
+            p2 = (ax + s, ay + s)
+        else:  # vertical edge -> horizontal dual edge
+            p1 = (ax - 1 + s, ay + s)
+            p2 = (ax + s, ay + s)
+        de = d.edge_id(d.vertex_id(*p1), d.vertex_id(*p2))
+        if primal_of[de] != -1:
+            raise AssertionError("dual edge hit twice; pairing broken")
+        edge_map[int(e)] = de
+        primal_of[de] = int(e)
+    if int(g.interior_edge_mask.sum()) != d.n_edges:
+        raise AssertionError("interior/dual edge counts disagree")
+    return edge_map, primal_of
 
 
 def connected_without_oracle(omega, e: int, wired: bool) -> bool:

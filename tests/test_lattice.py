@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers import dual_maps_oracle
 from soc_ising import (
     box_range,
     build_box,
@@ -166,6 +167,15 @@ def test_dual_pairing_is_a_bijection(n):
     assert (d.edge_map[ring] == -1).all()
     for e in interior:
         assert d.primal_of[d.edge_map[e]] == e
+
+
+@pytest.mark.parametrize("n", range(2, 61))
+def test_dual_maps_equal_per_edge_oracle(n):
+    d = dual_geometry(n)
+    edge_map, primal_of = dual_maps_oracle(n)
+    for got, want in ((d.edge_map, edge_map), (d.primal_of, primal_of)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 def test_dual_edges_cross_their_primal_edges():

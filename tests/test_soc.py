@@ -34,7 +34,7 @@ from soc_ising import (
     theta_asymptotic,
     two_timescale_dynamics,
 )
-from soc_ising.ising import PlusTable
+from soc_ising import ising
 from soc_ising._mu_prime import _PROPOSAL_BLOCK
 
 
@@ -191,22 +191,17 @@ def test_deviation_bound_check_equals_oracle(n, a, eps):
                             deviation_bound_check_oracle(n, a, eps))
 
 
-def test_deviation_bound_check_computes_each_gibbs_law_once(monkeypatch):
-    # side 4, a = 1.94, eps = 0.1: the grids hold 17 temperatures b^2 /
-    # n^(2a) (b = 0 is the ground state, no Gibbs law) and the two interval
-    # ends; the five levels of mu_n are among them, so 18 distinct laws
-    temps = []
-    log_gibbs = PlusTable.log_gibbs
+def test_deviation_bound_check_enumerates_the_plus_table_once(monkeypatch):
+    calls = []
+    enumerate_plus_configs = ising.enumerate_plus_configs
 
-    def counted(self, t):
-        temps.append(t)
-        return log_gibbs(self, t)
+    def counted(g):
+        calls.append(g.n)
+        return enumerate_plus_configs(g)
 
-    monkeypatch.setattr(PlusTable, "log_gibbs", counted)
-    rep = deviation_bound_check(4, 1.94, 0.1)
-    assert len(temps) == len(set(temps)) == 18
-    monkeypatch.undo()
-    assert_fields_bit_equal(rep, deviation_bound_check_oracle(4, 1.94, 0.1))
+    monkeypatch.setattr(ising, "enumerate_plus_configs", counted)
+    deviation_bound_check(4, 1.94, 0.1)
+    assert calls == [4]
 
 
 def test_mu_and_mu_prime_differ():
