@@ -13,7 +13,9 @@ import math
 import numpy as np
 
 from .lattice import BoxGeometry, as_box, build_box, dual_geometry
-from .ising import SpinConfig, enumerate_plus_configs, exact_ising_distribution
+from .ising import (
+    SpinConfig, _plus_rows, enumerate_plus_configs, exact_ising_distribution,
+)
 from .fk import (
     BondConfig, FKParams, boundary_clusters, cluster_labels, cluster_spins,
     enumerate_bond_configs, equal_spin_bonds, exact_fk_distribution,
@@ -22,7 +24,7 @@ from .fk import (
 
 def t_to_p(t: float) -> float:
     """Bond density of the coupling at temperature t (t = 0 gives p = 1)."""
-    if t < 0:
+    if not t >= 0:
         raise ValueError("temperature must be >= 0")
     if t == 0:
         return 1.0
@@ -53,8 +55,8 @@ def dual_parameter(p: float, q: float) -> float:
     self-dual point."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
-    if q < 1:
-        raise ValueError("q must be >= 1")
+    if not (math.isfinite(q) and q >= 1):
+        raise ValueError(f"q must be finite and >= 1, got {q!r}")
     return q * (1.0 - p) / (p + q * (1.0 - p))
 
 
@@ -89,12 +91,6 @@ def dual_config(omega: BondConfig) -> BondConfig:
 
 # masks per block when every wired configuration is mapped to its dual
 _DUAL_BLOCK = 1 << 16
-
-
-def _plus_rows(plus: np.ndarray) -> np.ndarray:
-    """Row of `enumerate_plus_configs` holding each plus-boundary spin row,
-    given which interior vertices are +1: bit i for the i-th of them."""
-    return (plus.astype(np.int64) << np.arange(plus.shape[-1])).sum(axis=-1)
 
 
 def _spin_pushforward(g: BoxGeometry, fk) -> tuple[np.ndarray, np.ndarray]:

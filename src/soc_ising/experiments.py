@@ -169,7 +169,7 @@ class ExperimentConfig:
         if self.snapshot_every < 0:
             raise ValueError("snapshot_every: 0 (off) or a positive stride")
         if self.min_hits < 1:
-            raise ValueError("min_hits must be >= 1")
+            raise ValueError("min_hits: must be >= 1")
         if self.v is not None and self.v < 0:
             raise ValueError("v: vertex id must be >= 0")
         if (self.command == "tail-fit" and self.v is not None

@@ -24,8 +24,8 @@ from .lattice import BoxGeometry, as_box
 
 def p_critical(q: float) -> float:
     """Self-dual point sqrt(q) / (1 + sqrt(q)) of the random-cluster model."""
-    if q < 1:
-        raise ValueError("cluster weight q must be >= 1")
+    if not (math.isfinite(q) and q >= 1):
+        raise ValueError(f"cluster weight q must be finite and >= 1, got {q!r}")
     r = math.sqrt(q)
     return r / (1.0 + r)
 

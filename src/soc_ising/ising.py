@@ -108,7 +108,7 @@ def _logsumexp(a: np.ndarray) -> float:
 
 def conditional_plus_probability(h: float, t: float) -> float:
     """Heat-bath probability of drawing +1 at a site whose neighbours sum to h."""
-    if t <= 0:
+    if not t > 0:
         raise ValueError("heat-bath conditional needs T > 0")
     return _expit(2.0 * h / t)
 
@@ -277,7 +277,7 @@ def heat_bath_sweep(config: SpinConfig, t: float, rng: np.random.Generator,
     Boundary spins never move.  The spins are copied once into the colour
     classes of `_SweepLayout` and once back.
     """
-    if t <= 0:
+    if not t > 0:
         raise ValueError("heat_bath_sweep needs T > 0; T = 0 is the frozen point mass")
     if sweeps < 1:
         raise ValueError("sweeps must be >= 1")
@@ -365,6 +365,12 @@ def enumerate_plus_configs(g: BoxGeometry) -> np.ndarray:
     return rows
 
 
+def _plus_rows(plus: np.ndarray) -> np.ndarray:
+    """Row of `enumerate_plus_configs` holding each plus-boundary spin row,
+    given which interior vertices are +1: bit i for the i-th of them."""
+    return (plus.astype(np.int64) << np.arange(plus.shape[-1])).sum(axis=-1)
+
+
 @dataclass(frozen=True)
 class PlusTable:
     """Every finite-energy plus-boundary configuration (the rows of
@@ -398,7 +404,7 @@ def exact_ising_distribution(g: BoxGeometry | int, t: float) -> IsingDistributio
     g = as_box(g)
     if g.n > 5:
         raise ValueError("exact enumeration supported for side <= 5")
-    if t < 0:
+    if not t >= 0:
         raise ValueError("temperature must be >= 0")
     if t == 0:
         rows = np.ones((1, g.n * g.n), dtype=np.int8)

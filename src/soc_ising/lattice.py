@@ -176,6 +176,18 @@ def as_box(g: BoxGeometry | int) -> BoxGeometry:
 _STEPS = ((-1, 0), (0, -1), (0, 1), (1, 0))
 
 
+def _vertex_coords(vertices, g: BoxGeometry | None) -> list[Coord]:
+    """Coordinates of an iterable of coordinates, or of vertex ids when `g`
+    is given."""
+    out = []
+    for v in vertices:
+        if g is not None and isinstance(v, (int, np.integer)):
+            out.append(g.coord(int(v)))
+        else:
+            out.append((int(v[0]), int(v[1])))
+    return out
+
+
 def exterior_boundary_edges(
     vertices, g: BoxGeometry | None = None
 ) -> tuple[list[tuple[Coord, Coord]], list[bool]]:
@@ -188,12 +200,7 @@ def exterior_boundary_edges(
     edges whose outside endpoint leaves the box (meaningless without `g`:
     all False then).
     """
-    vs = set()
-    for v in vertices:
-        if g is not None and isinstance(v, (int, np.integer)):
-            vs.add(g.coord(int(v)))
-        else:
-            vs.add((int(v[0]), int(v[1])))
+    vs = set(_vertex_coords(vertices, g))
     out: list[tuple[Coord, Coord]] = []
     leaves: list[bool] = []
     for (x, y) in sorted(vs):
@@ -207,16 +214,10 @@ def exterior_boundary_edges(
 
 def diameter(vertices, g: BoxGeometry | None = None) -> int:
     """l-infinity diameter of a nonempty vertex set (coordinates or ids)."""
-    xs, ys = [], []
-    for v in vertices:
-        if g is not None and isinstance(v, (int, np.integer)):
-            cx, cy = g.coord(int(v))
-        else:
-            cx, cy = int(v[0]), int(v[1])
-        xs.append(cx)
-        ys.append(cy)
-    if not xs:
+    pts = _vertex_coords(vertices, g)
+    if not pts:
         raise ValueError("diameter of an empty vertex set")
+    xs, ys = zip(*pts)
     return max(max(xs) - min(xs), max(ys) - min(ys))
 
 

@@ -50,6 +50,22 @@ def test_temperature_density_dictionary():
         p_to_t(0.0)
 
 
+def test_temperature_density_refuses_nan():
+    assert t_to_p(math.inf) == 0.0
+    with pytest.raises(ValueError, match=">= 0"):
+        t_to_p(math.nan)
+    with pytest.raises(ValueError, match=">= 0"):
+        es_ising_to_fk(SpinConfig.all_plus(build_box(4)), math.nan, philox(0))
+
+
+@pytest.mark.parametrize("q", [math.nan, math.inf])
+def test_cluster_weight_must_be_finite(q):
+    with pytest.raises(ValueError, match="finite"):
+        p_critical(q)
+    with pytest.raises(ValueError, match="finite"):
+        dual_parameter(0.5, q)
+
+
 def test_phi_n_values():
     assert phi_n(0, 10, 1.8) == 1.0
     # b = n^2 gives the density at the feedback temperature n^(4-2a)

@@ -110,7 +110,7 @@ def test_validation_messages_name_the_key():
     for key, bad in cases:
         with pytest.raises(ValueError) as err:
             build_config("fk-sample", overrides={key: bad})
-        assert key in str(err.value)
+        assert str(err.value).startswith(f"{key}:")
     with pytest.raises(ValueError, match="n:"):
         build_config("fk-sample", overrides={"n": "0"})
 

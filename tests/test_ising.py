@@ -54,6 +54,19 @@ def test_ising_params_reject_non_finite_t(t):
         IsingParams(n=3, t=t)
 
 
+def test_temperature_functions_refuse_nan():
+    # nan fails each bound on T; T = inf keeps its limit (fair coin flips)
+    config = SpinConfig.all_plus(build_box(5))
+    with pytest.raises(ValueError, match="T > 0"):
+        heat_bath_sweep(config, math.nan, philox(0))
+    assert (config.spins == 1).all()
+    with pytest.raises(ValueError, match="T > 0"):
+        conditional_plus_probability(1.0, math.nan)
+    assert conditional_plus_probability(1.0, math.inf) == 0.5
+    with pytest.raises(ValueError, match=">= 0"):
+        exact_ising_distribution(3, math.nan)
+
+
 def test_spin_config_tracks_magnetization():
     g = build_box(3)
     c = SpinConfig.all_plus(g)

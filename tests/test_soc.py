@@ -220,6 +220,25 @@ def test_deviation_bounds_hold(n, a):
         assert rep.holds_below
 
 
+@pytest.mark.parametrize("a", [math.nan, math.inf])
+def test_exact_laws_and_dynamics_refuse_non_finite_exponent(a):
+    calls = [
+        lambda: exact_mu_n(3, a),
+        lambda: exact_mu_prime(3, a),
+        lambda: deviation_bound_check(3, a, 0.1),
+        lambda: two_timescale_dynamics(5, a, 2, 4, philox(0)),
+        lambda: naive_mu_prime_dynamics(5, a, 3, philox(0)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="exponent a must be finite"):
+            call()
+
+
+def test_deviation_bound_check_refuses_nan_eps():
+    with pytest.raises(ValueError, match="eps"):
+        deviation_bound_check(3, 1.9, math.nan)
+
+
 def test_trajectory_validates_steps():
     with pytest.raises(ValueError):
         SocTrajectory(
