@@ -127,7 +127,7 @@ class ExactMuN:
 def _mu_front(g: BoxGeometry | int, a: float) -> tuple[BoxGeometry, PlusTable, float, np.ndarray]:
     """Set-up shared by the exact self-tuned laws: the box (side <= 4), its
     plus table, n^(2a), and each row's temperature m^2 / n^(2a)."""
-    FeedbackParams(a)
+    FeedbackParams(a)  # refuses a nan, infinite or non-positive exponent
     g = as_box(g)
     if g.n > 4:
         raise ValueError("exact self-tuned law limited to side <= 4")
@@ -317,7 +317,7 @@ def two_timescale_dynamics(
     store -1.  Snapshots consume randomness, so the trajectory depends on
     k (but is still a pure function of the arguments and the rng state).
     """
-    FeedbackParams(a)
+    FeedbackParams(a)  # refuses a nan, infinite or non-positive exponent
     g = as_box(g)
     if tau < 1:
         raise ValueError("tau must be >= 1")
@@ -389,7 +389,7 @@ def naive_mu_prime_dynamics(
     # imported on first use; see the module's docstring
     from ._mu_prime import metropolis_records
 
-    FeedbackParams(a)
+    FeedbackParams(a)  # refuses a nan, infinite or non-positive exponent
     g = as_box(g)
     n2a = float(g.n) ** (2 * a)
     mags, flips = metropolis_records(g, n2a, total, rng, account_for_T_change)
