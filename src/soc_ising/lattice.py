@@ -20,6 +20,11 @@ def box_range(n: int) -> tuple[int, int]:
     return -(n // 2), (n - 1) // 2
 
 
+def _shifts(grid: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Views of the (-x, -y, +y, +x) neighbours of a padded grid's core."""
+    return grid[:-2, 1:-1], grid[1:-1, :-2], grid[1:-1, 2:], grid[2:, 1:-1]
+
+
 class BoxGeometry:
     """Static geometry of the side-n box.
 
@@ -47,51 +52,40 @@ class BoxGeometry:
 
     def __init__(self, n: int):
         lo, hi = box_range(n)
-        self.n = n
-        self.lo = lo
-        self.hi = hi
+        self.n, self.lo, self.hi = n, lo, hi
         axis = np.arange(lo, hi + 1)
         xs, ys = np.meshgrid(axis, axis, indexing="ij")
         self.coords = np.stack([xs.ravel(), ys.ravel()], axis=1)
 
         nsq = n * n
         ids = np.arange(nsq)
-        x = self.coords[:, 0]
-        y = self.coords[:, 1]
-        # vertical steps (x, y)-(x, y+1) are id steps of +1, horizontal of +n
-        va = ids[y < hi]
-        ha = ids[x < hi]
-        ea = np.concatenate([va, ha])
-        eb = np.concatenate([va + 1, ha + n])
-        order = np.lexsort((eb, ea))
-        # each endpoint column is contiguous, which is faster to gather by;
-        # edges is their transposed view
-        ends = np.stack([ea[order], eb[order]])
+        x, y = self.coords.T
+        # vertex ids on the (n+2) x (n+2) grid padded with -1; its four
+        # shifts are the neighbours in the order (-x, -y, +y, +x)
+        grid = np.full((n + 2, n + 2), -1, dtype=np.int64)
+        grid[1:-1, 1:-1] = ids.reshape(n, n)
+        self.neighbors = np.stack(_shifts(grid), axis=-1).reshape(nsq, 4)
+        # edges are the +y then +x steps read vertex by vertex, already in
+        # (a, b) order; each endpoint row is contiguous, which is faster to
+        # gather by, and edges is their transposed view
+        fwd = self.neighbors[:, 2:]
+        steps = fwd >= 0
+        ends = np.stack([np.nonzero(steps)[0], fwd[steps]])
         self.edge_a, self.edge_b = ends
         self.edges = ends.T
         self.n_edges = len(self.edges)
+        # the +y and +x edge ids of each vertex on the padded grid; the -x
+        # edge of a vertex is the +x edge of its -x neighbour
+        eid = np.full((n + 2, n + 2, 2), -1, dtype=np.int64)
+        eid[1:-1, 1:-1][steps.reshape(n, n, 2)] = np.arange(self.n_edges)
+        mx, my, _, _ = _shifts(eid)
+        inc = [mx[..., 1], my[..., 0], eid[1:-1, 1:-1, 0], eid[1:-1, 1:-1, 1]]
+        self.incident_edges = np.stack(inc, axis=-1).reshape(nsq, 4)
 
         self.boundary_mask = (x == lo) | (x == hi) | (y == lo) | (y == hi)
         self.boundary_ids = ids[self.boundary_mask]
         bm = self.boundary_mask
         self.interior_edge_mask = ~(bm[self.edge_a] & bm[self.edge_b])
-
-        nbr = np.full((nsq, 4), -1, dtype=np.int64)
-        inc = np.full((nsq, 4), -1, dtype=np.int64)
-        eid = np.arange(self.n_edges)
-        # order (-x, -y, +y, +x); fill both directions of each edge
-        horiz = (self.edge_b - self.edge_a) == n
-        vert = ~horiz
-        nbr[self.edge_b[horiz], 0] = self.edge_a[horiz]
-        inc[self.edge_b[horiz], 0] = eid[horiz]
-        nbr[self.edge_b[vert], 1] = self.edge_a[vert]
-        inc[self.edge_b[vert], 1] = eid[vert]
-        nbr[self.edge_a[vert], 2] = self.edge_b[vert]
-        inc[self.edge_a[vert], 2] = eid[vert]
-        nbr[self.edge_a[horiz], 3] = self.edge_b[horiz]
-        inc[self.edge_a[horiz], 3] = eid[horiz]
-        self.neighbors = nbr
-        self.incident_edges = inc
 
         # vertices with all four neighbours inside, split by checkerboard color
         interior = ids[~bm]
@@ -102,8 +96,6 @@ class BoxGeometry:
 
         # interior half-grid used by the singleton count: even 1-norm
         self.halfgrid_mask = (~bm) & (((np.abs(x) + np.abs(y)) & 1) == 0)
-
-        self._annuli: dict[int, np.ndarray] = {}
 
     # -- basic lookups ----------------------------------------------------
 
@@ -141,8 +133,7 @@ class BoxGeometry:
         if j > self.n:
             raise ValueError(f"sub-box side {j} exceeds box side {self.n}")
         lo, hi = box_range(j)
-        x = self.coords[:, 0]
-        y = self.coords[:, 1]
+        x, y = self.coords.T
         return (x >= lo) & (x <= hi) & (y >= lo) & (y <= hi)
 
     def annulus_edges(self, j: int) -> np.ndarray:
@@ -155,11 +146,8 @@ class BoxGeometry:
         """
         if not 1 <= j < self.n:
             raise ValueError(f"annulus index must be in [1, {self.n - 1}], got {j}")
-        if j not in self._annuli:
-            inside = self.sub_box_mask(j)
-            mask = inside[self.edge_a] ^ inside[self.edge_b]
-            self._annuli[j] = np.flatnonzero(mask)
-        return self._annuli[j]
+        inside = self.sub_box_mask(j)
+        return np.flatnonzero(inside[self.edge_a] ^ inside[self.edge_b])
 
 
 @lru_cache(maxsize=None)

@@ -28,7 +28,7 @@ from soc_ising.ising import (
     T_CRITICAL, IsingDistribution, SpinConfig, _logsumexp, exact_ising_distribution,
     feedback_temperature, plus_table,
 )
-from soc_ising.lattice import BoxGeometry, as_box, build_box
+from soc_ising.lattice import BoxGeometry, as_box, box_range, build_box
 from soc_ising.soc import EPS_T, DeviationReport, ExactMuN
 
 
@@ -212,6 +212,58 @@ def duality_check_oracle(n: int, p: float, q: float) -> float:
         pushed[dmask] += pr
     target = exact_fk_distribution(gd, FKParams(dual_parameter(p, q), q, 0))
     return float(np.abs(pushed - target.probs).max())
+
+
+def box_arrays_oracle(n: int) -> dict[str, np.ndarray]:
+    """Every index array of `BoxGeometry(n)`, built the earlier way: the
+    endpoint lists of the two steps concatenated and lexsorted into edge
+    order, `neighbors` and `incident_edges` filled by one masked scatter
+    per direction and endpoint."""
+    lo, hi = box_range(n)
+    axis = np.arange(lo, hi + 1)
+    xs, ys = np.meshgrid(axis, axis, indexing="ij")
+    coords = np.stack([xs.ravel(), ys.ravel()], axis=1)
+    nsq = n * n
+    ids = np.arange(nsq)
+    x = coords[:, 0]
+    y = coords[:, 1]
+    # vertical steps (x, y)-(x, y+1) are id steps of +1, horizontal of +n
+    va = ids[y < hi]
+    ha = ids[x < hi]
+    ea = np.concatenate([va, ha])
+    eb = np.concatenate([va + 1, ha + n])
+    order = np.lexsort((eb, ea))
+    ends = np.stack([ea[order], eb[order]])
+    edge_a, edge_b = ends
+    n_edges = len(ends.T)
+
+    bm = (x == lo) | (x == hi) | (y == lo) | (y == hi)
+    nbr = np.full((nsq, 4), -1, dtype=np.int64)
+    inc = np.full((nsq, 4), -1, dtype=np.int64)
+    eid = np.arange(n_edges)
+    # order (-x, -y, +y, +x); fill both directions of each edge
+    horiz = (edge_b - edge_a) == n
+    vert = ~horiz
+    nbr[edge_b[horiz], 0] = edge_a[horiz]
+    inc[edge_b[horiz], 0] = eid[horiz]
+    nbr[edge_b[vert], 1] = edge_a[vert]
+    inc[edge_b[vert], 1] = eid[vert]
+    nbr[edge_a[vert], 2] = edge_b[vert]
+    inc[edge_a[vert], 2] = eid[vert]
+    nbr[edge_a[horiz], 3] = edge_b[horiz]
+    inc[edge_a[horiz], 3] = eid[horiz]
+
+    interior = ids[~bm]
+    colors = (x[interior] + y[interior]) & 1
+    return {
+        "coords": coords, "edges": ends.T, "edge_a": edge_a, "edge_b": edge_b,
+        "boundary_mask": bm, "boundary_ids": ids[bm],
+        "interior_edge_mask": ~(bm[edge_a] & bm[edge_b]),
+        "neighbors": nbr, "incident_edges": inc, "interior_ids": interior,
+        "interior_even": interior[colors == 0],
+        "interior_odd": interior[colors == 1],
+        "halfgrid_mask": (~bm) & (((np.abs(x) + np.abs(y)) & 1) == 0),
+    }
 
 
 def dual_maps_oracle(n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from helpers import dual_maps_oracle
+from helpers import box_arrays_oracle, dual_maps_oracle
 from soc_ising import (
     box_range,
+    BoxGeometry,
     build_box,
     diameter,
     dual_geometry,
@@ -30,6 +31,25 @@ def test_counting_formulas(n):
     assert int(g.boundary_mask.sum()) == expected_boundary
     assert int(g.interior_edge_mask.sum()) == 2 * (n - 1) * (n - 2)
     assert g.boundary_ids.size == expected_boundary
+
+
+def test_box_arrays_match_oracle_layout():
+    # values, dtype, shape and strides of every index array, so that every
+    # layer reads the same memory layout as before
+    for n in range(1, 61):
+        g = BoxGeometry(n)
+        want = box_arrays_oracle(n)
+        assert g.n_edges == want["edges"].shape[0]
+        for name, arr in want.items():
+            got = getattr(g, name)
+            assert got.dtype == arr.dtype, (n, name)
+            assert got.shape == arr.shape, (n, name)
+            assert got.strides == arr.strides, (n, name)
+            np.testing.assert_array_equal(got, arr, err_msg=f"{n} {name}")
+        for j in range(1, n):
+            inside = g.sub_box_mask(j)
+            want_ann = np.flatnonzero(inside[want["edge_a"]] ^ inside[want["edge_b"]])
+            np.testing.assert_array_equal(g.annulus_edges(j), want_ann)
 
 
 def test_vertex_id_roundtrip():
