@@ -45,6 +45,8 @@ def phi_n(b: int, n: int, a: float) -> float:
     coupling at temperature b^2 / n^(2a).  b = 0 gives density 1."""
     if b < 0:
         raise ValueError("magnetization level must be >= 0")
+    if not (math.isfinite(a) and a > 0):
+        raise ValueError(f"exponent a must be finite and > 0, got {a!r}")
     if b == 0:
         return 1.0
     return -math.expm1(-2.0 * float(n) ** (2 * a) / (float(b) * float(b)))

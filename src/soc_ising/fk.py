@@ -482,6 +482,8 @@ def single_bond_heat_bath_sweep(
 
 def bernoulli_bonds(g: BoxGeometry, p: float, rng: np.random.Generator) -> BondConfig:
     """Direct sample of independent bond percolation (the q = 1 law)."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must be in [0, 1]")
     return BondConfig._built(g, (rng.random(g.n_edges) < p).view(np.uint8))
 
 

@@ -73,6 +73,8 @@ def hamiltonian(config: SpinConfig) -> float:
 
 def feedback_temperature(config: SpinConfig, a: float) -> float:
     """Self-tuned temperature m(sigma)^2 / n^(2a)."""
+    if not (math.isfinite(a) and a > 0):
+        raise ValueError(f"exponent a must be finite and > 0, got {a!r}")
     m = config.magnetization()
     return (m * m) / float(config.g.n) ** (2.0 * a)
 

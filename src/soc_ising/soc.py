@@ -65,6 +65,7 @@ def fixed_point(n: int, a: float) -> FixedPoint:
     Defined only when delta_n < 1 - p_c, which for a near 2 requires
     astronomically large n; the error message reports the threshold.
     """
+    FeedbackParams(a)  # refuses a nan, infinite or non-positive exponent
     if n < 1:
         raise ValueError("side must be >= 1")
     pc = p_critical(2.0)
@@ -87,8 +88,8 @@ def theta_asymptotic(p: float) -> float:
     """Near-critical surrogate [8(p/p_c - 1)]^(1/8) for the spontaneous
     magnetization of the bond density p; exact only as p -> p_c from above."""
     pc = p_critical(2.0)
-    if p < pc:
-        raise ValueError("defined for p >= the self-dual point only")
+    if not pc <= p <= 1.0:
+        raise ValueError("p must be in [p_c, 1], p_c the self-dual point")
     return (8.0 * (p / pc - 1.0)) ** 0.125
 
 

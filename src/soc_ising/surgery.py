@@ -274,15 +274,18 @@ def surgery(omega: BondConfig, b: int, params: EventParams,
     target = -((-(m_before + b)) // 2)
     need_unit = (m_before + b) % 2 == 1
 
-    def failure(stage, **kw):
+    # each stage sets its own outputs; a failure reports those set so far
+    h0 = h1 = h2 = np.empty(0, dtype=np.int64)
+    j_star, witness, fine_m = -1, -1, 0
+
+    def failure(stage):
         return SurgeryResult(success=False, stage=stage, b=b, target=target,
-                             m_before=m_before, m_after=m_before, **kw)
+                             m_before=m_before, m_after=m_before, j_star=j_star,
+                             h0=h0, h1=h1, h2=h2, witness_edge=witness,
+                             fine_m=fine_m)
 
     if target > m_before:
         return failure("target-above-count")
-
-    h0 = h1 = h2 = np.empty(0, dtype=np.int64)
-    j_star, witness, fine_m = -1, -1, 0
 
     # dec_h: the decomposition of omega with H closed
     if target == m_before:
@@ -296,7 +299,7 @@ def surgery(omega: BondConfig, b: int, params: EventParams,
             h1, witness, dec_h, dec_h0 = maximal_subset_H1(omega, h0, target,
                                                            dec0)
         except ValueError:
-            return failure("greedy-precondition", j_star=j_star, h0=h0)
+            return failure("greedy-precondition")
         if dec_h.m_count != target:
             omega_h1 = close_edges(omega, h1)
             omega_we = close_edges(omega_h1, [witness])
@@ -306,13 +309,11 @@ def surgery(omega: BondConfig, b: int, params: EventParams,
             # exactly one endpoint loses boundary contact
             v = va if not dec_we.m_mask[va] else vb
             if dec_we.m_mask[v]:
-                return failure("witness-no-drop", j_star=j_star, h0=h0, h1=h1,
-                               witness_edge=witness)
+                return failure("witness-no-drop")
             cluster = dec_we.cluster_vertices(int(dec_we.labels[v]))
             fine_m = target - dec_we.m_count
             if not 1 <= fine_m <= cluster.size:
-                return failure("fine-cut-range", j_star=j_star, h0=h0, h1=h1,
-                               witness_edge=witness, fine_m=fine_m)
+                return failure("fine-cut-range")
             # an open edge with an endpoint in the cluster lies inside it
             e_v = np.flatnonzero(omega_we.bonds.astype(bool)
                                  & (dec_we.labels[g.edge_a] == dec_we.labels[v]))
@@ -323,8 +324,7 @@ def surgery(omega: BondConfig, b: int, params: EventParams,
     h = np.sort(np.concatenate([h1, h2]))
     m_after = dec_h.m_count
     if m_after != target:
-        return failure("count-mismatch", j_star=j_star, h0=h0, h1=h1, h2=h2,
-                       witness_edge=witness, fine_m=fine_m)
+        return failure("count-mismatch")
 
     # the family c0, as a mask over the clusters of dec_h: the newly
     # severed ones (interior, made of formerly boundary-connected vertices)
@@ -337,8 +337,7 @@ def surgery(omega: BondConfig, b: int, params: EventParams,
     if need_unit:
         units = np.flatnonzero(~g.boundary_mask & (dec0.sizes[dec0.labels] == 1))
         if not units.size:
-            return failure("parity-unit-missing", j_star=j_star, h0=h0, h1=h1,
-                           h2=h2, witness_edge=witness, fine_m=fine_m)
+            return failure("parity-unit-missing")
         parity_unit = int(units[0])
         c0.append(np.array([parity_unit], dtype=np.int64))
         in_c0[dec_h.labels[parity_unit]] = True
@@ -431,21 +430,23 @@ def fss_conditions(dec: ClusterDecomposition, params: EventParams,
 _DP_CELL_BUDGET = 2 * 10 ** 7
 
 
-def _add_fair_sign(dist: np.ndarray, s: int) -> np.ndarray:
+def _add_fair_sign(dist: np.ndarray, s: int, half: float = 0.5) -> np.ndarray:
     """Law of S + s or S - s with a fair sign, from the law `dist` of S on
-    a window of integers centred on 0."""
+    a window of integers centred on 0; with half = 1, the counts of sign
+    choices per sum from those of S."""
     new = np.zeros_like(dist)
-    new[s:] += 0.5 * dist[: dist.size - s]
-    new[: dist.size - s] += 0.5 * dist[s:]
+    new[s:] += half * dist[: dist.size - s]
+    new[: dist.size - s] += half * dist[s:]
     return new
 
 
 def sign_compensation_probability(sizes) -> Fraction | float:
     """Probability that independent fair signs on the given sizes sum to 0.
 
-    Dynamic program over partial-sum distributions; exact rationals while
-    the total mass is <= 64, floating point beyond.  The table is capped at
-    count x span <= 2e7 cells.
+    Dynamic program over partial-sum distributions; exact while the total
+    mass is <= 64, as int64 counts of sign choices (each at most
+    C(64, 32) < 2^63) over 2^len(sizes), floating point beyond.  The table
+    is capped at count x span <= 2e7 cells.
     """
     sizes = [int(s) for s in sizes]
     if any(s < 1 for s in sizes):
@@ -457,21 +458,14 @@ def sign_compensation_probability(sizes) -> Fraction | float:
         raise ValueError("DP budget exceeded")
     if total % 2 == 1:
         return Fraction(0)
-    if total <= 64:
-        dist = {0: Fraction(1)}
-        for s in sizes:
-            new: dict[int, Fraction] = {}
-            for v, pr in dist.items():
-                half = pr / 2
-                new[v + s] = new.get(v + s, Fraction(0)) + half
-                new[v - s] = new.get(v - s, Fraction(0)) + half
-            dist = new
-        return dist.get(0, Fraction(0))
-    probs = np.zeros(2 * total + 1)
-    probs[total] = 1.0
+    exact = total <= 64
+    dist = np.zeros(2 * total + 1, dtype=np.int64 if exact else np.float64)
+    dist[total] = 1
     for s in sizes:
-        probs = _add_fair_sign(probs, s)
-    return float(probs[total])
+        dist = _add_fair_sign(dist, s, 1 if exact else 0.5)
+    if exact:
+        return Fraction(int(dist[total]), 2 ** len(sizes))
+    return float(dist[total])
 
 
 def forced_sign(x: int) -> int:
@@ -479,15 +473,18 @@ def forced_sign(x: int) -> int:
     return 1 if x <= 0 else -1
 
 
+_STIRLING_KMAX = 10 ** 6
+
+
 @lru_cache(maxsize=1)
-def stirling_constant(kmax: int = 10 ** 6) -> float:
-    """Largest K2 with C(2k, k) 4^(-k) >= K2 / sqrt(2k) for all k <= kmax.
+def stirling_constant() -> float:
+    """Largest K2 with C(2k, k) 4^(-k) >= K2 / sqrt(2k) for all k <= 10^6.
 
     The normalized central binomial sqrt(2k) C(2k,k) 4^(-k) increases from
     sqrt(2)/2 toward sqrt(2/pi), so the minimum sits at k = 1; computed by
     scanning anyway, as the constructive definition demands.
     """
-    k = np.arange(1, kmax + 1, dtype=np.float64)
+    k = np.arange(1, _STIRLING_KMAX + 1, dtype=np.float64)
     # C(2k, k) 4^(-k) is the product of 1 - 1/(2j) over j = 1..k
     logc = np.cumsum(np.log1p(-0.5 / k))
     return float(np.exp(logc + 0.5 * np.log(2 * k)).min())

@@ -14,6 +14,7 @@ themselves.
 import dataclasses
 import math
 from collections import deque
+from fractions import Fraction
 
 import numpy as np
 from scipy.special import expit, gammaln
@@ -406,6 +407,20 @@ def stirling_constant_oracle(kmax: int = 10 ** 6) -> float:
     k = np.arange(1, kmax + 1, dtype=np.float64)
     logc = gammaln(2 * k + 1) - 2 * gammaln(k + 1) - k * math.log(4.0)
     return float(np.exp(logc + 0.5 * np.log(2 * k)).min())
+
+
+def sign_compensation_fraction_oracle(sizes) -> Fraction:
+    """Probability that fair signs on the sizes sum to 0, as a Fraction, by
+    a dict-of-Fraction dynamic program over the partial sums."""
+    dist = {0: Fraction(1)}
+    for s in sizes:
+        new: dict[int, Fraction] = {}
+        for v, pr in dist.items():
+            half = pr / 2
+            new[v + s] = new.get(v + s, Fraction(0)) + half
+            new[v - s] = new.get(v - s, Fraction(0)) + half
+        dist = new
+    return dist.get(0, Fraction(0))
 
 
 def heat_bath_sweep_oracle(config, t: float, rng) -> None:

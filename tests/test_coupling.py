@@ -66,6 +66,19 @@ def test_cluster_weight_must_be_finite(q):
         dual_parameter(0.5, q)
 
 
+@pytest.mark.parametrize("a", [math.nan, math.inf, 0.0, -1.0])
+def test_phi_n_refuses_non_finite_or_non_positive_exponent(a):
+    for b in (0, 3):
+        with pytest.raises(ValueError, match="exponent a must be finite"):
+            phi_n(b, 4, a)
+
+
+def test_es_ising_to_fk_keeps_infinite_temperature_limit():
+    # T = inf is the bond density p = 0: every bond closed
+    omega = es_ising_to_fk(SpinConfig.all_plus(build_box(4)), math.inf, philox(0))
+    assert omega.open_count() == 0
+
+
 def test_phi_n_values():
     assert phi_n(0, 10, 1.8) == 1.0
     # b = n^2 gives the density at the feedback temperature n^(4-2a)

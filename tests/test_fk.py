@@ -59,6 +59,21 @@ def test_fk_params_reject_non_finite_q(q):
         FKParams(p=0.5, q=q, bc=1)
 
 
+@pytest.mark.parametrize("p", [math.nan, 1.5, -0.1, math.inf])
+def test_bernoulli_bonds_refuses_p_outside_unit_interval(p):
+    rng = philox(0)
+    with pytest.raises(ValueError, match=r"p must be in \[0, 1\]"):
+        bernoulli_bonds(build_box(3), p, rng)
+    # refused before any draw
+    assert rng.random() == philox(0).random()
+
+
+def test_bernoulli_bonds_endpoints():
+    g = build_box(3)
+    assert bernoulli_bonds(g, 0.0, philox(0)).open_count() == 0
+    assert bernoulli_bonds(g, 1.0, philox(0)).open_count() == g.n_edges
+
+
 def test_bond_config_bitmask_roundtrip():
     g = build_box(3)
     rng = philox(5)

@@ -67,6 +67,13 @@ def test_temperature_functions_refuse_nan():
         exact_ising_distribution(3, math.nan)
 
 
+@pytest.mark.parametrize("a", [math.nan, math.inf, 0.0, -1.0])
+def test_feedback_temperature_refuses_non_finite_or_non_positive_exponent(a):
+    config = SpinConfig.all_plus(build_box(3))
+    with pytest.raises(ValueError, match="exponent a must be finite"):
+        feedback_temperature(config, a)
+
+
 def test_spin_config_tracks_magnetization():
     g = build_box(3)
     c = SpinConfig.all_plus(g)

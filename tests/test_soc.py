@@ -115,6 +115,25 @@ def test_theta_asymptotic():
         theta_asymptotic(pc - 1e-6)
 
 
+@pytest.mark.parametrize("p", [math.nan, math.inf, 1.0 + 1e-12, -math.inf])
+def test_theta_asymptotic_refuses_p_outside_pc_to_1(p):
+    with pytest.raises(ValueError, match=r"\[p_c, 1\]"):
+        theta_asymptotic(p)
+
+
+def test_theta_asymptotic_at_p_1():
+    pc = p_critical(2.0)
+    assert theta_asymptotic(1.0) == (8.0 * (1.0 / pc - 1.0)) ** 0.125
+
+
+@pytest.mark.parametrize("a", [math.nan, math.inf, 0.0, -1.0])
+def test_fixed_point_refuses_exponent_before_solving(a):
+    # the exponent check comes first, so nan never reaches the threshold
+    # message ("needs n > nan")
+    with pytest.raises(ValueError, match="exponent a must be finite"):
+        fixed_point(10, a)
+
+
 def test_edge_closing_price():
     assert abs(edge_closing_price(10, 0.3, 2) - 1.1111111111111113e-05) < 1e-18
     assert edge_closing_price(10, 0.3, 0) == 1.0

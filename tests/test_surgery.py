@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     exact_cut_H2_oracle, maximal_subset_H1_oracle, philox,
-    stirling_constant_oracle,
+    sign_compensation_fraction_oracle, stirling_constant_oracle,
 )
 from soc_ising import (
     BondConfig,
@@ -377,6 +377,25 @@ def test_sign_compensation_edge_cases():
     got = sign_compensation_probability(sizes)
     assert isinstance(got, float)
     assert abs(got - float(_brute_zero_probability(sizes))) < 1e-12
+
+
+@pytest.mark.parametrize("sizes", [
+    [], [2], [1, 1], [2, 1, 1], [1] * 64, [64], [32, 32], [1] * 62 + [2],
+    [63, 1], [31, 33], [2] * 32, [7, 5, 3, 1, 9, 11, 13, 15], [3] * 21 + [1],
+])
+def test_sign_compensation_matches_fraction_oracle(sizes):
+    got = sign_compensation_probability(sizes)
+    want = sign_compensation_fraction_oracle(sizes)
+    assert type(got) is Fraction
+    assert got == want
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.lists(st.integers(1, 64), max_size=64).filter(lambda s: sum(s) <= 64))
+def test_sign_compensation_matches_fraction_oracle_on_small_totals(sizes):
+    got = sign_compensation_probability(sizes)
+    assert type(got) is Fraction
+    assert got == sign_compensation_fraction_oracle(sizes)
 
 
 def test_sign_compensation_budget_guard():
