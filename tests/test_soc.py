@@ -111,6 +111,7 @@ def test_theta_asymptotic():
     pc = p_critical(2.0)
     assert theta_asymptotic(pc) == 0.0
     assert abs(theta_asymptotic(0.7) - 1.057142526812691) < 1e-14
+    assert theta_asymptotic(1.0) == (8.0 * (1.0 / pc - 1.0)) ** 0.125
     with pytest.raises(ValueError):
         theta_asymptotic(pc - 1e-6)
 
@@ -119,11 +120,6 @@ def test_theta_asymptotic():
 def test_theta_asymptotic_refuses_p_outside_pc_to_1(p):
     with pytest.raises(ValueError, match=r"\[p_c, 1\]"):
         theta_asymptotic(p)
-
-
-def test_theta_asymptotic_at_p_1():
-    pc = p_critical(2.0)
-    assert theta_asymptotic(1.0) == (8.0 * (1.0 / pc - 1.0)) ** 0.125
 
 
 @pytest.mark.parametrize("a", [math.nan, math.inf, 0.0, -1.0])
