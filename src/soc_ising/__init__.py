@@ -21,7 +21,6 @@ from .ising import (
     T_CRITICAL,
     conditional_plus_probability,
     exact_ising_distribution,
-    feedback_temperature,
     hamiltonian,
     heat_bath_sweep,
     zero_temperature_config,
@@ -59,7 +58,6 @@ from .coupling import (
     es_pushforward_check,
     es_spin_pushforward,
     p_to_t,
-    phi_n,
     t_to_p,
 )
 from .soc import (
@@ -73,8 +71,10 @@ from .soc import (
     edge_closing_price,
     exact_mu_n,
     exact_mu_prime,
+    feedback_temperature,
     fixed_point,
     naive_mu_prime_dynamics,
+    phi_n,
     theta_asymptotic,
     two_timescale_dynamics,
 )

@@ -40,18 +40,6 @@ def p_to_t(p: float) -> float:
     return -2.0 / math.log1p(-p)
 
 
-def phi_n(b: int, n: int, a: float) -> float:
-    """Bond density fed back from magnetization level b: the density of the
-    coupling at temperature b^2 / n^(2a).  b = 0 gives density 1."""
-    if b < 0:
-        raise ValueError("magnetization level must be >= 0")
-    if not (math.isfinite(a) and a > 0):
-        raise ValueError(f"exponent a must be finite and > 0, got {a!r}")
-    if b == 0:
-        return 1.0
-    return -math.expm1(-2.0 * float(n) ** (2 * a) / (float(b) * float(b)))
-
-
 def dual_parameter(p: float, q: float) -> float:
     """Dual bond density q(1-p) / (p + q(1-p)); an involution fixing the
     self-dual point."""

@@ -71,14 +71,6 @@ def hamiltonian(config: SpinConfig) -> float:
     return float(-prod.sum())
 
 
-def feedback_temperature(config: SpinConfig, a: float) -> float:
-    """Self-tuned temperature m(sigma)^2 / n^(2a)."""
-    if not (math.isfinite(a) and a > 0):
-        raise ValueError(f"exponent a must be finite and > 0, got {a!r}")
-    m = config.magnetization()
-    return (m * m) / float(config.g.n) ** (2.0 * a)
-
-
 def zero_temperature_config(g: BoxGeometry) -> SpinConfig:
     """The unique configuration carrying the T = 0 plus-boundary measure."""
     return SpinConfig.all_plus(g)

@@ -27,10 +27,10 @@ from soc_ising.fk import (
 )
 from soc_ising.ising import (
     T_CRITICAL, IsingDistribution, SpinConfig, _logsumexp, exact_ising_distribution,
-    feedback_temperature, plus_table,
+    plus_table,
 )
 from soc_ising.lattice import BoxGeometry, as_box, box_range, build_box
-from soc_ising.soc import EPS_T, DeviationReport, ExactMuN
+from soc_ising.soc import EPS_T, DeviationReport, ExactMuN, feedback_temperature
 
 
 def philox(seed: int, chain: int = 0) -> np.random.Generator:

@@ -2,9 +2,6 @@
 deviation bounds, and the two dynamics."""
 
 import math
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +12,6 @@ from helpers import (
     exact_mu_prime_oracle, naive_mu_prime_oracle, philox, prob_of_oracle,
     two_timescale_oracle,
 )
-import soc_ising
 from soc_ising import (
     EPS_T,
     DeviationReport,
@@ -35,7 +31,7 @@ from soc_ising import (
     two_timescale_dynamics,
 )
 from soc_ising import ising
-from soc_ising._mu_prime import _PROPOSAL_BLOCK
+from soc_ising.soc import _PROPOSAL_BLOCK
 
 
 def test_feedback_params_ranges():
@@ -371,27 +367,6 @@ def test_naive_dynamics_equals_numpy_oracle(n, a, accounted):
 def test_naive_dynamics_equals_oracle_at_one_sweep_per_block(n, a, total,
                                                              accounted):
     _assert_naive_matches_oracle(n, a, total, 90 + n, accounted)
-
-
-def test_chain_kernel_is_imported_on_first_use(tmp_path):
-    # a fresh interpreter: this module has imported the kernel already
-    src = str(Path(soc_ising.__file__).resolve().parents[1])
-    code = (
-        "import sys; sys.path.insert(0, sys.argv[1])\n"
-        "import numpy as np, soc_ising\n"
-        "from soc_ising.cli import main\n"
-        "seen = ['soc_ising._mu_prime' in sys.modules]\n"
-        "main(['soc-run', '--n', '6', '--tau', '2', '--total', '8',\n"
-        "      '--out', sys.argv[2]])\n"
-        "seen.append('soc_ising._mu_prime' in sys.modules)\n"
-        "soc_ising.naive_mu_prime_dynamics(\n"
-        "    4, 1.99, 2, np.random.Generator(np.random.Philox(0)))\n"
-        "seen.append('soc_ising._mu_prime' in sys.modules)\n"
-        "print(seen)\n")
-    out = subprocess.run([sys.executable, "-c", code, src,
-                          str(tmp_path / "run")], check=True,
-                         capture_output=True, text=True).stdout
-    assert out.splitlines()[-1] == "[False, False, True]"
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
