@@ -509,7 +509,8 @@ def fss_frequency(cfg: ExperimentConfig):
     three `fss_conditions` clauses, kept one by one in the `cond_*`
     columns), the ambient event G_n, and each clause, with Wilson 95%
     intervals, plus the boundary and inner-box mass ratios against their
-    nominal thresholds 4 and 2.
+    nominal thresholds 4 and 2.  `g_n` and `inner_above_2` are 0 at
+    every side a run can reach (see `surgery.event_G_n`).
     """
     cols = ["n", "sample", "m_n", "inner_m", "max_interior", "units",
             "m_ratio", "inner_ratio", "g_n", "f_n", "cond_mass_upper",

@@ -433,8 +433,16 @@ def metropolis_records(g: BoxGeometry, n2a: float, total: int,
                        rng: np.random.Generator, accounted: bool
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Run `total` sweeps of the chain from all-plus and return each sweep's
-    final magnetization and flip count (int64); n2a is n^(2a).  See
-    `naive_mu_prime_dynamics` for the draws and the screen."""
+    final magnetization and flip count (int64); n2a is n^(2a).
+
+    Blocks of at most 2^12 proposals (at least one sweep) are drawn ahead
+    and stacked.  Between two flips the state (H, m) is frozen, so a
+    proposal's fate depends only on its spin, its neighbour sum and its
+    uniform: the screen builds the state's 10 exact thresholds
+    (`_acceptance_table`) and skips every rejection up to the next
+    acceptance.  From there a scalar loop runs the proposals one by one,
+    counts each flip in its sweep and keeps the m after the sweep's last
+    flip, and hands back to the screen after a stretch that flips nothing."""
     n = g.n
     interior = g.interior_ids
     ni = interior.size
@@ -524,29 +532,25 @@ def naive_mu_prime_dynamics(
     account_for_T_change: bool = True,
     burn_in: int | None = None,
 ) -> SocTrajectory:
-    """Single-flip Metropolis chain for the weight exp(-H(sigma)/T(sigma)).
+    """Single-flip Metropolis chain for the weight exp(-H(sigma)/T(sigma)),
+    from all-plus.  One sweep is one proposal per interior site; records one
+    row per sweep.
 
     With account_for_T_change the acceptance uses the full difference
-    H'/T' - H/T, so the chain targets that law exactly (m = 0 proposals
-    carry weight zero and are always refused).  Without it the flip is
-    judged by Delta H / T at the current temperature only, the variant
-    whose self-organization the model's construction does not guarantee.
-    One sweep is one proposal per interior site; records one row per sweep.
+    H'/T' - H/T.  A flip moves m by 2 and a proposal to m = 0 (weight zero)
+    is always refused, so on even sides the chain keeps the sign of m that it
+    starts with: it samples that law given m > 0.  This differs from the law
+    itself only on even sides >= 8, since no configuration has m <= 0 at
+    sides <= 6; on odd sides m never vanishes and the chain targets the law.
+    Without account_for_T_change the flip is judged by Delta H / T at the
+    current temperature only, the variant whose self-organization the
+    model's construction does not guarantee.
 
     Each sweep draws its picks with one `rng.integers(0, ni, ni)` call
     (int32, the same values and generator state as int64) and then its
-    uniforms with one `rng.random(ni)` call; blocks of at most 2^12
-    proposals (at least one sweep) are drawn ahead and stacked.  Between
-    two flips the state (H, m) is frozen, so a proposal's fate depends
-    only on its spin, its neighbour sum and its uniform: a table of 10
-    thresholds, built for the state each time the screen starts, decides
-    u < thr exactly as the scalar test does.  numpy screens the stacked
-    proposals against the table and skips every rejection up to the next
-    acceptance; from there a scalar loop runs the proposals one by one,
-    counts each flip in its sweep and keeps the m after the sweep's last
-    flip, and hands back to the screen after a stretch that flips nothing.
-    The output is the same as running every proposal in turn, draw for
-    draw.  The kernel is `metropolis_records`.
+    uniforms with one `rng.random(ni)` call.  The output is that of running
+    every proposal in turn, draw for draw; `metropolis_records` says how it
+    skips the rejections.
     """
     FeedbackParams(a)  # refuses a nan, infinite or non-positive exponent
     g = as_box(g)

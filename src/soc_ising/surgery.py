@@ -360,7 +360,9 @@ def surgery(omega: BondConfig, b: int, params: EventParams,
 def event_G_n(dec: ClusterDecomposition, params: EventParams) -> bool:
     """Regular-configuration event: boundary-connected mass at most 4 n^a,
     at least 2 n^a of it inside the inner box, interior clusters no larger
-    than the size cap, and at least cap + 1 interior singletons."""
+    than the size cap, and at least cap + 1 interior singletons.  The inner
+    box holds at most 25 n^2 / 36 vertices, so the event needs n^(2 - a) >=
+    72/25: n >= 2.2e7 at a = 31/16 and 1.5e9 at a = 1.95, past any box."""
     g = dec.g
     na = float(g.n) ** params.a
     if dec.m_count > 4.0 * na:

@@ -304,13 +304,17 @@ def test_two_timescale_snapshots():
     assert (traj.m_ns[taken] <= 36).all()
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8])
-@pytest.mark.parametrize("snapshot_every", [0, 1, 3])
-def test_two_timescale_equals_copy_and_compare_oracle(n, snapshot_every):
-    rng_got, rng_want = philox(60 + n), philox(60 + n)
-    got = two_timescale_dynamics(n, 1.99, 3, 90, rng_got,
+# the last entry lists the records that land on m = 0 and take EPS_T
+@pytest.mark.parametrize("n, a, tau, total, seed, snapshot_every, floored", [
+    pytest.param(n, 1.99, 3, 90, 60 + n, k, [], id=f"{k}-{n}")
+    for k in (0, 1, 3) for n in (1, 2, 3, 4, 6, 8)
+] + [pytest.param(12, 1.0, 1, 4000, 3, 0, [533, 2715, 3561], id="floor")])
+def test_two_timescale_equals_copy_and_compare_oracle(n, a, tau, total, seed,
+                                                      snapshot_every, floored):
+    rng_got, rng_want = philox(seed), philox(seed)
+    got = two_timescale_dynamics(n, a, tau, total, rng_got,
                                  snapshot_every=snapshot_every)
-    want = two_timescale_oracle(n, 1.99, 3, 90, rng_want,
+    want = two_timescale_oracle(n, a, tau, total, rng_want,
                                 snapshot_every=snapshot_every)
     arrays = (got.steps, got.temps, got.mags, got.flips, got.floor_used,
               got.m_ns)
@@ -320,6 +324,9 @@ def test_two_timescale_equals_copy_and_compare_oracle(n, snapshot_every):
         assert g_arr.dtype == w_arr.dtype, name
         assert np.array_equal(g_arr, w_arr), name
     assert rng_got.random() == rng_want.random()
+    assert np.flatnonzero(got.floor_used).tolist() == floored
+    assert (got.temps[got.floor_used] == EPS_T).all()
+    assert (got.mags[got.floor_used] == 0).all()
 
 
 def _assert_naive_matches_oracle(n, a, total, seed, accounted):
@@ -425,6 +432,21 @@ def test_naive_dynamics_targets_mu_prime_exactly():
     freq_plus = float((traj.mags[1000:] == 9).mean())
     assert abs(freq_plus - p_plus) < 0.01
     assert traj.variant == "mu-prime"
+
+
+@pytest.mark.parametrize("a", [1.5, 1.99])
+@pytest.mark.parametrize("n", [8, 9, 10])
+def test_accounted_chain_keeps_the_sign_of_m_on_even_sides(n, a):
+    # a flip moves m by 2 and a move to m = 0 is refused: from all-plus an
+    # even side reaches m = 2 and stops there, while side 9 crosses to m < 0
+    # and stays there for about the 0.2222 of the sweeps that exact mu' puts
+    # on m < 0
+    for seed in range(5):
+        mags = naive_mu_prime_dynamics(n, a, 5000, philox(seed)).mags
+        if n % 2:
+            assert abs((mags < 0).mean() - 0.2222) < 0.05
+        else:
+            assert mags.min() == 2
 
 
 def test_naive_dynamics_unaccounted_variant_differs():

@@ -327,6 +327,21 @@ def test_event_G_matches_direct_recomputation():
         assert event_G_n(dec, params) == expect
 
 
+@pytest.mark.parametrize("n", [12, 16, 32, 64])
+@pytest.mark.parametrize("a", [1.94, 1.95, 1.99])
+def test_event_G_cannot_hold_at_reachable_sides(n, a):
+    # all-open puts every vertex in the boundary cluster: the most inner-box
+    # mass any configuration has.  That is n1^2 <= 25 n^2 / 36 vertices, short
+    # of 2 n^a until n^(2 - a) >= 72/25 (n >= 2.2e7 at a = 31/16)
+    params = EventParams(n=n, a=a)
+    g = build_box(n)
+    dec = decompose(BondConfig.all_open(g))
+    assert dec.m_count == n * n <= 4 * n ** a  # the mass clause holds
+    inner = int((dec.m_mask & g.sub_box_mask(params.n1)).sum())
+    assert inner == params.n1 ** 2 < 2 * n ** a
+    assert not event_G_n(dec, params)
+
+
 def test_fss_conditions_against_direct_recomputation():
     from soc_ising import p_critical, theta_asymptotic
     params = EventParams(n=30, a=1.95)
@@ -439,6 +454,20 @@ def test_walk_bound_requires_sampling_beyond_dp_budget():
     sizes = [2] * 600_000
     with pytest.raises(ValueError):
         compensation_walk_bound_check(sizes, N=2, n=10)
+
+
+def test_walk_bound_samples_beyond_dp_budget():
+    # 1,001 clusters of size 1,000: a total of 1,001,000 is past the DP
+    # budget.  S_j = 0 for j < 1000, and |S_1000| <= 1000 exactly when the
+    # 1,001 signs sum to +-1, with probability 2 C(1001, 500) / 2^1001
+    trials = 2000
+    rep = compensation_walk_bound_check([1000] * 1001, N=1000, n=10,
+                                        rng=philox(5), trials=trials)
+    assert rep.method == "mc"
+    assert (rep.probs[:1000] == 1.0).all()
+    exact = 2 * math.comb(1001, 500) / 2 ** 1001
+    se = math.sqrt(exact * (1 - exact) / trials)
+    assert abs(rep.probs[1000] - exact) < 5 * se
 
 
 def test_surgery_identity_on_random_configurations():
