@@ -17,8 +17,9 @@ from .ising import (
     SpinConfig, _plus_rows, enumerate_plus_configs, exact_ising_distribution,
 )
 from .fk import (
-    BondConfig, FKParams, boundary_clusters, cluster_labels, cluster_spins,
-    enumerate_bond_configs, equal_spin_bonds, exact_fk_distribution,
+    BondConfig, FKParams, _weight_table, boundary_clusters, cluster_labels,
+    cluster_spins, enumerate_bond_configs, equal_spin_bonds,
+    exact_fk_distribution,
 )
 
 
@@ -81,41 +82,61 @@ def dual_config(omega: BondConfig) -> BondConfig:
 
 # masks per block when every wired configuration is mapped to its dual
 _DUAL_BLOCK = 1 << 16
+# configurations per block when the wired law is pushed to the spins
+_SPIN_BLOCK = 1 << 14
 
 
-def _spin_pushforward(g: BoxGeometry, fk) -> tuple[np.ndarray, np.ndarray]:
-    """Spin law pushed from the wired bond law `fk`, indexed by plus-table
-    row, and the rows it reaches in order of first arrival.
+def _wired_law_and_spins(g: BoxGeometry, t: float):
+    """The wired q = 2 bond law at temperature t and the spin law pushed
+    from it, from one labelling pass over every bond configuration.
 
-    Each configuration of nonzero probability splits it over the 2^k sign
-    choices of its k interior clusters; choice c flips the i-th interior
-    cluster when bit i of c is set.  The shares are added in (mask, choice)
-    order, so every sum keeps the order of a per-mask loop.
+    Returns (bond probabilities indexed by bitmask, spin probabilities
+    indexed by plus-table row, the rows reached in order of first arrival).
+    The pass writes each block's weights and keeps what the pushforward
+    needs that does not depend on p: the number k of interior clusters
+    and, per interior vertex, the sign bit 1 << (rank of its cluster among
+    the interior ones), 0 on a boundary cluster (k <= 4 at side <= 4, so
+    both fit in uint8).  Once the weights are normalized, each
+    configuration of nonzero probability splits it over the 2^k sign
+    choices; choice c flips the interior clusters whose bits it sets.  The
+    shares are added in (mask, choice) order, so every sum keeps the order
+    of a per-mask loop.
     """
-    ni = g.interior_ids.size
+    table = _weight_table(g, FKParams(t_to_p(t), 2.0, 1))
+    size, ni = 1 << g.n_edges, g.interior_ids.size
+    weights = np.empty(size)
+    ks = np.empty(size, dtype=np.uint8)
+    bits = np.empty((size, ni), dtype=np.uint8)
+    for start, bonds, labels in enumerate_bond_configs(g):
+        stop = start + len(labels)
+        untouched = ~boundary_clusters(g, labels)
+        rows, own = np.arange(len(labels))[:, None], labels[:, g.interior_ids]
+        # per interior vertex: does its cluster miss the boundary, and its
+        # rank from 1 among the clusters that do (ids in increasing order)
+        inner = untouched[rows, own]
+        rank = untouched.cumsum(axis=1)[rows, own]
+        # every interior cluster holds an interior vertex, so the largest
+        # rank is their number; the boundary-touching clusters count as one
+        k = (inner * rank).max(axis=1, initial=0)
+        weights[start:stop] = table[k + 1, bonds.sum(axis=1)]
+        ks[start:stop] = k
+        bits[start:stop] = (inner << rank) >> 1
+    weights /= float(weights.sum())
     probs = np.zeros(1 << ni)
     first = np.full(1 << ni, np.iinfo(np.int64).max)
+    live = np.flatnonzero(weights != 0.0)
     seen = 0
-    for start, _, labels in enumerate_bond_configs(g):
-        pr = fk.probs[start:start + len(labels)]
-        keep = pr != 0.0
-        labels, pr = labels[keep], pr[keep]
-        touched = boundary_clusters(g, labels)
-        n_clusters = labels.max(axis=1) + 1
-        k = n_clusters - touched.sum(axis=1)
-        # sign bit of each interior cluster: 1 << (its rank among them)
-        interior = ~touched & (np.arange(labels.shape[1]) < n_clusters[:, None])
-        bit = np.where(interior, 1 << (interior.cumsum(axis=1) - 1).clip(0), 0)
-        reps = 1 << k
-        row = np.repeat(np.arange(len(labels)), reps)
+    for start in range(0, live.size, _SPIN_BLOCK):
+        masks = live[start:start + _SPIN_BLOCK]
+        reps = 1 << ks[masks].astype(np.int64)
+        row = np.repeat(masks, reps)
         choice = np.arange(row.size) - np.repeat(reps.cumsum() - reps, reps)
-        flipped = choice[:, None] & bit[row[:, None], labels[row][:, g.interior_ids]]
-        idx = _plus_rows(flipped == 0)
-        np.add.at(probs, idx, np.repeat(pr / reps, reps))
+        idx = _plus_rows((choice[:, None] & bits[row]) == 0)
+        np.add.at(probs, idx, np.repeat(weights[masks] / reps, reps))
         np.minimum.at(first, idx, seen + np.arange(idx.size))
         seen += idx.size
     reached = np.flatnonzero(first < seen)
-    return probs, reached[np.argsort(first[reached])]
+    return weights, probs, reached[np.argsort(first[reached])]
 
 
 def es_spin_pushforward(g: BoxGeometry | int, t: float) -> dict[bytes, float]:
@@ -127,8 +148,7 @@ def es_spin_pushforward(g: BoxGeometry | int, t: float) -> dict[bytes, float]:
     first arrival).
     """
     g = as_box(g)
-    fk = exact_fk_distribution(g, FKParams(t_to_p(t), 2.0, 1))
-    probs, reached = _spin_pushforward(g, fk)
+    _, probs, reached = _wired_law_and_spins(g, t)
     rows = enumerate_plus_configs(g)
     return {rows[i].tobytes(): float(probs[i]) for i in reached}
 
@@ -168,13 +188,12 @@ def es_pushforward_check(g_or_n, t: float) -> tuple[float, float]:
     exact spin and bond laws.  Returns (spin error, bond error)."""
     g = as_box(g_or_n)
     dist = exact_ising_distribution(g, t)
-    fk = exact_fk_distribution(g, FKParams(t_to_p(t), 2.0, 1))
-    pushed, _ = _spin_pushforward(g, fk)
+    fk, pushed, _ = _wired_law_and_spins(g, t)
     # at T = 0 the spin law is the all-plus row alone
     target = np.zeros_like(pushed)
     target[_plus_rows(dist.spins[:, g.interior_ids] > 0)] = dist.probs
     err_spin = float(np.abs(pushed - target).max())
-    err_bond = float(np.abs(_bond_pushforward(g, dist, t_to_p(t)) - fk.probs).max())
+    err_bond = float(np.abs(_bond_pushforward(g, dist, t_to_p(t)) - fk).max())
     return err_spin, err_bond
 
 

@@ -47,6 +47,14 @@ class FKParams:
             raise ValueError("bc must be 0 (free) or 1 (wired)")
 
 
+def _checked_bitmask(g: BoxGeometry, mask: int) -> int:
+    """`mask` as an int, refused unless it is a bitmask of the box's edges."""
+    mask = int(mask)
+    if not 0 <= mask < 1 << g.n_edges:
+        raise ValueError(f"bitmask outside [0, 2^{g.n_edges})")
+    return mask
+
+
 class BondConfig:
     """Open/closed assignment per edge, in the deterministic edge order."""
 
@@ -82,9 +90,7 @@ class BondConfig:
     def from_bitmask(cls, g: BoxGeometry, mask: int) -> "BondConfig":
         """The configuration whose open edges are the set bits of `mask`
         (bit e = edge e), exact at any number of edges."""
-        mask = int(mask)
-        if not 0 <= mask < 1 << g.n_edges:
-            raise ValueError(f"bitmask outside [0, 2^{g.n_edges})")
+        mask = _checked_bitmask(g, mask)
         raw = np.frombuffer(mask.to_bytes((g.n_edges + 7) // 8, "little"),
                             dtype=np.uint8)
         return cls(g, np.unpackbits(raw, count=g.n_edges, bitorder="little"))
@@ -240,12 +246,31 @@ def decompose(omega: BondConfig) -> ClusterDecomposition:
     return ClusterDecomposition(omega.g, cluster_labels(omega.g, omega.bonds)[0])
 
 
+def _weights(params: FKParams, n_edges: int, ks, opens) -> np.ndarray:
+    """Unnormalized random-cluster weights q^k p^o (1-p)^(E-o) of the
+    configurations with k clusters and o of their E edges open, for every k
+    in `ks` and o in `opens`, as a table indexed [k, o]."""
+    p, q = params.p, params.q
+    q_pow = np.array([q ** k for k in ks], dtype=np.float64)
+    p_pow = np.array([p ** o for o in opens], dtype=np.float64)
+    c_pow = np.array([(1.0 - p) ** (n_edges - o) for o in opens], dtype=np.float64)
+    return q_pow[:, None] * p_pow * c_pow
+
+
 def fk_weight(omega: BondConfig, params: FKParams) -> float:
     """Unnormalized random-cluster weight q^clusters p^open (1-p)^closed."""
     dec = decompose(omega)
     k = dec.k1 if params.bc == 1 else dec.k0
-    o = omega.open_count()
-    return (params.q ** k) * (params.p ** o) * ((1.0 - params.p) ** (omega.g.n_edges - o))
+    return float(_weights(params, omega.g.n_edges, [k], [omega.open_count()])[0, 0])
+
+
+def _weight_table(g: BoxGeometry, params: FKParams) -> np.ndarray:
+    """`_weights` at every cluster count and open count of a box small
+    enough to enumerate."""
+    ne = g.n_edges
+    if ne > 24:
+        raise ValueError("exact enumeration limited to <= 24 edges (side <= 4)")
+    return _weights(params, ne, range(g.n * g.n + 1), range(ne + 1))
 
 
 @dataclass
@@ -262,10 +287,20 @@ class FKDistribution:
     z: float
 
     def prob_of(self, omega: BondConfig | int) -> float:
-        mask = omega if isinstance(omega, (int, np.integer)) else omega.to_bitmask()
+        """Probability of a configuration of this box, or of its bitmask."""
+        if isinstance(omega, (int, np.integer)):
+            mask = _checked_bitmask(self.g, omega)
+        elif omega.g.n != self.g.n:
+            raise ValueError(f"configuration of a side-{omega.g.n} box, "
+                             f"law of a side-{self.g.n} box")
+        else:
+            mask = omega.to_bitmask()
         return float(self.probs[mask])
 
     def edge_marginal(self, e: int) -> float:
+        """Probability that edge e is open."""
+        if not 0 <= e < self.g.n_edges:
+            raise ValueError("edge id out of range")
         p = self.probs.reshape(1 << (self.g.n_edges - e - 1), 2, 1 << e)
         return float(p[:, 1, :].sum())
 
@@ -300,22 +335,14 @@ def exact_fk_distribution(g: BoxGeometry | int, params: FKParams) -> FKDistribut
     and peaks near 186 MB of RSS (2-CPU Xeon), tests stay at side <= 3.
     """
     g = as_box(g)
-    ne = g.n_edges
-    if ne > 24:
-        raise ValueError("exact enumeration limited to <= 24 edges (side <= 4)")
-    p, q = params.p, params.q
-    # per-count factors; each weight is q^k * p^o * (1-p)^(E-o), in that order
-    q_pow = np.array([q ** k for k in range(g.n * g.n + 1)])
-    p_pow = np.array([p ** o for o in range(ne + 1)])
-    c_pow = np.array([(1.0 - p) ** (ne - o) for o in range(ne + 1)])
-    weights = np.empty(1 << ne, dtype=np.float64)
+    table = _weight_table(g, params)
+    weights = np.empty(1 << g.n_edges, dtype=np.float64)
     for start, bonds, labels in enumerate_bond_configs(g):
         k = labels.max(axis=1) + 1
         if params.bc == 1:
             # boundary-touching clusters merge into one
             k += 1 - boundary_clusters(g, labels).sum(axis=1)
-        o = bonds.sum(axis=1)
-        weights[start:start + len(o)] = q_pow[k] * p_pow[o] * c_pow[o]
+        weights[start:start + len(k)] = table[k, bonds.sum(axis=1)]
     z = float(weights.sum())
     weights /= z
     return FKDistribution(g=g, params=params, probs=weights, z=z)
@@ -435,6 +462,8 @@ def single_bond_conditional(omega: BondConfig, e: int, params: FKParams) -> floa
     """Conditional probability that edge e is open given all other edges:
     p when its endpoints are joined without it (the bridge query), else
     p / (p + (1 - p) q)."""
+    if not 0 <= e < omega.g.n_edges:
+        raise ValueError("edge id out of range")
     p, q = params.p, params.q
     if _bridge_query(omega, params.bc == 1)[1](e):
         return p

@@ -547,14 +547,20 @@ def compensation_walk_bound_check(sizes, N: int, n: int,
         method = "mc"
         order = np.argsort(sizes, kind="stable")
         svals = np.array(sizes, dtype=np.int64)[order]
-        eps = 2 * rng.integers(0, 2, size=(trials, len(sizes))) - 1
-        contrib = eps * svals
-        cum = np.cumsum(contrib, axis=1)
+        eps = rng.integers(0, 2, size=(trials, len(sizes)))
+        eps *= 2
+        eps -= 1
+        # S_j adds the signed sizes up to the last one <= j, one stretch of
+        # the sorted sizes at a time
+        sj = np.zeros(trials, dtype=np.int64)
+        done = 0
         probs = np.empty(N + 1)
         probs[0] = 1.0
         for j in range(1, N + 1):
             upto = int(np.searchsorted(svals, j, side="right"))
-            sj = cum[:, upto - 1] if upto > 0 else np.zeros(trials)
+            if upto > done:
+                sj += eps[:, done:upto] @ svals[done:upto]
+                done = upto
             probs[j] = float((np.abs(sj) <= N).mean())
 
     holds = bool((probs >= bounds - 1e-12).all())

@@ -423,6 +423,22 @@ def sign_compensation_fraction_oracle(sizes) -> Fraction:
     return dist.get(0, Fraction(0))
 
 
+def walk_bound_mc_oracle(sizes, N: int, rng, trials: int) -> np.ndarray:
+    """P(|S_j| <= N) for j = 0..N by Monte Carlo, as the walk bound check
+    draws it: the signs of the sorted sizes as one trials x len(sizes)
+    matrix, and S_j read from the cumulative sums of the signed sizes."""
+    svals = np.sort(np.array(sizes, dtype=np.int64), kind="stable")
+    eps = 2 * rng.integers(0, 2, size=(trials, len(sizes))) - 1
+    cum = np.cumsum(eps * svals, axis=1)
+    probs = np.empty(N + 1)
+    probs[0] = 1.0
+    for j in range(1, N + 1):
+        upto = int(np.searchsorted(svals, j, side="right"))
+        sj = cum[:, upto - 1] if upto > 0 else np.zeros(trials)
+        probs[j] = float((np.abs(sj) <= N).mean())
+    return probs
+
+
 def heat_bath_sweep_oracle(config, t: float, rng) -> None:
     """One checkerboard heat-bath pass, in place: per color class, gather
     the (k, 4) neighbour rows, take expit per site, one uniform per site."""

@@ -17,6 +17,7 @@ from helpers import (
 )
 from soc_ising import (
     BondConfig,
+    FKParams,
     SpinConfig,
     T_CRITICAL,
     build_box,
@@ -30,12 +31,14 @@ from soc_ising import (
     es_ising_to_fk,
     es_pushforward_check,
     es_spin_pushforward,
+    exact_fk_distribution,
     p_critical,
     p_to_t,
     phi_n,
     t_to_p,
 )
-from soc_ising.coupling import dual_masks
+from soc_ising import fk
+from soc_ising.coupling import _wired_law_and_spins, dual_masks
 
 
 def test_temperature_density_dictionary():
@@ -182,6 +185,38 @@ def test_pushforwards_equal_per_mask_oracles(n, t):
     assert list(spin.items()) == list(spin_pushforward_oracle(g, t).items())
     assert np.array_equal(es_bond_pushforward(g, t), bond_pushforward_oracle(g, t))
     assert es_pushforward_check(g, t) == pushforward_check_oracle(g, t)
+
+
+@pytest.mark.parametrize("t", ORACLE_TEMPERATURES)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_one_pass_bond_law_equals_exact_fk_distribution(n, t):
+    g = build_box(n)
+    law = exact_fk_distribution(g, FKParams(t_to_p(t), 2.0, 1)).probs
+    assert np.array_equal(_wired_law_and_spins(g, t)[0], law)
+
+
+@pytest.mark.parametrize("n, blocks", [(1, 1), (2, 1), (3, 4)])
+def test_coupling_check_labels_each_configuration_once(monkeypatch, n, blocks):
+    rows = []
+    labels = fk.cluster_labels
+
+    def counting(g, bonds):
+        rows.append(len(bonds))
+        return labels(g, bonds)
+
+    monkeypatch.setattr(fk, "cluster_labels", counting)
+    n_configs = 1 << build_box(n).n_edges
+    for check in (es_pushforward_check, es_spin_pushforward):
+        rows.clear()
+        check(n, 1.0)
+        assert len(rows) == blocks
+        assert sum(rows) == n_configs
+
+
+def test_coupling_check_refuses_boxes_past_enumeration():
+    for check in (es_pushforward_check, es_spin_pushforward):
+        with pytest.raises(ValueError, match="<= 24 edges"):
+            check(5, 1.0)
 
 
 @pytest.mark.parametrize("q", [1.0, 1.5, 2.0])

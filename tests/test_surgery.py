@@ -3,6 +3,7 @@ events, and the sign-compensation arithmetic."""
 
 import importlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     exact_cut_H2_oracle, maximal_subset_H1_oracle, philox,
     sign_compensation_fraction_oracle, stirling_constant_oracle,
+    walk_bound_mc_oracle,
 )
 from soc_ising import (
     BondConfig,
@@ -461,13 +463,31 @@ def test_walk_bound_samples_beyond_dp_budget():
     # budget.  S_j = 0 for j < 1000, and |S_1000| <= 1000 exactly when the
     # 1,001 signs sum to +-1, with probability 2 C(1001, 500) / 2^1001
     trials = 2000
-    rep = compensation_walk_bound_check([1000] * 1001, N=1000, n=10,
-                                        rng=philox(5), trials=trials)
+    # the cached K2 scan of 10^6 terms is not part of the walk
+    stirling_constant()
+    tracemalloc.start()
+    try:
+        rep = compensation_walk_bound_check([1000] * 1001, N=1000, n=10,
+                                            rng=philox(5), trials=trials)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert rep.method == "mc"
     assert (rep.probs[:1000] == 1.0).all()
     exact = 2 * math.comb(1001, 500) / 2 ** 1001
     se = math.sqrt(exact * (1 - exact) / trials)
     assert abs(rep.probs[1000] - exact) < 5 * se
+    want = walk_bound_mc_oracle([1000] * 1001, 1000, philox(5), trials)
+    assert np.array_equal(rep.probs, want)
+    # the 2,000 x 1,001 int64 sign matrix alone takes 16 MB
+    assert peak < 20 * 2 ** 20
+    # 1,500 sizes in [400, 1000]: S_j grows over many stretches of sizes
+    sizes = philox(6).integers(400, 1001, size=1500).tolist()
+    rep = compensation_walk_bound_check(sizes, N=1000, n=10, rng=philox(7),
+                                        trials=500)
+    assert rep.method == "mc"
+    want = walk_bound_mc_oracle(sizes, 1000, philox(7), 500)
+    assert np.array_equal(rep.probs, want)
 
 
 def test_surgery_identity_on_random_configurations():
