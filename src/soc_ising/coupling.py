@@ -124,10 +124,9 @@ def _wired_law_and_spins(g: BoxGeometry, t: float):
     weights /= float(weights.sum())
     probs = np.zeros(1 << ni)
     first = np.full(1 << ni, np.iinfo(np.int64).max)
-    live = np.flatnonzero(weights != 0.0)
     seen = 0
-    for start in range(0, live.size, _SPIN_BLOCK):
-        masks = live[start:start + _SPIN_BLOCK]
+    for start in range(0, size, _SPIN_BLOCK):
+        masks = start + np.flatnonzero(weights[start:start + _SPIN_BLOCK] != 0.0)
         reps = 1 << ks[masks].astype(np.int64)
         row = np.repeat(masks, reps)
         choice = np.arange(row.size) - np.repeat(reps.cumsum() - reps, reps)

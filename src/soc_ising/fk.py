@@ -331,8 +331,9 @@ def boundary_clusters(g: BoxGeometry, labels: np.ndarray) -> np.ndarray:
 def exact_fk_distribution(g: BoxGeometry | int, params: FKParams) -> FKDistribution:
     """Exact finite-volume law by enumerating all bond configurations.
 
-    Supported up to 24 edges (side 4); the side-4 table takes about 27 s
-    and peaks near 186 MB of RSS (2-CPU Xeon), tests stay at side <= 3.
+    Supported up to 24 edges (side 4); the side-4 wired law takes 10-11 s
+    and peaks near 166 MB of RSS (2-CPU Intel Xeon, Python 3.11.7, numpy
+    2.4.6), tests stay at side <= 3.
     """
     g = as_box(g)
     table = _weight_table(g, params)
