@@ -310,7 +310,6 @@ def test_prob_of_indexes_by_bitmask():
 
 @pytest.mark.parametrize("mask", [-1, -16, 16, 1 << 40])
 def test_prob_of_refuses_masks_outside_the_box(mask):
-    # -1 used to wrap around to mask 15, and 16 raised a bare IndexError
     dist = exact_fk_distribution(build_box(2), FKParams(p=0.6, q=2.0, bc=1))
     for m in (mask, np.int64(mask)):
         with pytest.raises(ValueError, match=r"bitmask outside \[0, 2\^4\)"):
@@ -334,7 +333,6 @@ def test_edge_marginal_refuses_edges_outside_the_box(e):
 
 @pytest.mark.parametrize("e", [-1, 12, 100])
 def test_single_bond_conditional_refuses_edges_outside_the_box(e):
-    # -1 used to answer for edge 11, and 12 raised a bare IndexError
     omega = BondConfig.all_open(build_box(3))
     with pytest.raises(ValueError, match="edge id out of range"):
         single_bond_conditional(omega, e, FKParams(p=0.6, q=2.0, bc=1))
