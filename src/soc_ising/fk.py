@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import BoxGeometry, as_box
+from .lattice import BoxGeometry, _checked_ids, _checked_index, as_box
 
 
 def p_critical(q: float) -> float:
@@ -49,7 +49,7 @@ class FKParams:
 
 def _checked_bitmask(g: BoxGeometry, mask: int) -> int:
     """`mask` as an int, refused unless it is a bitmask of the box's edges."""
-    mask = int(mask)
+    mask = _checked_index(mask, "bitmask")
     if not 0 <= mask < 1 << g.n_edges:
         raise ValueError(f"bitmask outside [0, 2^{g.n_edges})")
     return mask
@@ -109,11 +109,8 @@ class BondConfig:
 
 def close_edges(omega: BondConfig, edge_ids) -> BondConfig:
     """New configuration with the given edges closed (ids validated)."""
-    ids = np.asarray(list(edge_ids), dtype=np.int64)
-    if ids.size and (ids.min() < 0 or ids.max() >= omega.g.n_edges):
-        raise ValueError("edge id out of range")
     bonds = omega.bonds.copy()
-    bonds[ids] = 0
+    bonds[_checked_ids(edge_ids, bonds.size, "edge")] = 0
     return BondConfig(omega.g, bonds)
 
 
@@ -288,7 +285,7 @@ class FKDistribution:
 
     def prob_of(self, omega: BondConfig | int) -> float:
         """Probability of a configuration of this box, or of its bitmask."""
-        if isinstance(omega, (int, np.integer)):
+        if not isinstance(omega, BondConfig):
             mask = _checked_bitmask(self.g, omega)
         elif omega.g.n != self.g.n:
             raise ValueError(f"configuration of a side-{omega.g.n} box, "
@@ -299,6 +296,7 @@ class FKDistribution:
 
     def edge_marginal(self, e: int) -> float:
         """Probability that edge e is open."""
+        e = _checked_index(e, "edge id")
         if not 0 <= e < self.g.n_edges:
             raise ValueError("edge id out of range")
         p = self.probs.reshape(1 << (self.g.n_edges - e - 1), 2, 1 << e)
@@ -463,6 +461,7 @@ def single_bond_conditional(omega: BondConfig, e: int, params: FKParams) -> floa
     """Conditional probability that edge e is open given all other edges:
     p when its endpoints are joined without it (the bridge query), else
     p / (p + (1 - p) q)."""
+    e = _checked_index(e, "edge id")
     if not 0 <= e < omega.g.n_edges:
         raise ValueError("edge id out of range")
     p, q = params.p, params.q

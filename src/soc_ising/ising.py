@@ -7,7 +7,7 @@ point mass on the all-plus configuration.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -123,9 +123,10 @@ def heat_bath_table(t: float) -> np.ndarray:
 _DRAW_BLOCK = 1 << 16
 
 
-@dataclass(frozen=True)
-class _SweepLayout:
-    """The side-n box as the heat-bath sweep stores it.
+class _SweepWork:
+    """The side-n box as the heat-bath sweep stores it, with the buffers of a
+    sweep call for up to `rows` sweeps per draw block and the views of them
+    that its inner loops read, built once.
 
     Rows have the odd width w = n | 1 (one pad column when n is even), so
     grid site (x, y) sits at q = x w + y and its colour is q & 1.  Colour
@@ -135,85 +136,57 @@ class _SweepLayout:
     class-0 indices i, i + 1, i - (w-1)/2 and i + (w+1)/2.
     """
 
-    n: int
-    w: int
-    half: int
-    interior: int  # interior sites, so uniforms per sweep
-    per_block: int  # sweeps per block of at most _DRAW_BLOCK uniforms
-    # per nonempty class: the slots from its first interior site to its
-    # last, and the four slices of the other class holding their neighbours
-    spans: tuple[tuple[slice, tuple[slice, ...]], ...]
-    # the interior rows of one class and x parity, as (src, src_step, dst,
-    # count, length): row j holds uniforms src + j src_step on, in visit
-    # order, and slots dst + j w on
-    runs: tuple[tuple[int, int, int, int, int], ...]
-    # workspaces of finished calls at this side, for later calls; a call
-    # pops the one it uses, so concurrent calls never share one
-    spare: list = field(default_factory=list, compare=False, repr=False)
-
-    def run_views(self, src: np.ndarray, dst: np.ndarray) -> list:
-        """(into dst, of src) view pairs that copy each row of `src`, one
-        entry per interior site in visit order, to the interior slots of
-        the same row of `dst`.  The runs are read in whole steps, so `src`
-        rows need n and `dst` rows w spare columns."""
-        b, w = src.shape[0], self.w
-        return [(dst[:, d0:d0 + w * count].reshape(b, count, w)[:, :, :length],
-                 src[:, s0:s0 + step * count].reshape(b, count, step)[:, :, :length])
-                for s0, step, d0, count, length in self.runs]
-
-
-@lru_cache(maxsize=None)
-def _sweep_layout(n: int) -> _SweepLayout:
-    w = n | 1
-    half = (n * w + 1) // 2
-    shifts = ((-1, 0, -(w + 1) // 2, (w - 1) // 2),
-              (0, 1, -(w - 1) // 2, (w + 1) // 2))
-    spans, runs, src = [], [], 0
-    for c in (0, 1):
-        # interior row x holds its class-c sites from y0 in {1, 2} on, step 2
-        rows = []
-        for x in range(1, n - 1):
-            y0 = 2 - ((x + c) & 1)
-            length = len(range(y0, n - 1, 2))
-            if length:
-                rows.append((src, c * half + (x * w + y0) // 2, length))
-                src += length
-        if not rows:
-            continue
-        lo, hi = rows[0][1], rows[-1][1] + rows[-1][2]
-        other = (1 - 2 * c) * half
-        spans.append((slice(lo, hi), tuple(
-            slice(lo + other + d, hi + other + d) for d in shifts[c])))
-        for group in (rows[0::2], rows[1::2]):
-            if group:
-                s0, d0, length = group[0]
-                step = group[1][0] - s0 if len(group) > 1 else length
-                runs.append((s0, step, d0, len(group), length))
-    return _SweepLayout(n, w, half, src, max(1, _DRAW_BLOCK // max(src, 1)),
-                        tuple(spans), tuple(runs))
-
-
-class _SweepWork:
-    """The buffers of a sweep call on `lay`, for up to `rows` sweeps per draw
-    block, and the views of them that its inner loops read, built once."""
-
-    def __init__(self, lay: _SweepLayout, rows: int):
-        self.rows, self.n_int, self.per_block = rows, lay.interior, lay.per_block
-        self.plus = np.ones(2 * lay.half, dtype=bool)  # the slots
+    def __init__(self, n: int, rows: int):
+        w, half = n | 1, (n * (n | 1) + 1) // 2
+        self.n_int = max(n - 2, 0) ** 2  # interior sites, so uniforms per sweep
+        # sweeps per block of at most _DRAW_BLOCK uniforms
+        self.per_block = max(1, _DRAW_BLOCK // max(self.n_int, 1))
+        self.rows = rows = min(rows, self.per_block)
+        self.plus = np.ones(2 * half, dtype=bool)  # the slots
         self.buf = buf = self.plus.view(np.uint8)
         # the spins over rows of width w; slot i of class c is grid cell
         # 2i + c (the pad column is never read by an interior site)
-        grid = np.ones((lay.n, lay.w), dtype=np.int8)
-        self.box, flat = grid[:, :lay.n], grid.reshape(-1)
-        self.classes = [(cells, self.plus[c * lay.half:][:cells.size])
+        grid = np.ones((n, w), dtype=np.int8)
+        self.box, flat = grid[:, :n], grid.reshape(-1)
+        self.classes = [(cells, self.plus[c * half:][:cells.size])
                         for c, cells in ((0, flat[0::2]), (1, flat[1::2]))]
-        # per block, a rank per uniform in visit order, then in slot order
-        self.rank = np.empty((rows, lay.interior + lay.n), dtype=np.uint8)
-        self.ranks = np.empty((rows, buf.size + lay.w), dtype=np.uint8)
-        self.runs = lay.run_views(self.rank, self.ranks)
-        self.updates = [(span, self.plus[span], *(buf[s] for s in nbrs),
-                         np.empty(span.stop - span.start, dtype=np.uint8))
-                        for span, nbrs in lay.spans]
+        # per block, a rank per uniform in visit order, then in slot order;
+        # the runs read whole steps, so rows have n and w spare columns
+        self.rank = rank = np.empty((rows, self.n_int + n), dtype=np.uint8)
+        self.ranks = ranks = np.empty((rows, buf.size + w), dtype=np.uint8)
+        shifts = ((-1, 0, -(w + 1) // 2, (w - 1) // 2),
+                  (0, 1, -(w - 1) // 2, (w + 1) // 2))
+        self.updates, self.runs, src = [], [], 0
+        for c in (0, 1):
+            # interior row x holds its class-c sites from y0 in {1, 2} on,
+            # step 2; per row, its first uniform, first slot and length
+            lines = []
+            for x in range(1, n - 1):
+                y0 = 2 - ((x + c) & 1)
+                length = len(range(y0, n - 1, 2))
+                if length:
+                    lines.append((src, c * half + (x * w + y0) // 2, length))
+                    src += length
+            if not lines:
+                continue
+            # the slots from the class's first interior site to its last,
+            # and the four slices of the other class holding their neighbours
+            lo, hi = lines[0][1], lines[-1][1] + lines[-1][2]
+            other = (1 - 2 * c) * half + lo
+            self.updates.append(
+                (slice(lo, hi), self.plus[lo:hi],
+                 *(buf[other + d:other + d + hi - lo] for d in shifts[c]),
+                 np.empty(hi - lo, dtype=np.uint8)))
+            # (into ranks, of rank) views copying the rows of one x parity:
+            # row j holds uniforms s0 + j step on and slots d0 + j w on
+            for group in (lines[0::2], lines[1::2]):
+                if group:
+                    s0, d0, length = group[0]
+                    step = group[1][0] - s0 if len(group) > 1 else length
+                    k = len(group)
+                    self.runs.append((
+                        ranks[:, d0:d0 + w * k].reshape(rows, k, w)[..., :length],
+                        rank[:, s0:s0 + step * k].reshape(rows, k, step)[..., :length]))
 
     def sweep(self, t: float, rng: np.random.Generator, sweeps: int) -> int:
         """`sweeps` sweeps of `plus` in place; returns the number of slot
@@ -257,6 +230,10 @@ class _SweepWork:
             rank += u >= pj
 
 
+# finished workspaces per side, for later calls at that side
+_sweep_pool: dict[int, list[_SweepWork]] = {}
+
+
 def heat_bath_sweep(config: SpinConfig, t: float, rng: np.random.Generator,
                     sweeps: int = 1) -> int:
     """`sweeps` deterministic-order heat-bath passes over all interior sites
@@ -269,7 +246,8 @@ def heat_bath_sweep(config: SpinConfig, t: float, rng: np.random.Generator,
     that order while allowing vectorization.  One uniform is drawn per site,
     in visit order, so one call draws what `sweeps` calls of one pass draw.
     Boundary spins never move.  The spins are copied once into the colour
-    classes of `_SweepLayout` and once back.
+    classes of `_SweepWork` and once back; one workspace per side is kept
+    for the next call, popped so that concurrent calls never share one.
     """
     if not t > 0:
         raise ValueError("heat_bath_sweep needs T > 0; T = 0 is the frozen point mass")
@@ -278,14 +256,13 @@ def heat_bath_sweep(config: SpinConfig, t: float, rng: np.random.Generator,
     g, spins = config.g, config.spins
     if g.interior_ids.size == 0:
         return 0
-    lay = _sweep_layout(g.n)
-    rows = min(lay.per_block, sweeps)
+    spare = _sweep_pool.setdefault(g.n, [])
     try:
-        work = lay.spare.pop()
+        work = spare.pop()
     except IndexError:
         work = None
-    if work is None or work.rows < rows:  # a smaller one is dropped
-        work = _SweepWork(lay, rows)
+    if work is None or work.rows < min(work.per_block, sweeps):
+        work = _SweepWork(g.n, sweeps)  # a smaller one is dropped
     box = spins.reshape(g.n, g.n)
     work.box[...] = box
     for cells, slots in work.classes:
@@ -294,10 +271,7 @@ def heat_bath_sweep(config: SpinConfig, t: float, rng: np.random.Generator,
     for cells, slots in work.classes:
         cells[...] = slots
     np.subtract(2 * work.box, 1, out=box)
-    # kept for the next call when small; a larger one costs little to
-    # rebuild next to its call's sweeps, and would hold memory meanwhile
-    if work.ranks.nbytes <= _DRAW_BLOCK:
-        lay.spare.append(work)
+    spare.append(work)
     return flips
 
 

@@ -6,6 +6,7 @@ sorted lexicographically by coordinate, edges lexicographically by their
 (smaller endpoint, larger endpoint) pair in vertex order.
 """
 
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -18,6 +19,26 @@ def box_range(n: int) -> tuple[int, int]:
     if n < 1:
         raise ValueError(f"box side must be >= 1, got {n}")
     return -(n // 2), (n - 1) // 2
+
+
+def _checked_index(i, what: str) -> int:
+    """`i` as an int, refused unless it is an integer (3.0 is not)."""
+    try:
+        return operator.index(i)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {i!r}") from None
+
+
+def _checked_ids(ids, stop: int, what: str) -> np.ndarray:
+    """The ids of an iterable or array as int64, refused unless each is an
+    integer in [0, stop); a boolean mask is not a list of ids."""
+    arr = ids if isinstance(ids, np.ndarray) else np.array(list(ids))
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValueError(f"{what} ids must be integers, got {arr.dtype}")
+    arr = arr.astype(np.int64, copy=False)
+    if arr.size and (arr.min() < 0 or arr.max() >= stop):
+        raise ValueError(f"{what} id out of range")
+    return arr
 
 
 def _shifts(grid: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -121,11 +142,8 @@ class BoxGeometry:
 
     def vertex_mask(self, vertices) -> np.ndarray:
         """Boolean vertex mask of an iterable of vertex ids."""
-        ids = np.fromiter(vertices, dtype=np.int64)
-        if ids.size and (ids.min() < 0 or ids.max() >= self.n * self.n):
-            raise ValueError("vertex id out of range")
         mask = np.zeros(self.n * self.n, dtype=bool)
-        mask[ids] = True
+        mask[_checked_ids(vertices, mask.size, "vertex")] = True
         return mask
 
     def sub_box_mask(self, j: int) -> np.ndarray:

@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import BoxGeometry
+from .lattice import BoxGeometry, _checked_ids, _checked_index
 from .fk import BondConfig, ClusterDecomposition, decompose, close_edges
 from .soc import FeedbackParams, theta_asymptotic
 
@@ -187,10 +187,8 @@ def exact_cut_H2(g: BoxGeometry, cluster, edges, v: int, m: int) -> np.ndarray:
     is increasing vertex id.  H2 is every given edge leaving the kept set.
     """
     inside = g.vertex_mask(cluster)
-    edges = np.fromiter(edges, dtype=np.int64)
-    if edges.size and (edges.min() < 0 or edges.max() >= g.n_edges):
-        raise ValueError("edge id out of range")
-    v = int(v)
+    edges = _checked_ids(edges, g.n_edges, "edge")
+    v = _checked_index(v, "vertex id")
     if not (0 <= v < inside.size and inside[v]):
         raise ValueError("v must belong to the cluster")
     size = int(inside.sum())
@@ -526,42 +524,37 @@ def compensation_walk_bound_check(sizes, N: int, n: int,
     total = sum(sizes)
     js = np.arange(0, N + 1)
     bounds = (k2 / (2.0 * n)) ** js.astype(float)
-    counts = np.bincount(np.array(sizes or [0]), minlength=N + 1)
-    if sizes:
-        counts[0] = 0
+    # S_j changes only at the distinct sizes, the cut points: P(|S_j| <= N)
+    # is taken once at each and holds until the next, and is 1 before the
+    # first, where S_j = 0
+    cuts, reps = np.unique(np.array(sizes, dtype=np.int64), return_counts=True)
+    at_cuts = []
 
     if (2 * total + 1) <= 2 * 10 ** 6:
         method = "dp"
-        probs = np.zeros(N + 1)
         dist = np.zeros(2 * total + 1)
         dist[total] = 1.0
-        probs[0] = 1.0
-        for j in range(1, N + 1):
-            for _ in range(int(counts[j])):
-                dist = _add_fair_sign(dist, j)
-            window = np.arange(-total, total + 1)
-            probs[j] = float(dist[np.abs(window) <= N].sum())
+        window = np.abs(np.arange(-total, total + 1)) <= N
+        for s, r in zip(cuts.tolist(), reps.tolist()):
+            for _ in range(r):
+                dist = _add_fair_sign(dist, s)
+            at_cuts.append(float(dist[window].sum()))
     else:
         if rng is None or trials <= 0:
             raise ValueError("instance too large for DP; pass rng and trials")
         method = "mc"
-        order = np.argsort(sizes, kind="stable")
-        svals = np.array(sizes, dtype=np.int64)[order]
+        svals = np.repeat(cuts, reps)  # the sizes, sorted
         eps = rng.integers(0, 2, size=(trials, len(sizes)))
         eps *= 2
         eps -= 1
-        # S_j adds the signed sizes up to the last one <= j, one stretch of
-        # the sorted sizes at a time
+        # S_j adds the signed sizes of one cut point at a time
         sj = np.zeros(trials, dtype=np.int64)
         done = 0
-        probs = np.empty(N + 1)
-        probs[0] = 1.0
-        for j in range(1, N + 1):
-            upto = int(np.searchsorted(svals, j, side="right"))
-            if upto > done:
-                sj += eps[:, done:upto] @ svals[done:upto]
-                done = upto
-            probs[j] = float((np.abs(sj) <= N).mean())
+        for r in reps.tolist():
+            sj += eps[:, done:done + r] @ svals[done:done + r]
+            done += r
+            at_cuts.append(float((np.abs(sj) <= N).mean()))
+    probs = np.array([1.0] + at_cuts)[np.searchsorted(cuts, js, side="right")]
 
     holds = bool((probs >= bounds - 1e-12).all())
     parity_ok = (N - total) % 2 == 0

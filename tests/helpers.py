@@ -31,6 +31,7 @@ from soc_ising.ising import (
 )
 from soc_ising.lattice import BoxGeometry, as_box, box_range, build_box
 from soc_ising.soc import EPS_T, DeviationReport, ExactMuN, feedback_temperature
+from soc_ising.surgery import _add_fair_sign
 
 
 def philox(seed: int, chain: int = 0) -> np.random.Generator:
@@ -421,6 +422,26 @@ def sign_compensation_fraction_oracle(sizes) -> Fraction:
             new[v - s] = new.get(v - s, Fraction(0)) + half
         dist = new
     return dist.get(0, Fraction(0))
+
+
+def walk_bound_dp_oracle(sizes, N: int) -> np.ndarray:
+    """P(|S_j| <= N) for j = 0..N by the exact sign DP, every j in turn:
+    the clusters of size j join the law of S, whose mass in [-N, N] is
+    then summed over a window of all the sums it can take."""
+    total = sum(sizes)
+    counts = np.bincount(np.array(sizes or [0]), minlength=N + 1)
+    if sizes:
+        counts[0] = 0
+    probs = np.zeros(N + 1)
+    dist = np.zeros(2 * total + 1)
+    dist[total] = 1.0
+    probs[0] = 1.0
+    for j in range(1, N + 1):
+        for _ in range(int(counts[j])):
+            dist = _add_fair_sign(dist, j)
+        window = np.arange(-total, total + 1)
+        probs[j] = float(dist[np.abs(window) <= N].sum())
+    return probs
 
 
 def walk_bound_mc_oracle(sizes, N: int, rng, trials: int) -> np.ndarray:

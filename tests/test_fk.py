@@ -103,6 +103,13 @@ def test_bond_config_bitmask_is_exact_above_63_edges():
             BondConfig.from_bitmask(g, mask)
 
 
+@pytest.mark.parametrize("mask", [3.7, 3.0, np.float64(3), "3"])
+def test_from_bitmask_refuses_a_mask_that_is_not_an_integer(mask):
+    # 3.7 used to be truncated to mask 3
+    with pytest.raises(ValueError, match="bitmask must be an integer"):
+        BondConfig.from_bitmask(build_box(2), mask)
+
+
 def test_bond_config_rejects_bad_bonds():
     g = build_box(3)
     for bad in (np.full(g.n_edges, 2), np.ones(g.n_edges - 1),
@@ -138,6 +145,19 @@ def test_close_edges_leaves_original_untouched():
     assert omega.open_count() == g.n_edges
     assert cut.open_count() == g.n_edges - 3
     assert cut.bonds[0] == 0 and cut.bonds[3] == 0 and cut.bonds[7] == 0
+
+
+def test_close_edges_refuses_ids_that_are_not_integers():
+    # [1.5] used to close edge 1, and a boolean mask closed edges 0 and 1
+    omega = BondConfig.all_open(build_box(3))
+    for bad in ([1.5], [1.0], np.array([True, False]), np.array([2.0])):
+        with pytest.raises(ValueError, match="edge ids must be integers"):
+            close_edges(omega, bad)
+    for ids, closed in (([], []), (np.array([], dtype=np.int64), []),
+                        (np.array([1, 3], dtype=np.uint8), [1, 3]),
+                        ({3, 1}, [1, 3]), ((e for e in (3, 1)), [1, 3])):
+        cut = close_edges(omega, ids)
+        assert np.flatnonzero(cut.bonds == 0).tolist() == closed
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5, 6])
@@ -316,6 +336,15 @@ def test_prob_of_refuses_masks_outside_the_box(mask):
             dist.prob_of(m)
 
 
+@pytest.mark.parametrize("mask", [3.7, np.float64(3)])
+def test_prob_of_refuses_a_mask_that_is_not_an_integer(mask):
+    # both used to fail with an AttributeError
+    dist = exact_fk_distribution(build_box(2), FKParams(p=0.6, q=2.0, bc=1))
+    with pytest.raises(ValueError, match="bitmask must be an integer"):
+        dist.prob_of(mask)
+    assert dist.prob_of(np.uint8(3)) == dist.probs[3]
+
+
 def test_prob_of_refuses_a_configuration_of_another_box():
     dist = exact_fk_distribution(build_box(2), FKParams(p=0.6, q=2.0, bc=1))
     with pytest.raises(ValueError, match="side-3 box"):
@@ -331,11 +360,24 @@ def test_edge_marginal_refuses_edges_outside_the_box(e):
         dist.edge_marginal(e)
 
 
+def test_edge_marginal_refuses_an_edge_that_is_not_an_integer():
+    dist = exact_fk_distribution(build_box(2), FKParams(p=0.6, q=2.0, bc=1))
+    with pytest.raises(ValueError, match="edge id must be an integer"):
+        dist.edge_marginal(1.5)
+    assert dist.edge_marginal(np.int64(1)) == dist.edge_marginal(1)
+
+
 @pytest.mark.parametrize("e", [-1, 12, 100])
 def test_single_bond_conditional_refuses_edges_outside_the_box(e):
     omega = BondConfig.all_open(build_box(3))
     with pytest.raises(ValueError, match="edge id out of range"):
         single_bond_conditional(omega, e, FKParams(p=0.6, q=2.0, bc=1))
+
+
+def test_single_bond_conditional_refuses_an_edge_that_is_not_an_integer():
+    omega = BondConfig.all_open(build_box(3))
+    with pytest.raises(ValueError, match="edge id must be an integer"):
+        single_bond_conditional(omega, 1.5, FKParams(p=0.6, q=2.0, bc=1))
 
 
 def test_single_bond_conditional_detailed_balance():

@@ -22,10 +22,12 @@ from soc_ising import (
     feedback_temperature,
     hamiltonian,
     heat_bath_sweep,
+    two_timescale_dynamics,
     zero_temperature_config,
 )
+from soc_ising import ising
 from soc_ising.ising import (
-    IsingParams, _SweepWork, _logsumexp, _sweep_layout, enumerate_plus_configs,
+    IsingParams, _SweepWork, _logsumexp, _sweep_pool, enumerate_plus_configs,
     heat_bath_table, plus_table,
 )
 from soc_ising.soc import EPS_T
@@ -314,40 +316,55 @@ def test_sweep_equals_oracle_on_random_boxes(n, seed, t, window, any_boundary):
 LAYOUT_SIDES = [1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 31, 32, 33]
 
 
-def _slot_of(lay, v):
+def _half(n):
+    """Slots per colour class: half the cells of n rows of width w = n | 1."""
+    return (n * (n | 1) + 1) // 2
+
+
+def _slot_of(n, v):
     """The slot of site v = x n + y: cell q = x w + y of colour class q & 1."""
-    q = v // lay.n * lay.w + v % lay.n
-    return (q & 1) * lay.half + q // 2
+    q = v // n * (n | 1) + v % n
+    return (q & 1) * _half(n) + q // 2
 
 
 @pytest.mark.parametrize("n", LAYOUT_SIDES)
 def test_sweep_layout_reads_each_interior_sites_neighbours(n):
     g = build_box(n)
-    lay = _sweep_layout(n)
-    assert len(set(_slot_of(lay, np.arange(n * n)))) == n * n
+    work = _SweepWork(n, 1)
+    half = _half(n)
+    assert work.plus.size == 2 * half
+    assert len(set(_slot_of(n, np.arange(n * n)))) == n * n
+    base = work.buf.ctypes.data
     for v in g.interior_ids:
-        slot = _slot_of(lay, v)
-        (span, nbrs), = [(span, nbrs) for span, nbrs in lay.spans
+        slot = _slot_of(n, v)
+        (span, nbrs), = [(span, nbrs) for span, _, *nbrs, _ in work.updates
                          if span.start <= slot < span.stop
-                         and slot // lay.half == span.start // lay.half]
-        read = [s.start + slot - span.start for s in nbrs]
-        assert sorted(read) == sorted(_slot_of(lay, g.neighbors[v])), v
+                         and slot // half == span.start // half]
+        # each neighbour view starts that many slots into the buffer
+        read = [s.ctypes.data - base + slot - span.start for s in nbrs]
+        assert sorted(read) == sorted(_slot_of(n, g.neighbors[v])), v
 
 
 @pytest.mark.parametrize("n", LAYOUT_SIDES)
 def test_sweep_layout_places_each_uniform_at_its_site(n):
-    # uniforms go to the interior sites in visit order: even class, then odd
+    # uniforms go to the interior sites in visit order: even class, then
+    # odd.  Every entry of `rank`, spare columns included, gets its own id
+    # 1, 2, ..., copied one byte of the id at a time; a slot left at 0 in
+    # every byte was not written
     g = build_box(n)
-    lay = _sweep_layout(n)
+    work = _SweepWork(n, 3)
     visit = np.concatenate([g.interior_even, g.interior_odd])
-    src = np.full((3, lay.interior + n), -2)
-    src[:, :lay.interior] = np.arange(lay.interior) + 1000 * np.arange(3)[:, None]
-    dst = np.full((3, 2 * lay.half + lay.w), -1)
-    for into, of in lay.run_views(src, dst):
-        into[...] = of
-    want = np.full_like(dst, -1)
-    want[:, _slot_of(lay, visit)] = src[:, :lay.interior]
-    assert np.array_equal(dst, want)
+    ids = 1 + np.arange(work.rank.size).reshape(work.rank.shape)
+    got = np.zeros(work.ranks.shape, dtype=np.int64)
+    for shift in (0, 8):
+        work.rank[...] = ids >> shift & 255
+        work.ranks[...] = 0
+        for into, of in work.runs:
+            into[...] = of
+        got += work.ranks.astype(np.int64) << shift
+    want = np.zeros_like(got)
+    want[:, _slot_of(n, visit)] = ids[:, :work.n_int]
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("t", [100.0, EPS_T])
@@ -356,12 +373,11 @@ def test_boundary_and_pad_slots_never_change(n, t):
     # every slot outside the interior, pad slots and minus boundary spins
     # included, keeps its value over a window
     g = build_box(n)
-    lay = _sweep_layout(n)
-    work = _SweepWork(lay, 7)
+    work = _SweepWork(n, 7)
     plus = work.plus
     plus[:] = philox(n, 3).random(plus.size) < 0.5
     fixed = np.ones(plus.size, dtype=bool)
-    fixed[_slot_of(lay, g.interior_ids)] = False
+    fixed[_slot_of(n, g.interior_ids)] = False
     before = plus.copy()
     work.sweep(t, philox(n), 7)
     assert np.array_equal(plus[fixed], before[fixed])
@@ -369,12 +385,11 @@ def test_boundary_and_pad_slots_never_change(n, t):
         assert not np.array_equal(plus, before)
 
 
-def test_sweep_reuses_a_large_enough_workspace():
+def test_sweep_reuses_a_large_enough_workspace(monkeypatch):
     # a call takes the last call's workspace when its blocks fit, else a
     # new one replaces it; the sweeps match the oracle either way
     g = build_box(9)
-    lay = _sweep_layout(9)
-    lay.spare.clear()
+    monkeypatch.setitem(_sweep_pool, 9, [])
     got, want = _random_interior(g, 9), _random_interior(g, 9)
     rng_got, rng_want = philox(9), philox(9)
     works = []
@@ -387,13 +402,31 @@ def test_sweep_reuses_a_large_enough_workspace():
             oracle_flips += int((want.spins != before).sum())
         assert flips == oracle_flips
         assert np.array_equal(got.spins, want.spins)
-        work, = lay.spare
+        work, = _sweep_pool[9]
         works.append(work)
     assert [w.rows for w in works] == [3, 3, 3, 7, 7]
     assert works[0] is works[1] is works[2] and works[3] is works[4]
-    # 4 rows of 16,641 slot ranks exceed 64 KB: that workspace is not kept
+    # 4 rows of 16,641 slot ranks, a full draw block at side 128: kept too
+    monkeypatch.setitem(_sweep_pool, 128, [])
     heat_bath_sweep(SpinConfig.all_plus(build_box(128)), 1.5, philox(9), 4)
-    assert not _sweep_layout(128).spare
+    work, = _sweep_pool[128]
+    assert work.rows == work.per_block == 4
+
+
+def test_feedback_run_builds_one_workspace(monkeypatch):
+    # a side-128 run of 8 refresh windows sweeps in one kept workspace
+    built = []
+
+    class Counted(_SweepWork):
+        def __init__(self, n, rows):
+            built.append((n, rows))
+            super().__init__(n, rows)
+
+    monkeypatch.setattr(ising, "_SweepWork", Counted)
+    monkeypatch.setitem(_sweep_pool, 128, [])
+    traj = two_timescale_dynamics(128, 1.99, 4, 32, philox(12))
+    assert traj.steps.size == 8
+    assert built == [(128, 4)]
 
 
 def test_concurrent_sweeps_at_one_side_match_sequential_ones():

@@ -111,6 +111,16 @@ def test_edge_id_rejects_non_edges(pair):
             g.edge_id(a, b)
 
 
+def test_vertex_mask_refuses_ids_that_are_not_integers():
+    # [1.7] used to mark vertex 1
+    g = build_box(4)
+    for bad in ([1.7], [2.0], np.array([True, False])):
+        with pytest.raises(ValueError, match="vertex ids must be integers"):
+            g.vertex_mask(bad)
+    assert np.flatnonzero(g.vertex_mask(np.array([5, 1], dtype=np.int8))).tolist() == [1, 5]
+    assert not g.vertex_mask([]).any()
+
+
 def test_interior_checkerboard_partition():
     g = build_box(5)
     both = np.concatenate([g.interior_even, g.interior_odd])

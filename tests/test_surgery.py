@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     exact_cut_H2_oracle, maximal_subset_H1_oracle, philox,
     sign_compensation_fraction_oracle, stirling_constant_oracle,
-    walk_bound_mc_oracle,
+    walk_bound_dp_oracle, walk_bound_mc_oracle,
 )
 from soc_ising import (
     BondConfig,
@@ -446,6 +446,16 @@ def test_walk_bound_check_small_instance():
     assert (rep.probs >= rep.bounds - 1e-12).all()
 
 
+@pytest.mark.parametrize("sizes,N", [
+    ([], 5), ([1, 1, 2], 4), ([3], 3), ([7, 2, 2, 9, 5, 7, 1], 9),
+    (list(range(1, 40)) * 3, 60), ([40] * 50, 45),
+])
+def test_walk_bound_dp_equals_per_j_oracle(sizes, N):
+    rep = compensation_walk_bound_check(sizes, N=N, n=5)
+    assert rep.method == "dp"
+    assert np.array_equal(rep.probs, walk_bound_dp_oracle(sizes, N))
+
+
 def test_walk_bound_parity_flag():
     rep = compensation_walk_bound_check([1, 1, 2], N=5, n=5)
     assert not rep.parity_ok  # 5 - 4 is odd
@@ -521,6 +531,19 @@ def test_exact_cut_H2_rejects_ids_outside_the_box():
     for bad in (-1, g.n_edges):
         with pytest.raises(ValueError, match="edge id out of range"):
             exact_cut_H2(g, [0, 1], [e01, bad], 0, 1)
+
+
+def test_exact_cut_H2_refuses_ids_that_are_not_integers():
+    # edge id e01 + 0.5 used to be taken as e01
+    g = build_box(5)
+    e01 = g.edge_id(0, 1)
+    with pytest.raises(ValueError, match="edge ids must be integers"):
+        exact_cut_H2(g, [0, 1], [e01 + 0.5], 0, 1)
+    with pytest.raises(ValueError, match="vertex ids must be integers"):
+        exact_cut_H2(g, [0.0, 1.0], [e01], 0, 1)
+    with pytest.raises(ValueError, match="vertex id must be an integer"):
+        exact_cut_H2(g, [0, 1], [e01], 0.5, 1)
+    assert exact_cut_H2(g, [0, 1], [e01], np.int64(0), 1).tolist() == [e01]
 
 
 @settings(derandomize=True, deadline=None)
