@@ -94,10 +94,22 @@ GOLDEN = {
         "ffda28c0bd3428ed2e9933d89666e4e4aa712caa573234f1258cd8d27d750739",
         "dc334a6701e8ca91a602dcc5768e5c509b94fa88d7879f32ecbff87f7ef0230d",
     ),
+    # near the critical temperature: both errors are float rounding only
+    "coupling-verify-tc": (
+        ["coupling-verify", "--n", "3", "--t", "2.269"],
+        "338b062631ba436d216ca5cd4a534b0c95eb718a3484d348bf31005829645334",
+        "179c8eff64516ad90eb5426b870ee1cb50719cc265133c43793ee67ce9f9665b",
+    ),
     "duality-verify": (
         ["duality-verify", "--n", "3", "--q", "1.5", "--seed", "6"],
         "865476ad4218d39a403c8e1d48f79e6124c96f569bd068ee176fdad26f3bfec8",
         "e84f17207c6a9a155e49a1d67fba3c14a96dab55ece5feb3b2aad75618f50332",
+    ),
+    # q = 2 at p = 0.6, just above the self-dual point
+    "duality-verify-q2": (
+        ["duality-verify", "--n", "3", "--q", "2", "--p", "0.6"],
+        "e0489df693ceb6b60d2af97c6ff90685bd48e4f4a86427d69977eba4b2eae129",
+        "7b835e9d3b9549a16f57305adf490cd0a7f39997f0274091c45ac0c60e215d86",
     ),
     "surgery-demo": (
         ["surgery-demo", "--n", "20", "--samples", "6", "--burn-in", "10",
