@@ -17,9 +17,8 @@ from .ising import (
     SpinConfig, _plus_rows, enumerate_plus_configs, exact_ising_distribution,
 )
 from .fk import (
-    BondConfig, FKParams, _weight_table, boundary_clusters, cluster_labels,
-    cluster_spins, enumerate_bond_configs, equal_spin_bonds,
-    exact_fk_distribution,
+    BondConfig, FKParams, _weight_table, cluster_labels, cluster_spins,
+    enumerate_bond_configs, equal_spin_bonds, exact_fk_distribution,
 )
 
 
@@ -107,20 +106,16 @@ def _wired_law_and_spins(g: BoxGeometry, t: float):
     weights = np.empty(size)
     ks = np.empty(size, dtype=np.uint8)
     bits = np.empty((size, ni), dtype=np.uint8)
-    for start, bonds, labels in enumerate_bond_configs(g):
-        stop = start + len(labels)
-        untouched = ~boundary_clusters(g, labels)
-        rows, own = np.arange(len(labels))[:, None], labels[:, g.interior_ids]
-        # per interior vertex: does its cluster miss the boundary, and its
-        # rank from 1 among the clusters that do (ids in increasing order)
-        inner = untouched[rows, own]
-        rank = untouched.cumsum(axis=1)[rows, own]
-        # every interior cluster holds an interior vertex, so the largest
-        # rank is their number; the boundary-touching clusters count as one
-        k = (inner * rank).max(axis=1, initial=0)
-        weights[start:stop] = table[k + 1, bonds.sum(axis=1)]
+    for start, opens, labels in enumerate_bond_configs(g, wired=True):
+        stop = start + len(opens)
+        # the glued labels: 0 on the boundary cluster, and each interior
+        # vertex's cluster rank from 1 among the interior clusters, the
+        # largest rank being their number
+        own = labels[g.interior_ids]
+        k = own.max(axis=0, initial=0)
+        weights[start:stop] = table[k + 1, opens]
         ks[start:stop] = k
-        bits[start:stop] = (inner << rank) >> 1
+        bits[start:stop] = ((1 << own) >> 1).T
     weights /= float(weights.sum())
     probs = np.zeros(1 << ni)
     first = np.full(1 << ni, np.iinfo(np.int64).max)

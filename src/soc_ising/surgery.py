@@ -192,6 +192,7 @@ def exact_cut_H2(g: BoxGeometry, cluster, edges, v: int, m: int) -> np.ndarray:
     if not (0 <= v < inside.size and inside[v]):
         raise ValueError("v must belong to the cluster")
     size = int(inside.sum())
+    m = _checked_index(m, "kept size m")
     if not 1 <= m <= size:
         raise ValueError(f"kept size m={m} outside 1..{size}")
     a, b = g.edge_a[edges], g.edge_b[edges]

@@ -19,15 +19,17 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import expit, gammaln
 
-from soc_ising.coupling import dual_config, dual_parameter, es_ising_to_fk, t_to_p
+from soc_ising.coupling import (
+    _SPIN_BLOCK, dual_config, dual_parameter, es_ising_to_fk, t_to_p,
+)
 from soc_ising.fk import (
-    BondConfig, ClusterDecomposition, FKParams, close_edges, decompose,
-    enumerate_bond_configs, exact_fk_distribution, single_bond_heat_bath_sweep,
-    swendsen_wang_step,
+    BondConfig, ClusterDecomposition, FKDistribution, FKParams, _weight_table,
+    close_edges, cluster_labels, decompose, exact_fk_distribution,
+    single_bond_heat_bath_sweep, swendsen_wang_step,
 )
 from soc_ising.ising import (
-    T_CRITICAL, IsingDistribution, SpinConfig, _logsumexp, exact_ising_distribution,
-    plus_table,
+    T_CRITICAL, IsingDistribution, SpinConfig, _logsumexp, _plus_rows,
+    exact_ising_distribution, plus_table,
 )
 from soc_ising.lattice import BoxGeometry, as_box, box_range, build_box
 from soc_ising.soc import EPS_T, DeviationReport, ExactMuN, feedback_temperature
@@ -135,12 +137,95 @@ def fk_law_oracle(g, p: float, q: float, wired: bool) -> np.ndarray:
     return weights / weights.sum()
 
 
+def enumerate_bond_configs_oracle(g):
+    """All 2^E bond configurations in bitmask order (bit e = edge e), in
+    blocks of at most 1,024, each block labelled by one `cluster_labels`
+    call: the enumeration that edge insertion replaced.  Yields (first
+    mask, bonds, labels), labels of shape (rows, n*n) in the free
+    numbering."""
+    ne = g.n_edges
+    for start in range(0, 1 << ne, 1024):
+        masks = np.arange(start, min(start + 1024, 1 << ne))
+        bonds = ((masks[:, None] >> np.arange(ne)) & 1).astype(np.uint8)
+        yield start, bonds, cluster_labels(g, bonds)
+
+
+def boundary_clusters_oracle(g, labels: np.ndarray) -> np.ndarray:
+    """For labels of shape (M, n*n), the (M, n*n) table whose entry [r, c]
+    is True when cluster c of row r touches the boundary.  Columns past a
+    row's last cluster id stay False."""
+    touched = np.zeros(labels.shape, dtype=bool)
+    touched[np.arange(len(labels))[:, None], labels[:, g.boundary_ids]] = True
+    return touched
+
+
+def wired_counts_oracle(g, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """From free labels of shape (M, n*n): k1 per row (the boundary-touching
+    clusters count as one), and per interior vertex the rank from 1 of its
+    cluster among the clusters that miss the boundary, 0 on a boundary
+    cluster; shapes (M,) and (M, interior vertices)."""
+    untouched = ~boundary_clusters_oracle(g, labels)
+    rows, own = np.arange(len(labels))[:, None], labels[:, g.interior_ids]
+    inner = untouched[rows, own]
+    rank = untouched.cumsum(axis=1)[rows, own]
+    k1 = labels.max(axis=1) + 2 - (~untouched).sum(axis=1)
+    return k1, inner * rank
+
+
+def exact_fk_distribution_oracle(g, params) -> FKDistribution:
+    """`exact_fk_distribution` on the oracle enumeration: k counts the
+    free labels' clusters, less the boundary-touching ones but one when
+    wired."""
+    g = as_box(g)
+    table = _weight_table(g, params)
+    weights = np.empty(1 << g.n_edges, dtype=np.float64)
+    for start, bonds, labels in enumerate_bond_configs_oracle(g):
+        k = labels.max(axis=1) + 1
+        if params.bc == 1:
+            k += 1 - boundary_clusters_oracle(g, labels).sum(axis=1)
+        weights[start:start + len(k)] = table[k, bonds.sum(axis=1)]
+    z = float(weights.sum())
+    weights /= z
+    return FKDistribution(g=g, params=params, probs=weights, z=z)
+
+
+def wired_law_and_spins_oracle(g, t: float):
+    """`coupling._wired_law_and_spins` on the oracle enumeration, the
+    interior cluster count and ranks taken from `wired_counts_oracle`."""
+    table = _weight_table(g, FKParams(t_to_p(t), 2.0, 1))
+    size, ni = 1 << g.n_edges, g.interior_ids.size
+    weights = np.empty(size)
+    ks = np.empty(size, dtype=np.uint8)
+    bits = np.empty((size, ni), dtype=np.uint8)
+    for start, bonds, labels in enumerate_bond_configs_oracle(g):
+        stop = start + len(labels)
+        k1, rank = wired_counts_oracle(g, labels)
+        weights[start:stop] = table[k1, bonds.sum(axis=1)]
+        ks[start:stop] = k1 - 1
+        bits[start:stop] = ((rank > 0) << rank) >> 1
+    weights /= float(weights.sum())
+    probs = np.zeros(1 << ni)
+    first = np.full(1 << ni, np.iinfo(np.int64).max)
+    seen = 0
+    for start in range(0, size, _SPIN_BLOCK):
+        masks = start + np.flatnonzero(weights[start:start + _SPIN_BLOCK] != 0.0)
+        reps = 1 << ks[masks].astype(np.int64)
+        row = np.repeat(masks, reps)
+        choice = np.arange(row.size) - np.repeat(reps.cumsum() - reps, reps)
+        idx = _plus_rows((choice[:, None] & bits[row]) == 0)
+        np.add.at(probs, idx, np.repeat(weights[masks] / reps, reps))
+        np.minimum.at(first, idx, seen + np.arange(idx.size))
+        seen += idx.size
+    reached = np.flatnonzero(first < seen)
+    return weights, probs, reached[np.argsort(first[reached])]
+
+
 def spin_pushforward_oracle(g, t: float) -> dict[bytes, float]:
     """Spin marginal of the coupling over the wired bond law, one mask and
     one sign choice at a time."""
     fk = exact_fk_distribution(g, FKParams(t_to_p(t), 2.0, 1))
     out: dict[bytes, float] = {}
-    for start, _, labels in enumerate_bond_configs(g):
+    for start, _, labels in enumerate_bond_configs_oracle(g):
         for row, pr in enumerate(fk.probs[start:start + len(labels)].tolist()):
             if pr == 0.0:
                 continue

@@ -11,9 +11,11 @@ from helpers import (
     FixedDraws,
     bond_pushforward_oracle,
     duality_check_oracle,
+    exact_fk_distribution_oracle,
     philox,
     pushforward_check_oracle,
     spin_pushforward_oracle,
+    wired_law_and_spins_oracle,
 )
 from soc_ising import (
     BondConfig,
@@ -37,7 +39,7 @@ from soc_ising import (
     phi_n,
     t_to_p,
 )
-from soc_ising import fk
+from soc_ising import coupling, fk
 from soc_ising.coupling import _wired_law_and_spins, dual_masks
 
 
@@ -195,22 +197,51 @@ def test_one_pass_bond_law_equals_exact_fk_distribution(n, t):
     assert np.array_equal(_wired_law_and_spins(g, t)[0], law)
 
 
+# the bond densities of the oracle comparisons, as coupling temperatures
+ORACLE_DENSITY_TEMPERATURES = [math.inf, p_to_t(0.3), p_to_t(0.6), 0.0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_wired_law_and_spins_equal_oracle_enumeration_bit_for_bit(n):
+    g = build_box(n)
+    for t in ORACLE_DENSITY_TEMPERATURES:
+        got, want = _wired_law_and_spins(g, t), wired_law_and_spins_oracle(g, t)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), t
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_checks_equal_oracle_enumeration_path_bit_for_bit(monkeypatch, n):
+    got = {t: es_pushforward_check(n, t) for t in ORACLE_DENSITY_TEMPERATURES}
+    grid = [(p, q) for p in (0.0, 0.3, 0.6, 1.0) for q in (1.0, 1.5, 2.0, 3.5)]
+    dual = {pq: duality_check(n, *pq) for pq in grid} if n > 1 else {}
+    monkeypatch.setattr(coupling, "_wired_law_and_spins", wired_law_and_spins_oracle)
+    monkeypatch.setattr(coupling, "exact_fk_distribution",
+                        exact_fk_distribution_oracle)
+    assert got == {t: es_pushforward_check(n, t) for t in got}
+    assert dual == {pq: duality_check(n, *pq) for pq in dual}
+
+
 @pytest.mark.parametrize("n, blocks", [(1, 1), (2, 1), (3, 4)])
 def test_coupling_check_labels_each_configuration_once(monkeypatch, n, blocks):
-    rows = []
-    labels = fk.cluster_labels
+    # one pass per check, each mask yielded once and in bitmask order
+    passes = []
+    enumerate_bond_configs = coupling.enumerate_bond_configs
 
-    def counting(g, bonds):
-        rows.append(len(bonds))
-        return labels(g, bonds)
+    def counting(g, wired):
+        assert wired
+        passes.append([])
+        for start, opens, labels in enumerate_bond_configs(g, wired):
+            passes[-1].append(np.arange(start, start + len(opens)))
+            yield start, opens, labels
 
-    monkeypatch.setattr(fk, "cluster_labels", counting)
+    monkeypatch.setattr(coupling, "enumerate_bond_configs", counting)
     n_configs = 1 << build_box(n).n_edges
     for check in (es_pushforward_check, es_spin_pushforward):
-        rows.clear()
+        passes.clear()
         check(n, 1.0)
-        assert len(rows) == blocks
-        assert sum(rows) == n_configs
+        assert len(passes) == 1 and len(passes[0]) == blocks
+        assert np.concatenate(passes[0]).tolist() == list(range(n_configs))
 
 
 def test_coupling_check_refuses_boxes_past_enumeration():

@@ -9,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     FixedDraws, bfs_components, bfs_labels, cluster_counts,
-    cluster_labels_oracle,
-    external_cluster_boundary_oracle, fk_law_oracle, philox,
-    sample_chain_oracle, single_bond_sweep_oracle,
+    cluster_labels_oracle, enumerate_bond_configs_oracle,
+    exact_fk_distribution_oracle, external_cluster_boundary_oracle,
+    fk_law_oracle, philox, sample_chain_oracle, single_bond_sweep_oracle,
+    wired_counts_oracle,
 )
 from soc_ising import (
     BondConfig,
@@ -35,7 +36,7 @@ from soc_ising import (
     visit_counts,
 )
 from soc_ising import fk
-from soc_ising.fk import _bridge_query
+from soc_ising.fk import _bridge_query, enumerate_bond_configs
 
 
 def test_p_critical_values():
@@ -310,6 +311,76 @@ def test_exact_distribution_side3_matches_enumeration_oracle(bc):
     assert np.abs(dist.probs - oracle).max() < 1e-14
 
 
+def _side4_blocks(wired: bool):
+    """The first, a middle and the last block of the side-4 enumeration."""
+    g = build_box(4)
+    keep = {0, 1 << 23, (1 << 24) - 1024}
+    return g, [b for b in enumerate_bond_configs(g, wired) if b[0] in keep]
+
+
+def _oracle_blocks(g, starts):
+    """The oracle's blocks of the bitmask range of each start, 1,024 rows
+    each (fewer on boxes of under 10 edges)."""
+    rows = min(1024, 1 << g.n_edges)
+    for start in starts:
+        masks = np.arange(start, start + rows)
+        bonds = ((masks[:, None] >> np.arange(g.n_edges)) & 1).astype(np.uint8)
+        yield start, bonds, cluster_labels(g, bonds)
+
+
+def _enumerations(n: int, wired: bool):
+    """(g, the library's blocks, the oracle's blocks): every block at sides
+    1-3, the first, a middle and the last at side 4."""
+    if n < 4:
+        g = build_box(n)
+        return (g, list(enumerate_bond_configs(g, wired)),
+                list(enumerate_bond_configs_oracle(g)))
+    g, blocks = _side4_blocks(wired)
+    return g, blocks, list(_oracle_blocks(g, [b[0] for b in blocks]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_free_enumeration_labels_equal_oracle(n):
+    g, got, want = _enumerations(n, wired=False)
+    assert [b[0] for b in got] == [b[0] for b in want]
+    for (_, opens, labels), (_, bonds, oracle) in zip(got, want):
+        assert labels.dtype == np.uint8
+        np.testing.assert_array_equal(labels.T, oracle)
+        np.testing.assert_array_equal(opens, bonds.sum(axis=1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_wired_enumeration_labels_give_oracle_counts_and_ranks(n):
+    g, got, want = _enumerations(n, wired=True)
+    assert [b[0] for b in got] == [b[0] for b in want]
+    for (_, opens, labels), (_, bonds, oracle) in zip(got, want):
+        k1, rank = wired_counts_oracle(g, oracle)
+        assert (labels[g.boundary_ids] == 0).all()
+        np.testing.assert_array_equal(labels.max(axis=0) + 1, k1)
+        np.testing.assert_array_equal(labels[g.interior_ids].T, rank)
+        np.testing.assert_array_equal(opens, bonds.sum(axis=1))
+
+
+def test_enumeration_yields_every_mask_once_in_bitmask_order():
+    for n, rows in ((1, 1), (2, 16), (3, 1024)):
+        g = build_box(n)
+        for wired in (False, True):
+            starts = [(b[0], b[2].shape[1]) for b in enumerate_bond_configs(g, wired)]
+            assert starts == [(s, rows) for s in range(0, 1 << g.n_edges, rows)]
+
+
+@pytest.mark.parametrize("bc", [0, 1])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_exact_distribution_equals_oracle_enumeration_bit_for_bit(n, bc):
+    for p in (0.0, 0.3, 0.6, 1.0):
+        for q in (1.0, 1.5, 2.0, 3.5):
+            params = FKParams(p, q, bc)
+            got = exact_fk_distribution(n, params)
+            want = exact_fk_distribution_oracle(n, params)
+            assert got.probs.tobytes() == want.probs.tobytes(), (p, q)
+            assert got.z == want.z, (p, q)
+
+
 def test_exact_distribution_product_case():
     # q = 1 is independent percolation whatever the boundary condition
     g = build_box(2)
@@ -570,6 +641,29 @@ def test_sample_chain_labels_each_configuration_once(monkeypatch, n_samples,
                           method="single-bond"):
         pass
     assert len(calls) == n_samples
+
+
+def test_decompose_and_samplers_label_through_cluster_labels(monkeypatch):
+    # the exact enumeration labels by edge insertion; everything that labels
+    # one configuration at a time still goes through cluster_labels
+    calls = []
+    labels = fk.cluster_labels
+
+    def counting(g, bonds):
+        calls.append(np.asarray(bonds).shape)
+        return labels(g, bonds)
+
+    monkeypatch.setattr(fk, "cluster_labels", counting)
+    g = build_box(5)
+    omega = bernoulli_bonds(g, 0.6, philox(84))
+    decompose(omega)
+    swendsen_wang_step(omega, FKParams(0.6, 2.0, 1), philox(85))
+    visit_counts(BondConfig.all_open(build_box(3)), FKParams(0.6, 2.0, 0), 3,
+                 philox(86))
+    assert calls == [(g.n_edges,)] * 2 + [(12,)] * 3
+    calls.clear()
+    exact_fk_distribution(3, FKParams(0.6, 2.0, 1))
+    assert calls == []
 
 
 def test_sample_chain_rejects_unknown_method_at_call():

@@ -546,6 +546,16 @@ def test_exact_cut_H2_refuses_ids_that_are_not_integers():
     assert exact_cut_H2(g, [0, 1], [e01], np.int64(0), 1).tolist() == [e01]
 
 
+def test_exact_cut_H2_refuses_a_kept_size_that_is_not_an_integer():
+    # m = 1.5 used to pass the size check and fail slicing the traversal
+    g = build_box(5)
+    e01 = g.edge_id(0, 1)
+    for bad in (1.5, 1.0, "1"):
+        with pytest.raises(ValueError, match="kept size m must be an integer"):
+            exact_cut_H2(g, [0, 1], [e01], 0, bad)
+    assert exact_cut_H2(g, [0, 1], [e01], 0, np.int64(1)).tolist() == [e01]
+
+
 @settings(derandomize=True, deadline=None)
 @given(n=st.integers(1, 16), density=st.floats(0.0, 1.0),
        repeats=st.integers(0, 6), seed=st.integers(0, 2 ** 32 - 1))
