@@ -363,11 +363,11 @@ def enumerate_bond_configs(g: BoxGeometry, wired: bool):
 def exact_fk_distribution(g: BoxGeometry | int, params: FKParams) -> FKDistribution:
     """Exact finite-volume law by enumerating all bond configurations.
 
-    Supported up to 24 edges (side 4); the side-4 wired law takes 0.8-1.2 s
-    (16-17 s with a `cluster_labels` call per block of 1,024) and peaks
-    near 165 MB of RSS either way, most of it the 128 MB of weights (2-CPU
-    Intel Xeon, Python 3.11.7, numpy 2.4.6); tests of the law stay at
-    side <= 3.
+    Supported up to 24 edges (side 4); the side-4 wired law takes 0.7-1.2 s
+    (11.6-17.5 s with a `cluster_labels` call per block of 1,024) and
+    peaks near 165 MB of RSS either way, most of it the 128 MB of weights
+    (2-CPU Intel Xeon, Python 3.11.7, numpy 2.4.6); tests of the law stay
+    at side <= 3.
     """
     g = as_box(g)
     table = _weight_table(g, params)

@@ -3,7 +3,8 @@
 Everything here is deliberately naive (BFS, direct enumeration, one
 mask at a time, one edge at a time) or the plainer design that a faster
 one replaced, so that the library's run-based cluster labelling,
-block-wise pushforwards, windowed single-bond sweep, table-driven
+edge-insertion bond enumeration, block-wise pushforwards, windowed
+single-bond sweep, table-driven
 heat-bath sweep, list-based Metropolis loop, bisecting surgery greedy
 stage, single-labelling sample chain, log-space code paths, the exact
 spin laws built on one plus table and the dual pairing's array formulas
@@ -137,14 +138,14 @@ def fk_law_oracle(g, p: float, q: float, wired: bool) -> np.ndarray:
     return weights / weights.sum()
 
 
-def enumerate_bond_configs_oracle(g):
+def enumerate_bond_configs_oracle(g, starts=None):
     """All 2^E bond configurations in bitmask order (bit e = edge e), in
     blocks of at most 1,024, each block labelled by one `cluster_labels`
     call: the enumeration that edge insertion replaced.  Yields (first
     mask, bonds, labels), labels of shape (rows, n*n) in the free
-    numbering."""
+    numbering; `starts`, when given, picks the blocks by first mask."""
     ne = g.n_edges
-    for start in range(0, 1 << ne, 1024):
+    for start in range(0, 1 << ne, 1024) if starts is None else starts:
         masks = np.arange(start, min(start + 1024, 1 << ne))
         bonds = ((masks[:, None] >> np.arange(ne)) & 1).astype(np.uint8)
         yield start, bonds, cluster_labels(g, bonds)

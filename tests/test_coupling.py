@@ -39,7 +39,7 @@ from soc_ising import (
     phi_n,
     t_to_p,
 )
-from soc_ising import coupling, fk
+from soc_ising import coupling
 from soc_ising.coupling import _wired_law_and_spins, dual_masks
 
 
