@@ -121,6 +121,9 @@ def heat_bath_table(t: float) -> np.ndarray:
 
 # uniforms drawn per block of sweeps, at most this many doubles (512 KB)
 _DRAW_BLOCK = 1 << 16
+# sweeps per block at most: each history row holds its own update views,
+# about 1 KB of Python objects per colour class
+_BLOCK_SWEEPS = 64
 
 
 class _SweepWork:
@@ -134,16 +137,25 @@ class _SweepWork:
     (1 for spin +1).  A class-0 slot i has its neighbours at class-1
     indices i - 1, i, i - (w+1)/2 and i + (w-1)/2; a class-1 slot i at
     class-0 indices i, i + 1, i - (w-1)/2 and i + (w+1)/2.
+
+    The slots of a block are a history: row 0 of `hist` (`plus`) holds them
+    as the block starts and row r + 1 after its sweep r.  Each entry of
+    `updates` spans one class's slots, from its first interior site to its
+    last, in every row, with the four neighbour slices over the rows;
+    `steps[r]` holds sweep r's one-row views of them.
     """
 
     def __init__(self, n: int, rows: int):
         w, half = n | 1, (n * (n | 1) + 1) // 2
         self.n_int = max(n - 2, 0) ** 2  # interior sites, so uniforms per sweep
         # sweeps per block of at most _DRAW_BLOCK uniforms
-        self.per_block = max(1, _DRAW_BLOCK // max(self.n_int, 1))
+        self.per_block = max(1, min(_DRAW_BLOCK // max(self.n_int, 1),
+                                    _BLOCK_SWEEPS))
         self.rows = rows = min(rows, self.per_block)
-        self.plus = np.ones(2 * half, dtype=bool)  # the slots
-        self.buf = buf = self.plus.view(np.uint8)
+        self.hist = np.ones((rows + 1, 2 * half), dtype=bool)
+        self.plus = self.hist[0]  # the slots
+        self.buf = self.plus.view(np.uint8)
+        hist8 = self.hist.view(np.uint8)
         # the spins over rows of width w; slot i of class c is grid cell
         # 2i + c (the pad column is never read by an interior site)
         grid = np.ones((n, w), dtype=np.int8)
@@ -153,10 +165,12 @@ class _SweepWork:
         # per block, a rank per uniform in visit order, then in slot order;
         # the runs read whole steps, so rows have n and w spare columns
         self.rank = rank = np.empty((rows, self.n_int + n), dtype=np.uint8)
-        self.ranks = ranks = np.empty((rows, buf.size + w), dtype=np.uint8)
+        self.ranks = ranks = np.empty((rows, self.buf.size + w),
+                                      dtype=np.uint8)
         shifts = ((-1, 0, -(w + 1) // 2, (w - 1) // 2),
                   (0, 1, -(w - 1) // 2, (w + 1) // 2))
         self.updates, self.runs, src = [], [], 0
+        self.steps = [[] for _ in range(rows)]
         for c in (0, 1):
             # interior row x holds its class-c sites from y0 in {1, 2} on,
             # step 2; per row, its first uniform, first slot and length
@@ -173,10 +187,15 @@ class _SweepWork:
             # and the four slices of the other class holding their neighbours
             lo, hi = lines[0][1], lines[-1][1] + lines[-1][2]
             other = (1 - 2 * c) * half + lo
-            self.updates.append(
-                (slice(lo, hi), self.plus[lo:hi],
-                 *(buf[other + d:other + d + hi - lo] for d in shifts[c]),
-                 np.empty(hi - lo, dtype=np.uint8)))
+            span, out = slice(lo, hi), self.hist[:, lo:hi]
+            nbrs = [hist8[:, other + d:other + d + hi - lo] for d in shifts[c]]
+            count = np.empty(hi - lo, dtype=np.uint8)
+            self.updates.append((span, out, *nbrs, count))
+            # sweep r reads class 1 as it was before the sweep, in row r,
+            # and class 0 as the sweep left it, in row r + 1
+            for r, views in enumerate(self.steps):
+                views.append((*(v[r + c] for v in nbrs), count,
+                              ranks[r, span], out[r + 1]))
             # (into ranks, of rank) views copying the rows of one x parity:
             # row j holds uniforms s0 + j step on and slots d0 + j w on
             for group in (lines[0::2], lines[1::2]):
@@ -196,27 +215,30 @@ class _SweepWork:
         does not decrease in k, so u < p[k] exactly when k >= rank(u),
         where rank(u) = #{j : p[j] <= u}.  A block of uniforms becomes
         ranks once; a class update is then three adds and one compare of
-        contiguous slices.
+        contiguous slices, from one history row into the next.  The slot
+        changes are counted once per block, row against row.
         """
-        buf, ranks = self.buf, self.ranks
+        hist, buf, ranks = self.hist, self.buf, self.ranks
         p = heat_bath_table(t)[::2]
         # a slot outside the interior gets rank 0 where it holds +1 and
-        # 0 - 1 = 255 where it holds -1, so it never changes
+        # 0 - 1 = 255 where it holds -1, so it never changes; no update
+        # writes the slots outside the spans, so every row takes them here
         np.subtract(buf, 1, out=ranks[:, :buf.size])
+        hist[1:] = hist[0]
         flips = 0
         for start in range(0, sweeps, self.per_block):
             b = min(self.per_block, sweeps - start)
             self.rank_uniforms(rng, b, p)
             for dst, src in self.runs:
                 dst[:b] = src[:b]
-            for row in ranks[:b]:
-                before = buf.copy()
-                for span, out, left, right, down, up, k in self.updates:
-                    np.add(left, right, out=k)
-                    k += down
-                    k += up
-                    np.greater_equal(k, row[span], out=out)
-                flips += int(np.count_nonzero(buf != before))
+            for step in self.steps[:b]:
+                for left, right, down, up, k, rank, out in step:
+                    np.add(left, right, k)
+                    np.add(k, down, k)
+                    np.add(k, up, k)
+                    np.greater_equal(k, rank, out)
+            flips += int(np.count_nonzero(hist[1:b + 1] != hist[:b]))
+            hist[0] = hist[b]
         return flips
 
     def rank_uniforms(self, rng: np.random.Generator, b: int, p: np.ndarray):
@@ -230,7 +252,7 @@ class _SweepWork:
             rank += u >= pj
 
 
-# finished workspaces per side, for later calls at that side
+# finished workspaces of the side swept last, for later calls at that side
 _sweep_pool: dict[int, list[_SweepWork]] = {}
 
 
@@ -246,8 +268,9 @@ def heat_bath_sweep(config: SpinConfig, t: float, rng: np.random.Generator,
     that order while allowing vectorization.  One uniform is drawn per site,
     in visit order, so one call draws what `sweeps` calls of one pass draw.
     Boundary spins never move.  The spins are copied once into the colour
-    classes of `_SweepWork` and once back; one workspace per side is kept
-    for the next call, popped so that concurrent calls never share one.
+    classes of `_SweepWork` and once back.  The workspaces of the side swept
+    last are kept for the next call at that side, each popped so that
+    concurrent calls never share one; a call at another side frees them.
     """
     if not t > 0:
         raise ValueError("heat_bath_sweep needs T > 0; T = 0 is the frozen point mass")
@@ -256,7 +279,10 @@ def heat_bath_sweep(config: SpinConfig, t: float, rng: np.random.Generator,
     g, spins = config.g, config.spins
     if g.interior_ids.size == 0:
         return 0
-    spare = _sweep_pool.setdefault(g.n, [])
+    spare = _sweep_pool.get(g.n)
+    if spare is None:  # a new side: the other sides' workspaces go
+        _sweep_pool.clear()
+        spare = _sweep_pool.setdefault(g.n, [])
     try:
         work = spare.pop()
     except IndexError:

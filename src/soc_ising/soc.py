@@ -10,6 +10,7 @@ critical temperature.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -315,6 +316,12 @@ class SocTrajectory:
         return float((t - t[:1]).std())
 
 
+def _check_burn_in(burn_in: int | None) -> None:
+    """Refuse a negative burn-in, which would keep only the last records."""
+    if burn_in is not None and burn_in < 0:
+        raise ValueError(f"burn_in must be >= 0, got {burn_in}")
+
+
 def two_timescale_dynamics(
     g: BoxGeometry | int,
     a: float,
@@ -328,7 +335,8 @@ def two_timescale_dynamics(
     current frozen temperature, then a refresh T <- m^2 / n^(2a) from the
     instantaneous magnetization.  A refresh from m = 0 substitutes the
     floor EPS_T and flags the record.  Records one row per refresh; by
-    default the first quarter of the records is marked as burn-in.
+    default the first quarter of the records is marked as burn-in, and a
+    negative burn_in is refused.
 
     With snapshot_every = k > 0, every k-th record additionally draws a
     bond configuration coupled to the current spins at the refreshed
@@ -340,6 +348,7 @@ def two_timescale_dynamics(
     g = as_box(g)
     if tau < 1:
         raise ValueError("tau must be >= 1")
+    _check_burn_in(burn_in)
     config = SpinConfig.all_plus(g)
     t = feedback_temperature(config, a)
     scale = float(g.n) ** (2.0 * a)
@@ -373,8 +382,9 @@ def two_timescale_dynamics(
     )
 
 
-# proposals per block of draws: a block's picks and uniforms take at most
-# 48 KB
+# proposals per block of draws, or one sweep where a sweep holds more: at
+# 2^12 proposals the block's raw words, picks and uniforms take about 100 KB
+# and decoding them as much again
 _PROPOSAL_BLOCK = 1 << 12
 # proposals the screen tests at a time; larger windows made temporaries
 # that raised a run's peak memory
@@ -429,14 +439,77 @@ def _first_acceptance(us: np.ndarray, picks: np.ndarray, site_thr: np.ndarray,
     return end
 
 
+def _draw_proposals(rng: np.random.Generator, sweeps: int, ni: int,
+                    bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """The picks and uniforms of `sweeps` sweeps of ni proposals, as
+    (sweeps, ni) int32 and float64 arrays: value for value, and in the
+    generator state they leave, those of drawing per sweep
+    `rng.integers(0, bound, ni, dtype=np.int32)` and then `rng.random(ni)`.
+
+    On Philox the block is one `random_raw` call, decoded as numpy draws
+    (Lemire, ACM TOMACS 29(1), 2019).  A pick takes a 32-bit half-word x,
+    low half first, and is (x bound) >> 32 unless (x bound) mod 2^32 <
+    2^32 mod bound, where numpy draws again.  An unused high half waits in
+    the generator's `has_uint32`/`uinteger` buffer, across the `random`
+    call too, and `uinteger` keeps it after it is used.  A uniform is
+    (word >> 11) 2^-53.  A block that meets such a redraw, and every block
+    of another bit generator, is drawn again sweep by sweep from the state
+    it started in.  A bound of 1 draws no picks.
+    """
+    picks = np.zeros((sweeps, ni), dtype=np.int32)
+    if bound == 1:
+        return picks, rng.random((sweeps, ni))
+    bg = rng.bit_generator
+    if isinstance(bg, np.random.Philox) and sys.byteorder == "little" and ni > 1:
+        start = bg.state
+        # has[r]: a half is buffered as sweep r starts; an odd ni flips it
+        has = np.full(sweeps, start["has_uint32"], dtype=np.int64)
+        if ni & 1:
+            has ^= np.arange(sweeps) & 1
+        words = (ni - has + 1) // 2 + ni  # pick words, then uniform words
+        first = np.cumsum(words) - words
+        uni = first + words - ni  # each sweep's first uniform word
+        raw = bg.random_raw(int(uni[-1]) + ni)
+        halves = raw.view(np.uint32)
+        # fresh halves from the sweep's first word on; a buffered first pick
+        # is the high half of the sweep before's last pick word, or the
+        # generator's before the first sweep
+        at = (2 * first - has)[:, None] + np.arange(ni)
+        at[1:, 0] = np.where(has[1:], 2 * uni[:-1] - 1, at[1:, 0])
+        x = halves[at].astype(np.uint64)
+        if has[0]:
+            x[0, 0] = start["uinteger"]
+        x *= bound
+        if not (x.astype(np.uint32) < (1 << 32) % bound).any():
+            x >>= 32
+            picks[...] = x
+            del x
+            np.add(uni[:, None], np.arange(ni), out=at)
+            us = raw[at]
+            us >>= 11
+            us = us * 2.0 ** -53
+            end = bg.state
+            end["has_uint32"] = int(ni - has[-1]) & 1
+            end["uinteger"] = int(halves[2 * uni[-1] - 1])
+            bg.state = end
+            return picks, us
+        bg.state = start
+    us = np.empty((sweeps, ni))
+    for r in range(sweeps):
+        picks[r] = rng.integers(0, bound, size=ni, dtype=np.int32)
+        rng.random(out=us[r])
+    return picks, us
+
+
 def metropolis_records(g: BoxGeometry, n2a: float, total: int,
                        rng: np.random.Generator, accounted: bool
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Run `total` sweeps of the chain from all-plus and return each sweep's
     final magnetization and flip count (int64); n2a is n^(2a).
 
-    Blocks of at most 2^12 proposals (at least one sweep) are drawn ahead
-    and stacked.  Between two flips the state (H, m) is frozen, so a
+    Blocks of at most 2^12 proposals (at least one sweep) are drawn ahead,
+    each as one block of raw words where the generator allows it
+    (`_draw_proposals`).  Between two flips the state (H, m) is frozen, so a
     proposal's fate depends only on its spin, its neighbour sum and its
     uniform: the screen builds the state's 10 exact thresholds
     (`_acceptance_table`) and skips every rejection up to the next
@@ -463,11 +536,7 @@ def metropolis_records(g: BoxGeometry, n2a: float, total: int,
     done = 0
     while ni and done < total:
         nb = min(per_block, total - done)
-        picks = np.empty((nb, ni), dtype=np.int32)
-        us = np.empty((nb, ni))
-        for r in range(nb):
-            picks[r] = rng.integers(0, ni, size=ni, dtype=np.int32)
-            rng.random(out=us[r])
+        picks, us = _draw_proposals(rng, nb, ni, ni)
         picks, us = picks.ravel(), us.ravel()
         base, end, pos = done * ni, nb * ni, 0
         while pos < end:
@@ -546,14 +615,18 @@ def naive_mu_prime_dynamics(
     current temperature only, the variant whose self-organization the
     model's construction does not guarantee.
 
-    Each sweep draws its picks with one `rng.integers(0, ni, ni)` call
-    (int32, the same values and generator state as int64) and then its
-    uniforms with one `rng.random(ni)` call.  The output is that of running
+    Each sweep takes its picks and then its uniforms as one
+    `rng.integers(0, ni, ni)` call (int32, the same values and generator
+    state as int64) and one `rng.random(ni)` call would draw them.  On a
+    Philox generator a block of sweeps is one raw draw, decoded into
+    exactly those values and that state (`_draw_proposals`); other bit
+    generators make the two calls per sweep.  The output is that of running
     every proposal in turn, draw for draw; `metropolis_records` says how it
-    skips the rejections.
+    skips the rejections.  A negative burn_in is refused.
     """
     FeedbackParams(a)  # refuses a nan, infinite or non-positive exponent
     g = as_box(g)
+    _check_burn_in(burn_in)
     n2a = float(g.n) ** (2 * a)
     mags, flips = metropolis_records(g, n2a, total, rng, account_for_T_change)
     if burn_in is None:

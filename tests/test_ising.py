@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -427,6 +428,16 @@ def test_feedback_run_builds_one_workspace(monkeypatch):
     traj = two_timescale_dynamics(128, 1.99, 4, 32, philox(12))
     assert traj.steps.size == 8
     assert built == [(128, 4)]
+
+
+def test_sweep_at_another_side_frees_the_workspaces_of_the_last():
+    # only the side swept last keeps its workspaces: a side-256 one holds
+    # about 0.4 MB of buffers
+    heat_bath_sweep(SpinConfig.all_plus(build_box(256)), 1.5, philox(4))
+    work = weakref.ref(_sweep_pool[256][0])
+    heat_bath_sweep(SpinConfig.all_plus(build_box(16)), 1.5, philox(4))
+    assert list(_sweep_pool) == [16]
+    assert work() is None
 
 
 def test_concurrent_sweeps_at_one_side_match_sequential_ones():

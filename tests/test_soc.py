@@ -31,7 +31,7 @@ from soc_ising import (
     two_timescale_dynamics,
 )
 from soc_ising import ising
-from soc_ising.soc import _PROPOSAL_BLOCK
+from soc_ising.soc import _PROPOSAL_BLOCK, _draw_proposals
 
 
 def test_feedback_params_ranges():
@@ -329,8 +329,20 @@ def test_two_timescale_equals_copy_and_compare_oracle(n, a, tau, total, seed,
     assert (got.mags[got.floor_used] == 0).all()
 
 
-def _assert_naive_matches_oracle(n, a, total, seed, accounted):
-    rng_got, rng_want = philox(seed), philox(seed)
+def _generator(kind, seed):
+    """A Generator on Philox key [seed, 0], or on PCG64 or MT19937 seeded
+    with seed."""
+    if kind == "Philox":
+        return philox(seed)
+    return np.random.Generator(getattr(np.random, kind)(seed))
+
+
+def _assert_naive_matches_oracle(n, a, total, seed, accounted, kind="Philox",
+                                 buffered=False):
+    rng_got, rng_want = _generator(kind, seed), _generator(kind, seed)
+    if buffered:  # the chain starts with a 32-bit half in the buffer
+        rng_got.integers(0, 2)
+        rng_want.integers(0, 2)
     got = naive_mu_prime_dynamics(n, a, total, rng_got,
                                   account_for_T_change=accounted)
     temps, mags, flips = naive_mu_prime_oracle(n, a, total, rng_want,
@@ -385,6 +397,61 @@ def test_naive_dynamics_equals_oracle_on_random_settings(n, seed, a, total,
     _assert_naive_matches_oracle(n, a, total, seed, accounted)
 
 
+# a bound of 1.5 * 2^30 redraws a quarter of its picks
+REDRAW_BOUND = 3 << 29
+
+
+def _redraws(halves, bound):
+    """Whether numpy's bounded draw would reject one of these half-words."""
+    return bool((halves * np.uint32(bound) < (1 << 32) % bound).any())
+
+
+@pytest.mark.parametrize("kind", ["Philox", "PCG64", "MT19937"])
+@pytest.mark.parametrize("buffered", [False, True])
+@pytest.mark.parametrize("ni, bound, sweeps", [
+    (1, 1, 5),  # side 3: a bound of 1 draws no picks
+    (36, 36, 7),  # side 8: an even count never carries a half
+    (49, 49, 7),  # side 9: every other sweep carries one
+    (4225, 4225, 2),  # side 67, larger than a block
+    (37, REDRAW_BOUND, 3),  # redraws: the block is drawn again per sweep
+])
+def test_draw_proposals_equal_per_sweep_draws(kind, buffered, ni, bound,
+                                              sweeps):
+    rng_got, rng_want = _generator(kind, ni), _generator(kind, ni)
+    if buffered:
+        rng_got.integers(0, 2)
+        rng_want.integers(0, 2)
+    if kind == "Philox" and bound == REDRAW_BOUND:
+        halves = _generator(kind, ni).bit_generator.random_raw(8)
+        assert _redraws(halves.view(np.uint32), bound)
+    for _ in range(3):  # each block starts from the state the last one left
+        picks, us = _draw_proposals(rng_got, sweeps, ni, bound)
+        assert picks.dtype == np.int32 and us.dtype == np.float64
+        for r in range(sweeps):
+            assert np.array_equal(picks[r], rng_want.integers(
+                0, bound, size=ni, dtype=np.int32))
+            assert np.array_equal(us[r], rng_want.random(ni))
+        assert (repr(rng_got.bit_generator.state)
+                == repr(rng_want.bit_generator.state))
+
+
+@pytest.mark.parametrize("kind", ["Philox", "PCG64", "MT19937"])
+@pytest.mark.parametrize("n, total", [(3, 300), (9, 300), (67, 3)])
+@pytest.mark.parametrize("buffered", [False, True])
+def test_naive_dynamics_equals_oracle_on_any_bit_generator(kind, n, total,
+                                                           buffered):
+    _assert_naive_matches_oracle(n, 1.5, total, 50 + n, True, kind, buffered)
+
+
+@pytest.mark.parametrize("accounted", [True, False])
+def test_naive_dynamics_equals_oracle_through_a_redrawn_pick(accounted):
+    # Philox key [833, 0] redraws one of the first sweep's picks at side 67
+    ni = 65 ** 2
+    halves = philox(833).bit_generator.random_raw(ni).view(np.uint32)
+    assert _redraws(halves[:ni], ni)
+    _assert_naive_matches_oracle(67, 1.99, 2, 833, accounted)
+
+
 @pytest.mark.parametrize("ni", [1, 2, 3, 36, 37, 196, 3844])
 @pytest.mark.parametrize("buffered", [False, True])
 def test_int32_picks_equal_int64_picks(ni, buffered):
@@ -418,6 +485,18 @@ def test_naive_dynamics_without_interior_reports_variant_and_burn_in(n):
         assert (traj.mags == n * n).all() and (traj.flips == 0).all()
         assert rng.random() == philox(80 + n).random()  # nothing drawn
         assert naive_mu_prime_dynamics(n, 1.99, 40, rng, burn_in=3).burn_in == 3
+
+
+@pytest.mark.parametrize("run", [
+    lambda rng: two_timescale_dynamics(6, 1.99, 4, 40, rng, burn_in=-3),
+    lambda rng: naive_mu_prime_dynamics(6, 1.99, 40, rng, burn_in=-3),
+], ids=["two-timescale", "mu-prime"])
+def test_negative_burn_in_is_refused_before_any_draw(run):
+    # -3 would keep only the last 3 records
+    rng = philox(5)
+    with pytest.raises(ValueError, match="burn_in"):
+        run(rng)
+    assert rng.random() == philox(5).random()
 
 
 def test_naive_dynamics_targets_mu_prime_exactly():
