@@ -148,13 +148,14 @@ class _SweepWork:
     def __init__(self, n: int, rows: int):
         w, half = n | 1, (n * (n | 1) + 1) // 2
         self.n_int = max(n - 2, 0) ** 2  # interior sites, so uniforms per sweep
-        # sweeps per block of at most _DRAW_BLOCK uniforms
+        # sweeps per block of at most _DRAW_BLOCK uniforms and _BLOCK_SWEEPS
+        # sweeps
         self.per_block = max(1, min(_DRAW_BLOCK // max(self.n_int, 1),
                                     _BLOCK_SWEEPS))
         self.rows = rows = min(rows, self.per_block)
         self.hist = np.ones((rows + 1, 2 * half), dtype=bool)
         self.plus = self.hist[0]  # the slots
-        self.buf = self.plus.view(np.uint8)
+        self.buf = buf = self.plus.view(np.uint8)
         hist8 = self.hist.view(np.uint8)
         # the spins over rows of width w; slot i of class c is grid cell
         # 2i + c (the pad column is never read by an interior site)
@@ -165,8 +166,7 @@ class _SweepWork:
         # per block, a rank per uniform in visit order, then in slot order;
         # the runs read whole steps, so rows have n and w spare columns
         self.rank = rank = np.empty((rows, self.n_int + n), dtype=np.uint8)
-        self.ranks = ranks = np.empty((rows, self.buf.size + w),
-                                      dtype=np.uint8)
+        self.ranks = ranks = np.empty((rows, buf.size + w), dtype=np.uint8)
         shifts = ((-1, 0, -(w + 1) // 2, (w - 1) // 2),
                   (0, 1, -(w - 1) // 2, (w + 1) // 2))
         self.updates, self.runs, src = [], [], 0

@@ -439,28 +439,28 @@ def _first_acceptance(us: np.ndarray, picks: np.ndarray, site_thr: np.ndarray,
     return end
 
 
-def _draw_proposals(rng: np.random.Generator, sweeps: int, ni: int,
-                    bound: int) -> tuple[np.ndarray, np.ndarray]:
+def _draw_proposals(rng: np.random.Generator, sweeps: int, ni: int
+                    ) -> tuple[np.ndarray, np.ndarray]:
     """The picks and uniforms of `sweeps` sweeps of ni proposals, as
     (sweeps, ni) int32 and float64 arrays: value for value, and in the
     generator state they leave, those of drawing per sweep
-    `rng.integers(0, bound, ni, dtype=np.int32)` and then `rng.random(ni)`.
+    `rng.integers(0, ni, ni, dtype=np.int32)` and then `rng.random(ni)`.
 
     On Philox the block is one `random_raw` call, decoded as numpy draws
     (Lemire, ACM TOMACS 29(1), 2019).  A pick takes a 32-bit half-word x,
-    low half first, and is (x bound) >> 32 unless (x bound) mod 2^32 <
-    2^32 mod bound, where numpy draws again.  An unused high half waits in
+    low half first, and is (x ni) >> 32 unless (x ni) mod 2^32 <
+    2^32 mod ni, where numpy draws again.  An unused high half waits in
     the generator's `has_uint32`/`uinteger` buffer, across the `random`
     call too, and `uinteger` keeps it after it is used.  A uniform is
     (word >> 11) 2^-53.  A block that meets such a redraw, and every block
     of another bit generator, is drawn again sweep by sweep from the state
-    it started in.  A bound of 1 draws no picks.
+    it started in.  One site (ni = 1) draws no picks.
     """
     picks = np.zeros((sweeps, ni), dtype=np.int32)
-    if bound == 1:
+    if ni == 1:
         return picks, rng.random((sweeps, ni))
     bg = rng.bit_generator
-    if isinstance(bg, np.random.Philox) and sys.byteorder == "little" and ni > 1:
+    if isinstance(bg, np.random.Philox) and sys.byteorder == "little":
         start = bg.state
         # has[r]: a half is buffered as sweep r starts; an odd ni flips it
         has = np.full(sweeps, start["has_uint32"], dtype=np.int64)
@@ -479,8 +479,8 @@ def _draw_proposals(rng: np.random.Generator, sweeps: int, ni: int,
         x = halves[at].astype(np.uint64)
         if has[0]:
             x[0, 0] = start["uinteger"]
-        x *= bound
-        if not (x.astype(np.uint32) < (1 << 32) % bound).any():
+        x *= ni
+        if not (x.astype(np.uint32) < (1 << 32) % ni).any():
             x >>= 32
             picks[...] = x
             del x
@@ -496,7 +496,7 @@ def _draw_proposals(rng: np.random.Generator, sweeps: int, ni: int,
         bg.state = start
     us = np.empty((sweeps, ni))
     for r in range(sweeps):
-        picks[r] = rng.integers(0, bound, size=ni, dtype=np.int32)
+        picks[r] = rng.integers(0, ni, size=ni, dtype=np.int32)
         rng.random(out=us[r])
     return picks, us
 
@@ -536,7 +536,7 @@ def metropolis_records(g: BoxGeometry, n2a: float, total: int,
     done = 0
     while ni and done < total:
         nb = min(per_block, total - done)
-        picks, us = _draw_proposals(rng, nb, ni, ni)
+        picks, us = _draw_proposals(rng, nb, ni)
         picks, us = picks.ravel(), us.ravel()
         base, end, pos = done * ni, nb * ni, 0
         while pos < end:

@@ -397,39 +397,36 @@ def test_naive_dynamics_equals_oracle_on_random_settings(n, seed, a, total,
     _assert_naive_matches_oracle(n, a, total, seed, accounted)
 
 
-# a bound of 1.5 * 2^30 redraws a quarter of its picks
-REDRAW_BOUND = 3 << 29
-
-
-def _redraws(halves, bound):
-    """Whether numpy's bounded draw would reject one of these half-words."""
-    return bool((halves * np.uint32(bound) < (1 << 32) % bound).any())
+def _redraws(halves, ni):
+    """Whether numpy's bounded draw below ni rejects one of these
+    half-words."""
+    return bool((halves * np.uint32(ni) < (1 << 32) % ni).any())
 
 
 @pytest.mark.parametrize("kind", ["Philox", "PCG64", "MT19937"])
 @pytest.mark.parametrize("buffered", [False, True])
-@pytest.mark.parametrize("ni, bound, sweeps", [
-    (1, 1, 5),  # side 3: a bound of 1 draws no picks
-    (36, 36, 7),  # side 8: an even count never carries a half
-    (49, 49, 7),  # side 9: every other sweep carries one
-    (4225, 4225, 2),  # side 67, larger than a block
-    (37, REDRAW_BOUND, 3),  # redraws: the block is drawn again per sweep
+@pytest.mark.parametrize("ni, sweeps, seed", [
+    (1, 5, 1),  # side 3: one site draws no picks
+    (36, 7, 36),  # side 8: an even count never carries a half
+    (49, 7, 49),  # side 9: every other sweep carries one
+    (4225, 2, 67),  # side 67, larger than a block
+    (4225, 2, 833),  # Philox key [833, 0] redraws a pick in the first block
 ])
-def test_draw_proposals_equal_per_sweep_draws(kind, buffered, ni, bound,
-                                              sweeps):
-    rng_got, rng_want = _generator(kind, ni), _generator(kind, ni)
+def test_draw_proposals_equal_per_sweep_draws(kind, buffered, ni, sweeps,
+                                              seed):
+    rng_got, rng_want = _generator(kind, seed), _generator(kind, seed)
     if buffered:
         rng_got.integers(0, 2)
         rng_want.integers(0, 2)
-    if kind == "Philox" and bound == REDRAW_BOUND:
-        halves = _generator(kind, ni).bit_generator.random_raw(8)
-        assert _redraws(halves.view(np.uint32), bound)
+    if kind == "Philox" and ni > 1:
+        halves = philox(seed).bit_generator.random_raw(ni).view(np.uint32)
+        assert _redraws(halves[buffered:ni + buffered], ni) == (seed == 833)
     for _ in range(3):  # each block starts from the state the last one left
-        picks, us = _draw_proposals(rng_got, sweeps, ni, bound)
+        picks, us = _draw_proposals(rng_got, sweeps, ni)
         assert picks.dtype == np.int32 and us.dtype == np.float64
         for r in range(sweeps):
             assert np.array_equal(picks[r], rng_want.integers(
-                0, bound, size=ni, dtype=np.int32))
+                0, ni, size=ni, dtype=np.int32))
             assert np.array_equal(us[r], rng_want.random(ni))
         assert (repr(rng_got.bit_generator.state)
                 == repr(rng_want.bit_generator.state))
