@@ -329,20 +329,22 @@ def test_two_timescale_equals_copy_and_compare_oracle(n, a, tau, total, seed,
     assert (got.mags[got.floor_used] == 0).all()
 
 
-def _generator(kind, seed):
-    """A Generator on Philox key [seed, 0], or on PCG64 or MT19937 seeded
-    with seed."""
-    if kind == "Philox":
-        return philox(seed)
-    return np.random.Generator(getattr(np.random, kind)(seed))
+def _generator_pair(kind, seed, buffered=False):
+    """Two equal Generators on Philox key [seed, 0], or on PCG64 or MT19937
+    seeded with seed; buffered, each holds a 32-bit half in its buffer."""
+    pair = []
+    for _ in range(2):
+        rng = (philox(seed) if kind == "Philox"
+               else np.random.Generator(getattr(np.random, kind)(seed)))
+        if buffered:
+            rng.integers(0, 2)
+        pair.append(rng)
+    return pair
 
 
 def _assert_naive_matches_oracle(n, a, total, seed, accounted, kind="Philox",
                                  buffered=False):
-    rng_got, rng_want = _generator(kind, seed), _generator(kind, seed)
-    if buffered:  # the chain starts with a 32-bit half in the buffer
-        rng_got.integers(0, 2)
-        rng_want.integers(0, 2)
+    rng_got, rng_want = _generator_pair(kind, seed, buffered)
     got = naive_mu_prime_dynamics(n, a, total, rng_got,
                                   account_for_T_change=accounted)
     temps, mags, flips = naive_mu_prime_oracle(n, a, total, rng_want,
@@ -414,10 +416,7 @@ def _redraws(halves, ni):
 ])
 def test_draw_proposals_equal_per_sweep_draws(kind, buffered, ni, sweeps,
                                               seed):
-    rng_got, rng_want = _generator(kind, seed), _generator(kind, seed)
-    if buffered:
-        rng_got.integers(0, 2)
-        rng_want.integers(0, 2)
+    rng_got, rng_want = _generator_pair(kind, seed, buffered)
     if kind == "Philox" and ni > 1:
         halves = philox(seed).bit_generator.random_raw(ni).view(np.uint32)
         assert _redraws(halves[buffered:ni + buffered], ni) == (seed == 833)
