@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import BoxGeometry, as_box
+from .lattice import BoxGeometry, _checked_index, as_box
 
 T_CRITICAL = 2.0 / math.log(1.0 + math.sqrt(2.0))
 
@@ -127,9 +127,10 @@ _BLOCK_SWEEPS = 64
 
 
 class _SweepWork:
-    """The side-n box as the heat-bath sweep stores it, with the buffers of a
-    sweep call for up to `rows` sweeps per draw block and the views of them
-    that its inner loops read, built once.
+    """The side-n box as the heat-bath sweep stores it, with the buffers for
+    up to `rows` sweeps per draw block and the views of them that its inner
+    loops read, built once.  `load` puts spins in, `sweep` runs any number
+    of sweeps on them in place, and `store` writes them back out.
 
     Rows have the odd width w = n | 1 (one pad column when n is even), so
     grid site (x, y) sits at q = x w + y and its colour is q & 1.  Colour
@@ -142,7 +143,7 @@ class _SweepWork:
     as the block starts and row r + 1 after its sweep r.  Each entry of
     `updates` spans one class's slots, from its first interior site to its
     last, in every row, with the four neighbour slices over the rows;
-    `steps[r]` holds sweep r's one-row views of them.
+    `steps[r]` holds sweep r's one-row views of them.  Pad slots hold 1.
     """
 
     def __init__(self, n: int, rows: int):
@@ -207,9 +208,28 @@ class _SweepWork:
                         ranks[:, d0:d0 + w * k].reshape(rows, k, w)[..., :length],
                         rank[:, s0:s0 + step * k].reshape(rows, k, step)[..., :length]))
 
+    def load(self, spins: np.ndarray):
+        """Take the n * n spins (+1/-1) into the slots of every row.
+
+        A slot outside the interior gets rank 0 where it holds +1 and
+        0 - 1 = 255 where it holds -1, so it never changes; no update
+        writes the slots outside the spans, so every row takes them here,
+        once for all the sweeps until the next load."""
+        self.box[...] = spins.reshape(self.box.shape)
+        for cells, slots in self.classes:
+            np.greater(cells, 0, out=slots)
+        np.subtract(self.buf, 1, out=self.ranks[:, :self.buf.size])
+        self.hist[1:] = self.hist[0]
+
+    def store(self, spins: np.ndarray):
+        """Write the slots back into the n * n spins (+1/-1)."""
+        for cells, slots in self.classes:
+            cells[...] = slots
+        np.subtract(2 * self.box, 1, out=spins.reshape(self.box.shape))
+
     def sweep(self, t: float, rng: np.random.Generator, sweeps: int) -> int:
-        """`sweeps` sweeps of `plus` in place; returns the number of slot
-        changes over them.
+        """`sweeps` sweeps of the loaded slots in place; returns the number
+        of slot changes over them.
 
         p[k] is the chance of +1 with k plus neighbours (h = 2k - 4).  It
         does not decrease in k, so u < p[k] exactly when k >= rank(u),
@@ -218,13 +238,8 @@ class _SweepWork:
         contiguous slices, from one history row into the next.  The slot
         changes are counted once per block, row against row.
         """
-        hist, buf, ranks = self.hist, self.buf, self.ranks
+        hist = self.hist
         p = heat_bath_table(t)[::2]
-        # a slot outside the interior gets rank 0 where it holds +1 and
-        # 0 - 1 = 255 where it holds -1, so it never changes; no update
-        # writes the slots outside the spans, so every row takes them here
-        np.subtract(buf, 1, out=ranks[:, :buf.size])
-        hist[1:] = hist[0]
         flips = 0
         for start in range(0, sweeps, self.per_block):
             b = min(self.per_block, sweeps - start)
@@ -252,10 +267,6 @@ class _SweepWork:
             rank += u >= pj
 
 
-# finished workspaces of the side swept last, for later calls at that side
-_sweep_pool: dict[int, list[_SweepWork]] = {}
-
-
 def heat_bath_sweep(config: SpinConfig, t: float, rng: np.random.Generator,
                     sweeps: int = 1) -> int:
     """`sweeps` deterministic-order heat-bath passes over all interior sites
@@ -267,37 +278,17 @@ def heat_bath_sweep(config: SpinConfig, t: float, rng: np.random.Generator,
     class are mutually non-adjacent, so this equals the sequential update in
     that order while allowing vectorization.  One uniform is drawn per site,
     in visit order, so one call draws what `sweeps` calls of one pass draw.
-    Boundary spins never move.  The spins are copied once into the colour
-    classes of `_SweepWork` and once back.  The workspaces of the side swept
-    last are kept for the next call at that side, each popped so that
-    concurrent calls never share one; a call at another side frees them.
+    Boundary spins never move.  Each call builds its own `_SweepWork` and
+    loads and stores the spins once; a caller that sweeps one box many
+    times keeps a workspace itself, as `two_timescale_dynamics` does.
     """
     if not t > 0:
         raise ValueError("heat_bath_sweep needs T > 0; T = 0 is the frozen point mass")
-    if sweeps < 1:
-        raise ValueError("sweeps must be >= 1")
-    g, spins = config.g, config.spins
-    if g.interior_ids.size == 0:
-        return 0
-    spare = _sweep_pool.get(g.n)
-    if spare is None:  # a new side: the other sides' workspaces go
-        _sweep_pool.clear()
-        spare = _sweep_pool.setdefault(g.n, [])
-    try:
-        work = spare.pop()
-    except IndexError:
-        work = None
-    if work is None or work.rows < min(work.per_block, sweeps):
-        work = _SweepWork(g.n, sweeps)  # a smaller one is dropped
-    box = spins.reshape(g.n, g.n)
-    work.box[...] = box
-    for cells, slots in work.classes:
-        np.greater(cells, 0, out=slots)
+    sweeps = _checked_index(sweeps, "sweeps", 1)
+    work = _SweepWork(config.g.n, sweeps)
+    work.load(config.spins)
     flips = work.sweep(t, rng, sweeps)
-    for cells, slots in work.classes:
-        cells[...] = slots
-    np.subtract(2 * work.box, 1, out=box)
-    spare.append(work)
+    work.store(config.spins)
     return flips
 
 

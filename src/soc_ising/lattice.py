@@ -21,12 +21,16 @@ def box_range(n: int) -> tuple[int, int]:
     return -(n // 2), (n - 1) // 2
 
 
-def _checked_index(i, what: str) -> int:
-    """`i` as an int, refused unless it is an integer (3.0 is not)."""
+def _checked_index(i, what: str, least: int | None = None) -> int:
+    """`i` as an int, refused unless it is an integer (3.0 is not) and, if
+    `least` is given, at least `least`."""
     try:
-        return operator.index(i)
+        i = operator.index(i)
     except TypeError:
         raise ValueError(f"{what} must be an integer, got {i!r}") from None
+    if least is not None and i < least:
+        raise ValueError(f"{what} must be >= {least}, got {i}")
+    return i
 
 
 def _checked_ids(ids, stop: int, what: str) -> np.ndarray:

@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import BoxGeometry, as_box
+from .lattice import BoxGeometry, _checked_index, as_box
 from .ising import (
-    SpinConfig, T_CRITICAL, PlusTable, _logsumexp, _row_prob, plus_table,
-    heat_bath_sweep,
+    SpinConfig, T_CRITICAL, PlusTable, _SweepWork, _logsumexp, _row_prob,
+    plus_table,
 )
 from .fk import p_critical, decompose
 from .coupling import es_ising_to_fk
@@ -316,12 +316,6 @@ class SocTrajectory:
         return float((t - t[:1]).std())
 
 
-def _check_burn_in(burn_in: int | None) -> None:
-    """Refuse a negative burn-in, which would keep only the last records."""
-    if burn_in is not None and burn_in < 0:
-        raise ValueError(f"burn_in must be >= 0, got {burn_in}")
-
-
 def two_timescale_dynamics(
     g: BoxGeometry | int,
     a: float,
@@ -343,25 +337,36 @@ def two_timescale_dynamics(
     temperature and stores its boundary-cluster vertex count; other rows
     store -1.  Snapshots consume randomness, so the trajectory depends on
     k (but is still a pure function of the arguments and the rng state).
-    """
+
+    The spins live in one `_SweepWork` for the run, loaded once; each
+    window draws and sweeps as `heat_bath_sweep(config, t, rng, tau)`
+    would, m is read from the slots, and the spins are written back only
+    for the snapshots.  tau (>= 1), total and snapshot_every (>= 0) must
+    be integers."""
     FeedbackParams(a)  # refuses a nan, infinite or non-positive exponent
     g = as_box(g)
-    if tau < 1:
-        raise ValueError("tau must be >= 1")
-    _check_burn_in(burn_in)
+    tau = _checked_index(tau, "tau", 1)
+    total = _checked_index(total, "total", 0)
+    snapshot_every = _checked_index(snapshot_every, "snapshot_every", 0)
+    n_rec = total // tau
+    # a negative burn-in would keep only the last records
+    burn_in = n_rec // 4 if burn_in is None else _checked_index(burn_in, "burn_in", 0)
     config = SpinConfig.all_plus(g)
     t = feedback_temperature(config, a)
     scale = float(g.n) ** (2.0 * a)
-    n_rec = total // tau
     steps = np.empty(n_rec, dtype=np.int64)
     temps = np.empty(n_rec, dtype=np.float64)
     mags = np.empty(n_rec, dtype=np.int64)
     flips = np.empty(n_rec, dtype=np.int64)
     floored = np.zeros(n_rec, dtype=bool)
     m_ns = np.full(n_rec, -1, dtype=np.int64)
+    work = _SweepWork(g.n, tau)
+    work.load(config.spins)
+    # pad slots hold 1, so m = 2 (plus slots - pad slots) - n^2
+    m_off = g.n * g.n - 2 * work.plus.size
     for r in range(n_rec):
-        nflip = heat_bath_sweep(config, t, rng, tau)
-        m = config.magnetization()
+        nflip = work.sweep(t, rng, tau)
+        m = 2 * int(np.count_nonzero(work.plus)) + m_off
         t = (m * m) / scale  # feedback_temperature, from the m in hand
         if t == 0.0:
             t = EPS_T
@@ -371,10 +376,9 @@ def two_timescale_dynamics(
         mags[r] = m
         flips[r] = nflip
         if snapshot_every > 0 and (r + 1) % snapshot_every == 0:
+            work.store(config.spins)
             omega = es_ising_to_fk(config, t, rng)
             m_ns[r] = decompose(omega).m_count
-    if burn_in is None:
-        burn_in = n_rec // 4
     return SocTrajectory(
         n=g.n, a=a, tau=tau, variant="two-timescale",
         steps=steps, temps=temps, mags=mags, flips=flips, floor_used=floored,
@@ -626,11 +630,10 @@ def naive_mu_prime_dynamics(
     """
     FeedbackParams(a)  # refuses a nan, infinite or non-positive exponent
     g = as_box(g)
-    _check_burn_in(burn_in)
+    total = _checked_index(total, "total", 0)
+    burn_in = total // 4 if burn_in is None else _checked_index(burn_in, "burn_in", 0)
     n2a = float(g.n) ** (2 * a)
     mags, flips = metropolis_records(g, n2a, total, rng, account_for_T_change)
-    if burn_in is None:
-        burn_in = total // 4
     return SocTrajectory(
         n=g.n, a=a, tau=1, variant="mu-prime" if account_for_T_change else "mu-prime-naive",
         steps=np.arange(1, total + 1, dtype=np.int64), temps=mags * mags / n2a,

@@ -3,7 +3,6 @@
 import math
 import sys
 import threading
-import weakref
 
 import numpy as np
 import pytest
@@ -26,9 +25,9 @@ from soc_ising import (
     two_timescale_dynamics,
     zero_temperature_config,
 )
-from soc_ising import ising
+from soc_ising import ising, soc
 from soc_ising.ising import (
-    IsingParams, _SweepWork, _logsumexp, _sweep_pool, enumerate_plus_configs,
+    IsingParams, _SweepWork, _logsumexp, enumerate_plus_configs,
     heat_bath_table, plus_table,
 )
 from soc_ising.soc import EPS_T
@@ -372,11 +371,14 @@ def test_sweep_layout_places_each_uniform_at_its_site(n):
 @pytest.mark.parametrize("n", [3, 4, 5, 16, 17])
 def test_boundary_and_pad_slots_never_change(n, t):
     # every slot outside the interior, pad slots and minus boundary spins
-    # included, keeps its value over a window
+    # included, keeps its value over a window.  With no colour classes to
+    # copy, `load` keeps the random slots and gives every row their ranks
     g = build_box(n)
     work = _SweepWork(n, 7)
     plus = work.plus
     plus[:] = philox(n, 3).random(plus.size) < 0.5
+    work.classes = []
+    work.load(np.ones(n * n, dtype=np.int8))
     fixed = np.ones(plus.size, dtype=bool)
     fixed[_slot_of(n, g.interior_ids)] = False
     before = plus.copy()
@@ -386,36 +388,15 @@ def test_boundary_and_pad_slots_never_change(n, t):
         assert not np.array_equal(plus, before)
 
 
-def test_sweep_reuses_a_large_enough_workspace(monkeypatch):
-    # a call takes the last call's workspace when its blocks fit, else a
-    # new one replaces it; the sweeps match the oracle either way
-    g = build_box(9)
-    monkeypatch.setitem(_sweep_pool, 9, [])
-    got, want = _random_interior(g, 9), _random_interior(g, 9)
-    rng_got, rng_want = philox(9), philox(9)
-    works = []
-    for window in (3, 1, 3, 7, 2):
-        flips = heat_bath_sweep(got, 1.5, rng_got, window)
-        oracle_flips = 0
-        for _ in range(window):
-            before = want.spins.copy()
-            heat_bath_sweep_oracle(want, 1.5, rng_want)
-            oracle_flips += int((want.spins != before).sum())
-        assert flips == oracle_flips
-        assert np.array_equal(got.spins, want.spins)
-        work, = _sweep_pool[9]
-        works.append(work)
-    assert [w.rows for w in works] == [3, 3, 3, 7, 7]
-    assert works[0] is works[1] is works[2] and works[3] is works[4]
-    # 4 rows of 16,641 slot ranks, a full draw block at side 128: kept too
-    monkeypatch.setitem(_sweep_pool, 128, [])
-    heat_bath_sweep(SpinConfig.all_plus(build_box(128)), 1.5, philox(9), 4)
-    work, = _sweep_pool[128]
+def test_workspace_rows_stop_at_one_draw_block():
+    # 4 rows of 16,641 slot ranks, a full draw block at side 128
+    work = _SweepWork(128, 9)
     assert work.rows == work.per_block == 4
 
 
 def test_feedback_run_builds_one_workspace(monkeypatch):
-    # a side-128 run of 8 refresh windows sweeps in one kept workspace
+    # a side-128 run of 8 refresh windows sweeps in one workspace, without
+    # a heat_bath_sweep call
     built = []
 
     class Counted(_SweepWork):
@@ -423,26 +404,20 @@ def test_feedback_run_builds_one_workspace(monkeypatch):
             built.append((n, rows))
             super().__init__(n, rows)
 
-    monkeypatch.setattr(ising, "_SweepWork", Counted)
-    monkeypatch.setitem(_sweep_pool, 128, [])
+    def refused(*args):
+        raise AssertionError("heat_bath_sweep called")
+
+    monkeypatch.setattr(soc, "_SweepWork", Counted)
+    monkeypatch.setattr(ising, "heat_bath_sweep", refused)
+    assert not hasattr(soc, "heat_bath_sweep")
     traj = two_timescale_dynamics(128, 1.99, 4, 32, philox(12))
     assert traj.steps.size == 8
     assert built == [(128, 4)]
 
 
-def test_sweep_at_another_side_frees_the_workspaces_of_the_last():
-    # only the side swept last keeps its workspaces: a side-256 one holds
-    # about 0.4 MB of buffers
-    heat_bath_sweep(SpinConfig.all_plus(build_box(256)), 1.5, philox(4))
-    work = weakref.ref(_sweep_pool[256][0])
-    heat_bath_sweep(SpinConfig.all_plus(build_box(16)), 1.5, philox(4))
-    assert list(_sweep_pool) == [16]
-    assert work() is None
-
-
 def test_concurrent_sweeps_at_one_side_match_sequential_ones():
-    # calls at one side share a pool of workspaces; each call pops its own,
-    # so threads never write into one another's buffers
+    # each call builds its own workspace, so threads never write into one
+    # another's buffers
     g = build_box(12)
 
     def run(seed, out):

@@ -25,6 +25,7 @@ from soc_ising import (
     exact_mu_n,
     exact_mu_prime,
     fixed_point,
+    heat_bath_sweep,
     naive_mu_prime_dynamics,
     p_critical,
     theta_asymptotic,
@@ -308,7 +309,11 @@ def test_two_timescale_snapshots():
 @pytest.mark.parametrize("n, a, tau, total, seed, snapshot_every, floored", [
     pytest.param(n, 1.99, 3, 90, 60 + n, k, [], id=f"{k}-{n}")
     for k in (0, 1, 3) for n in (1, 2, 3, 4, 6, 8)
-] + [pytest.param(12, 1.0, 1, 4000, 3, 0, [533, 2715, 3561], id="floor")])
+] + [pytest.param(12, 1.0, 1, 4000, 3, 0, [533, 2715, 3561], id="floor"),
+      # windows of 4 + 4 + 1 sweeps per draw block, spins stored at snapshots
+      pytest.param(129, 1.8, 9, 36, 129, 2, [], id="blocks-129"),
+      # spins stored between single-sweep windows
+      pytest.param(32, 1.7, 1, 300, 32, 7, [], id="store-32")])
 def test_two_timescale_equals_copy_and_compare_oracle(n, a, tau, total, seed,
                                                       snapshot_every, floored):
     rng_got, rng_want = philox(seed), philox(seed)
@@ -491,6 +496,34 @@ def test_negative_burn_in_is_refused_before_any_draw(run):
     # -3 would keep only the last 3 records
     rng = philox(5)
     with pytest.raises(ValueError, match="burn_in"):
+        run(rng)
+    assert rng.random() == philox(5).random()
+
+
+@pytest.mark.parametrize("run, name", [
+    (lambda rng: two_timescale_dynamics(6, 1.99, 4, -1, rng), "total"),
+    (lambda rng: two_timescale_dynamics(6, 1.99, 4, 10.0, rng), "total"),
+    (lambda rng: two_timescale_dynamics(6, 1.99, 2.5, 40, rng), "tau"),
+    (lambda rng: two_timescale_dynamics(6, 1.99, 0, 40, rng), "tau"),
+    (lambda rng: two_timescale_dynamics(6, 1.99, 4, 40, rng,
+                                        snapshot_every=-1), "snapshot_every"),
+    (lambda rng: two_timescale_dynamics(6, 1.99, 4, 40, rng,
+                                        snapshot_every=2.0), "snapshot_every"),
+    (lambda rng: two_timescale_dynamics(6, 1.99, 4, 40, rng,
+                                        burn_in=2.5), "burn_in"),
+    (lambda rng: naive_mu_prime_dynamics(6, 1.99, -1, rng), "total"),
+    (lambda rng: naive_mu_prime_dynamics(6, 1.99, 10.0, rng), "total"),
+    (lambda rng: heat_bath_sweep(SpinConfig.all_plus(build_box(6)), 1.0, rng,
+                                 2.5), "sweeps"),
+    (lambda rng: heat_bath_sweep(SpinConfig.all_plus(build_box(6)), 1.0, rng,
+                                 0), "sweeps"),
+], ids=["total-neg", "total-float", "tau-float", "tau-0", "snapshot-neg",
+        "snapshot-float", "burn-in-float", "mu-prime-total-neg",
+        "mu-prime-total-float", "sweeps-float", "sweeps-0"])
+def test_dynamics_refuse_bad_counts_before_any_draw(run, name):
+    # a count that is not an integer, or out of range, is named in the error
+    rng = philox(5)
+    with pytest.raises(ValueError, match=name):
         run(rng)
     assert rng.random() == philox(5).random()
 
