@@ -7,7 +7,7 @@ sorted lexicographically by coordinate, edges lexicographically by their
 """
 
 import operator
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -16,20 +16,22 @@ Coord = tuple[int, int]
 
 def box_range(n: int) -> tuple[int, int]:
     """Inclusive coordinate range [lo, hi] of the side-n box on each axis."""
-    if n < 1:
-        raise ValueError(f"box side must be >= 1, got {n}")
+    n = _checked_index(n, "box side", 1)
     return -(n // 2), (n - 1) // 2
 
 
-def _checked_index(i, what: str, least: int | None = None) -> int:
+def _checked_index(i, what: str, least: int | None = None,
+                   stop: int | None = None) -> int:
     """`i` as an int, refused unless it is an integer (3.0 is not) and, if
-    `least` is given, at least `least`."""
+    `least` and `stop` are given, at least `least` and below `stop`."""
     try:
         i = operator.index(i)
     except TypeError:
         raise ValueError(f"{what} must be an integer, got {i!r}") from None
     if least is not None and i < least:
         raise ValueError(f"{what} must be >= {least}, got {i}")
+    if stop is not None and i >= stop:
+        raise ValueError(f"{what} must be < {stop}, got {i}")
     return i
 
 
@@ -52,6 +54,9 @@ def _shifts(grid: np.ndarray) -> tuple[np.ndarray, ...]:
 
 class BoxGeometry:
     """Static geometry of the side-n box.
+
+    Only n, lo, hi and n_edges are set when a box is made; each index array
+    is built on its first read and cached, so a run holds what it reads.
 
     Attributes
     ----------
@@ -76,51 +81,75 @@ class BoxGeometry:
     """
 
     def __init__(self, n: int):
-        lo, hi = box_range(n)
-        self.n, self.lo, self.hi = n, lo, hi
-        axis = np.arange(lo, hi + 1)
-        xs, ys = np.meshgrid(axis, axis, indexing="ij")
-        self.coords = np.stack([xs.ravel(), ys.ravel()], axis=1)
+        self.n = n = _checked_index(n, "box side", 1)
+        self.lo, self.hi = box_range(n)
+        self.n_edges = 2 * n * (n - 1)
 
-        nsq = n * n
-        ids = np.arange(nsq)
-        x, y = self.coords.T
+    @cached_property
+    def coords(self) -> np.ndarray:
+        return self.lo + np.stack(np.divmod(self._ids, self.n), axis=1)
+
+    @cached_property
+    def neighbors(self) -> np.ndarray:
         # vertex ids on the (n+2) x (n+2) grid padded with -1; its four
         # shifts are the neighbours in the order (-x, -y, +y, +x)
-        grid = np.full((n + 2, n + 2), -1, dtype=np.int64)
-        grid[1:-1, 1:-1] = ids.reshape(n, n)
-        self.neighbors = np.stack(_shifts(grid), axis=-1).reshape(nsq, 4)
-        # edges are the +y then +x steps read vertex by vertex, already in
-        # (a, b) order; each endpoint row is contiguous, which is faster to
-        # gather by, and edges is their transposed view
-        fwd = self.neighbors[:, 2:]
-        steps = fwd >= 0
-        ends = np.stack([np.nonzero(steps)[0], fwd[steps]])
-        self.edge_a, self.edge_b = ends
-        self.edges = ends.T
-        self.n_edges = len(self.edges)
+        grid = np.pad(self._ids.reshape(self.n, self.n), 1, constant_values=-1)
+        return np.stack(_shifts(grid), axis=-1).reshape(-1, 4)
+
+    @cached_property
+    def edges(self) -> np.ndarray:
+        # x-row i < n-1 is a block of 2n-1 edges: (v, v+1) and (v, v+n) for
+        # j < n-1, then (v, v+n); the last x-row holds (v, v+1).  The ends are
+        # written in place into one (2, E) array; edges is its transposed view
+        n = self.n
+        ends = np.empty((2, self.n_edges), dtype=np.int64)
+        rows = (n - 1) * (2 * n - 1)
+        v, j = np.arange(0, (n - 1) * n, n)[:, None], np.arange(n - 1)
+        for k, end in enumerate(ends):  # k = 0: the ends a, 1: the ends b
+            blk = end[:rows].reshape(n - 1, 2 * n - 1)
+            np.add(v + k, j, out=blk[:, 0:-1:2])
+            np.add(v + k * n, j, out=blk[:, 1:-1:2])
+            np.add(v[:, 0], k * n + n - 1, out=blk[:, -1])
+            np.add(j, (n - 1) * n + k, out=end[rows:])
+        return ends.T
+
+    edge_a = cached_property(lambda self: self.edges[:, 0])
+    edge_b = cached_property(lambda self: self.edges[:, 1])
+
+    @cached_property
+    def incident_edges(self) -> np.ndarray:
         # the +y and +x edge ids of each vertex on the padded grid; the -x
         # edge of a vertex is the +x edge of its -x neighbour
+        n = self.n
+        steps = (self.neighbors[:, 2:] >= 0).reshape(n, n, 2)
         eid = np.full((n + 2, n + 2, 2), -1, dtype=np.int64)
-        eid[1:-1, 1:-1][steps.reshape(n, n, 2)] = np.arange(self.n_edges)
+        eid[1:-1, 1:-1][steps] = np.arange(self.n_edges)
         mx, my, _, _ = _shifts(eid)
         inc = [mx[..., 1], my[..., 0], eid[1:-1, 1:-1, 0], eid[1:-1, 1:-1, 1]]
-        self.incident_edges = np.stack(inc, axis=-1).reshape(nsq, 4)
+        return np.stack(inc, axis=-1).reshape(n * n, 4)
 
-        self.boundary_mask = (x == lo) | (x == hi) | (y == lo) | (y == hi)
-        self.boundary_ids = ids[self.boundary_mask]
+    @cached_property
+    def boundary_mask(self) -> np.ndarray:
+        bm = np.zeros((self.n, self.n), dtype=bool)
+        bm[[0, -1], :] = bm[:, [0, -1]] = True
+        return bm.ravel()
+
+    @cached_property
+    def interior_edge_mask(self) -> np.ndarray:
         bm = self.boundary_mask
-        self.interior_edge_mask = ~(bm[self.edge_a] & bm[self.edge_b])
+        return ~(bm[self.edge_a] & bm[self.edge_b])
 
-        # vertices with all four neighbours inside, split by checkerboard color
-        interior = ids[~bm]
-        colors = (x[interior] + y[interior]) & 1
-        self.interior_ids = interior
-        self.interior_even = interior[colors == 0]
-        self.interior_odd = interior[colors == 1]
-
-        # interior half-grid used by the singleton count: even 1-norm
-        self.halfgrid_mask = (~bm) & (((np.abs(x) + np.abs(y)) & 1) == 0)
+    # interior ids are taken by mask, not by flatnonzero, so that an empty
+    # interior has the strides (0,); x + y has the parity of row + column
+    _ids = property(lambda self: np.arange(self.n * self.n))
+    _odd = property(lambda self: np.add(*np.divmod(self._ids, self.n)) % 2 == 1)
+    boundary_ids = cached_property(lambda self: np.flatnonzero(self.boundary_mask))
+    interior_ids = cached_property(lambda self: self._ids[~self.boundary_mask])
+    # interior half-grid used by the singleton count: even 1-norm
+    halfgrid_mask = cached_property(lambda self: ~(self.boundary_mask | self._odd))
+    interior_even = cached_property(lambda self: self._ids[self.halfgrid_mask])
+    interior_odd = cached_property(
+        lambda self: self._ids[~self.boundary_mask & self._odd])
 
     # -- basic lookups ----------------------------------------------------
 
@@ -128,12 +157,14 @@ class BoxGeometry:
         return self.lo <= x <= self.hi and self.lo <= y <= self.hi
 
     def vertex_id(self, x: int, y: int) -> int:
+        x, y = _checked_index(x, "x"), _checked_index(y, "y")
         if not self.contains(x, y):
             raise ValueError(f"({x}, {y}) outside box of side {self.n}")
         return (x - self.lo) * self.n + (y - self.lo)
 
     def coord(self, v: int) -> Coord:
-        return int(self.coords[v, 0]), int(self.coords[v, 1])
+        row, col = divmod(_checked_index(v, "vertex id", 0, self.n * self.n), self.n)
+        return self.lo + row, self.lo + col
 
     def edge_id(self, a: int, b: int) -> int:
         """Id of the edge joining vertices a and b, given in either order."""
@@ -152,9 +183,7 @@ class BoxGeometry:
 
     def sub_box_mask(self, j: int) -> np.ndarray:
         """Boolean vertex mask of the centered side-j sub-box."""
-        if j > self.n:
-            raise ValueError(f"sub-box side {j} exceeds box side {self.n}")
-        lo, hi = box_range(j)
+        lo, hi = box_range(_checked_index(j, "sub-box side", 1, self.n + 1))
         x, y = self.coords.T
         return (x >= lo) & (x <= hi) & (y >= lo) & (y <= hi)
 

@@ -1,5 +1,8 @@
 """Geometry of the centered box, its sub-boxes, and the planar dual."""
 
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from soc_ising import (
     diameter,
     dual_geometry,
     exterior_boundary_edges,
+    two_timescale_dynamics,
 )
 
 
@@ -33,23 +37,83 @@ def test_counting_formulas(n):
     assert g.boundary_ids.size == expected_boundary
 
 
+def _read_orders(names: list[str]) -> list[list[str]]:
+    """First-read orders of a box's arrays: every rotation of `names`, so
+    each array is built first once, and the reverse with `incident_edges`
+    and `edges` first."""
+    front = ["incident_edges", "edges"]
+    back = [name for name in reversed(names) if name not in front]
+    return [names[k:] + names[:k] for k in range(len(names))] + [front + back]
+
+
 def test_box_arrays_match_oracle_layout():
     # values, dtype, shape and strides of every index array, so that every
-    # layer reads the same memory layout as before
+    # layer reads the same memory layout as before, whichever array a fresh
+    # box builds first
     for n in range(1, 61):
-        g = BoxGeometry(n)
         want = box_arrays_oracle(n)
-        assert g.n_edges == want["edges"].shape[0]
-        for name, arr in want.items():
-            got = getattr(g, name)
-            assert got.dtype == arr.dtype, (n, name)
-            assert got.shape == arr.shape, (n, name)
-            assert got.strides == arr.strides, (n, name)
-            np.testing.assert_array_equal(got, arr, err_msg=f"{n} {name}")
+        for order in _read_orders(list(want)):
+            g = BoxGeometry(n)
+            assert g.n_edges == want["edges"].shape[0]
+            for name in order:
+                got, arr = getattr(g, name), want[name]
+                assert got.dtype == arr.dtype, (n, name, order[0])
+                assert got.shape == arr.shape, (n, name, order[0])
+                assert got.strides == arr.strides, (n, name, order[0])
+                np.testing.assert_array_equal(got, arr, err_msg=f"{n} {name}")
         for j in range(1, n):
             inside = g.sub_box_mask(j)
             want_ann = np.flatnonzero(inside[want["edge_a"]] ^ inside[want["edge_b"]])
             np.testing.assert_array_equal(g.annulus_edges(j), want_ann)
+
+
+def test_box_builds_no_array_and_writes_edge_ends_in_place():
+    # a new box holds only its side, bounds and edge count; reading edge_a
+    # builds the (2, E) edge-end array with little more than its own bytes
+    tracemalloc.start()
+    try:
+        g = BoxGeometry(512)
+        made_peak, made = tracemalloc.get_traced_memory()[1], dict(vars(g))
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        g.edge_a
+        edge_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert made == {"n": 512, "lo": -256, "hi": 255, "n_edges": 2 * 512 * 511}
+    assert made_peak < 1024  # a bool row of the box alone is 512 bytes
+    assert edge_peak <= 1.3 * 2 * g.edge_a.nbytes
+
+
+@pytest.mark.parametrize("snapshot_every", [0, 2])
+def test_feedback_run_builds_only_the_arrays_it_reads(snapshot_every):
+    # the heat bath keeps its own slot layout, and snapshots read only the
+    # edge ends and the boundary ids
+    g = BoxGeometry(64)
+    two_timescale_dynamics(g, 1.99, 4, 16, np.random.default_rng(5),
+                           snapshot_every=snapshot_every)
+    unread = {"coords", "neighbors", "incident_edges", "interior_ids",
+              "interior_even", "interior_odd"}
+    assert not unread & set(vars(g))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: build_box(2.5), "box side must be an integer, got 2.5"),
+    (lambda: BoxGeometry(np.float64(4.0)), "box side must be an integer"),
+    (lambda: box_range(0), "box side must be >= 1, got 0"),
+    (lambda: build_box(4).sub_box_mask(2.5), "sub-box side must be an integer"),
+    (lambda: build_box(4).sub_box_mask(0), "sub-box side must be >= 1, got 0"),
+    (lambda: build_box(4).sub_box_mask(5), "sub-box side must be < 5, got 5"),
+    (lambda: build_box(4).vertex_id(0.5, 0), "x must be an integer, got 0.5"),
+    (lambda: build_box(4).vertex_id(0, -1.0), "y must be an integer, got -1.0"),
+    (lambda: build_box(3).coord(-1), "vertex id must be >= 0, got -1"),
+    (lambda: build_box(3).coord(9), "vertex id must be < 9, got 9"),
+    (lambda: build_box(3).coord(100), "vertex id must be < 9, got 100"),
+    (lambda: build_box(3).coord(1.0), "vertex id must be an integer, got 1.0"),
+])
+def test_lookups_refuse_non_integers_and_out_of_range(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 def test_vertex_id_roundtrip():
