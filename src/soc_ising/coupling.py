@@ -8,6 +8,8 @@ Duality sends a wired configuration on the side-n box to a free one on the
 side-(n-1) box, with the dual density p* = q(1-p) / (p + q(1-p)).
 """
 
+from __future__ import annotations
+
 import math
 
 import numpy as np

@@ -45,7 +45,8 @@ from .soc import (
     naive_mu_prime_dynamics,
     two_timescale_dynamics,
 )
-from .surgery import EventParams, event_G_n, fss_conditions, surgery
+# `surgery` (with `fractions` and `decimal`) is imported by the two runners
+# that read it, so the other commands never load it
 
 SCHEMA_VERSION = 1
 RNG_FAMILY = "philox"
@@ -424,6 +425,8 @@ def _run_duality_verify(cfg: ExperimentConfig):
 
 
 def _run_surgery_demo(cfg: ExperimentConfig):
+    from .surgery import EventParams, surgery
+
     cols = ["n", "sample", "m_before", "b", "target", "m_after", "success",
             "stage", "j_star", "h0_size", "h1_size", "h2_size", "h_size",
             "c0_count", "c0_mass", "parity_unit_used", "identity_ok",
@@ -512,6 +515,8 @@ def fss_frequency(cfg: ExperimentConfig):
     nominal thresholds 4 and 2.  `g_n` and `inner_above_2` are 0 at
     every side a run can reach (see `surgery.event_G_n`).
     """
+    from .surgery import EventParams, event_G_n, fss_conditions
+
     cols = ["n", "sample", "m_n", "inner_m", "max_interior", "units",
             "m_ratio", "inner_ratio", "g_n", "f_n", "cond_mass_upper",
             "cond_size_cap", "cond_inner_mass"]

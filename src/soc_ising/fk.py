@@ -16,6 +16,8 @@ plus one cluster merge.
 decomposition, which the next Swendsen-Wang step reuses.
 """
 
+from __future__ import annotations
+
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -216,14 +218,17 @@ def cluster_labels(g: BoxGeometry, bonds) -> np.ndarray:
     # run ids from 1; id 0 stays an unused root, which shifts every rank
     # by the same 1
     run = start.cumsum()
+    del start
     # xo[v]: the +x bond (v, v+n) is open
     xo = np.zeros((m, n, n), dtype=bool)
     xo[:, :n - 1, :n - 1] = head[:, :, 1::2]
     xo[:, :n - 1, n - 1] = head[:, :, w - 1]
     v = np.flatnonzero(xo)
+    del xo
     # every run starts as its own root, and run[v] < run[v+n]
     a = lo = run[v]
     b = hi = run[n:][v]
+    del v
     parent = np.arange(run[-1] + 1 if run.size else 1)
     while a.size:
         np.minimum.at(parent, hi, lo)
@@ -237,8 +242,14 @@ def cluster_labels(g: BoxGeometry, bonds) -> np.ndarray:
         a, b, ra, rb = a[split], b[split], ra[split], rb[split]
         lo, hi = np.minimum(ra, rb), np.maximum(ra, rb)
     rank = (parent == np.arange(parent.size)).cumsum()
-    labels = rank[parent[run]].reshape(m, n * n)
-    return labels - labels[:, :1]
+    # relabel in place: at side 1024 each temporary is 8 MB; the take
+    # reads index i before it writes slot i, and "clip" skips the copy
+    # that the default "raise" mode makes of `out`
+    np.take(parent, run, out=run, mode="clip")
+    np.take(rank, run, out=run, mode="clip")
+    labels = run.reshape(m, n * n)
+    labels -= labels[:, :1]
+    return labels
 
 
 def decompose(omega: BondConfig) -> ClusterDecomposition:

@@ -6,6 +6,8 @@ zero at every temperature).  Temperature enters as 1/T directly; T = 0 is the
 point mass on the all-plus configuration.
 """
 
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass
 from functools import lru_cache

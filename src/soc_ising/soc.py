@@ -9,6 +9,8 @@ and for the two deviation inequalities that control T away from the
 critical temperature.
 """
 
+from __future__ import annotations
+
 import math
 import sys
 from dataclasses import dataclass, field

@@ -20,6 +20,8 @@ unchanged input at most once, and the greedy pass hands back the
 decompositions it made of omega with H1 closed and with H0 closed.
 """
 
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction

@@ -1,6 +1,7 @@
 """Random-cluster machinery: decomposition, exact laws, samplers, events."""
 
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -246,6 +247,24 @@ def test_cluster_labels_all_open_and_all_closed(n):
     np.testing.assert_array_equal(labels[1], np.arange(n * n))
     np.testing.assert_array_equal(labels, cluster_labels_oracle(g, both))
     assert cluster_labels(g, both[:0]).shape == (0, n * n)
+
+
+@pytest.mark.parametrize("p", [1 - math.exp(-2 / 1.05), p_critical(2.0)])
+def test_decompose_peak_memory_at_side_512(p):
+    # the all-plus spins coupled at T = 1.05 and at T_c; the labelling
+    # drops its run starts, open +x mask and bond index list once read and
+    # relabels the run ids in place, which took the peak from 6.1 (5.6 at
+    # T_c) to 5.0 (4.7) int64 words per vertex
+    n = 512
+    omega = bernoulli_bonds(build_box(n), p, philox(3))
+    decompose(omega)
+    tracemalloc.start()
+    try:
+        decompose(omega)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.5 * 8 * n * n
 
 
 @settings(derandomize=True, deadline=None)

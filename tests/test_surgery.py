@@ -685,7 +685,7 @@ def test_surgery_demo_labels_each_input_once_and_bisects(monkeypatch):
     for module in (importlib.import_module("soc_ising.fk"), surgery_module):
         monkeypatch.setattr(module, "decompose", counted_decompose)
     monkeypatch.setattr(surgery_module, "maximal_subset_H1", counted_greedy)
-    monkeypatch.setattr(experiments, "surgery", recorded_surgery)
+    monkeypatch.setattr(surgery_module, "surgery", recorded_surgery)
     cfg = build_config("surgery-demo")
     experiments._run_surgery_demo(cfg)
     assert len(inputs) == cfg.samples
@@ -728,7 +728,7 @@ def test_surgery_labels_no_configuration_twice(monkeypatch):
 
     for module in (importlib.import_module("soc_ising.fk"), surgery_module):
         monkeypatch.setattr(module, "decompose", counted_decompose)
-    monkeypatch.setattr(experiments, "surgery", recorded_surgery)
+    monkeypatch.setattr(surgery_module, "surgery", recorded_surgery)
     cfg = build_config("surgery-demo", {}, {
         "n": "30", "p": "0.7", "a": "1.95", "samples": "20", "burn_in": "20",
         "seed": "7"})
