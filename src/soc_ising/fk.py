@@ -66,13 +66,16 @@ class BondConfig:
     __slots__ = ("g", "bonds")
 
     def __init__(self, g: BoxGeometry, bonds):
-        bonds = np.asarray(bonds, dtype=np.uint8)
+        bonds = np.asarray(bonds)
         if bonds.shape != (g.n_edges,):
             raise ValueError("bond array has wrong length")
-        if bonds.size and bonds.max() > 1:
+        # a uint8 or bool array (one per surgery probe) takes one max; any
+        # other is checked before the cast, which would make 0.5 a 0
+        if (bonds.max(initial=0) > 1 if bonds.dtype in (np.uint8, np.bool_)
+                else not ((bonds == 0) | (bonds == 1)).all()):
             raise ValueError("bonds must be 0 or 1")
         self.g = g
-        self.bonds = bonds
+        self.bonds = bonds.astype(np.uint8, copy=False)
 
     @classmethod
     def _built(cls, g: BoxGeometry, bonds: np.ndarray) -> "BondConfig":

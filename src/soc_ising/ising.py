@@ -41,13 +41,14 @@ class SpinConfig:
     __slots__ = ("g", "spins")
 
     def __init__(self, g: BoxGeometry, spins):
-        spins = np.asarray(spins, dtype=np.int8)
+        spins = np.asarray(spins)
         if spins.shape != (g.n * g.n,):
             raise ValueError("spin array has wrong length")
-        if not np.all(np.abs(spins) == 1):
+        # checked before the cast, which would make 1.5 a +1 and 255 a -1
+        if not np.all((spins == 1) | (spins == -1)):
             raise ValueError("spins must be +1 or -1")
         self.g = g
-        self.spins = spins
+        self.spins = spins.astype(np.int8, copy=False)
 
     @classmethod
     def all_plus(cls, g: BoxGeometry) -> "SpinConfig":
@@ -111,12 +112,13 @@ def conditional_plus_probability(h: float, t: float) -> float:
 
 @lru_cache(maxsize=1)
 def heat_bath_table(t: float) -> np.ndarray:
-    """`conditional_plus_probability(h, t)` for h = -4..4, at index h + 4.
+    """`conditional_plus_probability(2k - 4, t)` for k = 0..4 plus neighbours:
+    four +-1 neighbours sum to an even h, so a sweep reads only these.
 
     Cached for the last T (the feedback dynamics sweeps many times at one
     frozen temperature), so the array is read-only.
     """
-    table = np.array([_expit(2.0 * h / t) for h in range(-4, 5)])
+    table = np.array([_expit(2.0 * (2 * k - 4) / t) for k in range(5)])
     table.flags.writeable = False
     return table
 
@@ -142,10 +144,11 @@ class _SweepWork:
     class-0 indices i, i + 1, i - (w-1)/2 and i + (w+1)/2.
 
     The slots of a block are a history: row 0 of `hist` (`plus`) holds them
-    as the block starts and row r + 1 after its sweep r.  Each entry of
-    `updates` spans one class's slots, from its first interior site to its
-    last, in every row, with the four neighbour slices over the rows;
-    `steps[r]` holds sweep r's one-row views of them.  Pad slots hold 1.
+    as the block starts and row r + 1 after its sweep r.  `steps[r]` holds
+    sweep r's views per colour class, each spanning the class's slots from
+    its first interior site to its last: the four neighbour slices it
+    reads, the neighbour counts, the ranks and the slots it writes.  Pad
+    slots hold 1, and `magnetization` discounts them.
     """
 
     def __init__(self, n: int, rows: int):
@@ -172,7 +175,7 @@ class _SweepWork:
         self.ranks = ranks = np.empty((rows, buf.size + w), dtype=np.uint8)
         shifts = ((-1, 0, -(w + 1) // 2, (w - 1) // 2),
                   (0, 1, -(w - 1) // 2, (w + 1) // 2))
-        self.updates, self.runs, src = [], [], 0
+        self.runs, src = [], 0
         self.steps = [[] for _ in range(rows)]
         for c in (0, 1):
             # interior row x holds its class-c sites from y0 in {1, 2} on,
@@ -190,15 +193,13 @@ class _SweepWork:
             # and the four slices of the other class holding their neighbours
             lo, hi = lines[0][1], lines[-1][1] + lines[-1][2]
             other = (1 - 2 * c) * half + lo
-            span, out = slice(lo, hi), self.hist[:, lo:hi]
             nbrs = [hist8[:, other + d:other + d + hi - lo] for d in shifts[c]]
             count = np.empty(hi - lo, dtype=np.uint8)
-            self.updates.append((span, out, *nbrs, count))
             # sweep r reads class 1 as it was before the sweep, in row r,
             # and class 0 as the sweep left it, in row r + 1
             for r, views in enumerate(self.steps):
                 views.append((*(v[r + c] for v in nbrs), count,
-                              ranks[r, span], out[r + 1]))
+                              ranks[r, lo:hi], self.hist[r + 1, lo:hi]))
             # (into ranks, of rank) views copying the rows of one x parity:
             # row j holds uniforms s0 + j step on and slots d0 + j w on
             for group in (lines[0::2], lines[1::2]):
@@ -229,6 +230,11 @@ class _SweepWork:
             cells[...] = slots
         np.subtract(2 * self.box, 1, out=spins.reshape(self.box.shape))
 
+    def magnetization(self) -> int:
+        """The sum of the loaded spins: pad slots hold 1, so m = 2 (plus
+        slots - pad slots) - n^2."""
+        return 2 * int(np.count_nonzero(self.plus)) + self.box.size - 2 * self.plus.size
+
     def sweep(self, t: float, rng: np.random.Generator, sweeps: int) -> int:
         """`sweeps` sweeps of the loaded slots in place; returns the number
         of slot changes over them.
@@ -240,12 +246,20 @@ class _SweepWork:
         contiguous slices, from one history row into the next.  The slot
         changes are counted once per block, row against row.
         """
-        hist = self.hist
-        p = heat_bath_table(t)[::2]
+        hist, n_int = self.hist, self.n_int
+        p = heat_bath_table(t)
         flips = 0
         for start in range(0, sweeps, self.per_block):
             b = min(self.per_block, sweeps - start)
-            self.rank_uniforms(rng, b, p)
+            # the block's ranks in visit order: one compare per entry of p
+            # keeps each temporary at a byte per uniform, and the uniforms
+            # are freed before the next block's are drawn
+            u = rng.random(b * n_int).reshape(b, n_int)
+            visit = self.rank[:b, :n_int]
+            np.greater_equal(u, p[0], out=visit)
+            for pk in p[1:]:
+                visit += u >= pk
+            del u
             for dst, src in self.runs:
                 dst[:b] = src[:b]
             for step in self.steps[:b]:
@@ -257,16 +271,6 @@ class _SweepWork:
             flips += int(np.count_nonzero(hist[1:b + 1] != hist[:b]))
             hist[0] = hist[b]
         return flips
-
-    def rank_uniforms(self, rng: np.random.Generator, b: int, p: np.ndarray):
-        """Draw b sweeps' uniforms into `rank` as their ranks in visit order.
-        One compare per entry of p keeps each temporary at a byte per
-        uniform, and the uniforms are freed before the next block's."""
-        u = rng.random(b * self.n_int).reshape(b, self.n_int)
-        rank = self.rank[:b, :self.n_int]
-        np.greater_equal(u, p[0], out=rank)
-        for pj in p[1:]:
-            rank += u >= pj
 
 
 def heat_bath_sweep(config: SpinConfig, t: float, rng: np.random.Generator,

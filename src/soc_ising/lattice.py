@@ -208,8 +208,9 @@ def build_box(n: int) -> BoxGeometry:
 
 
 def as_box(g: BoxGeometry | int) -> BoxGeometry:
-    """The geometry itself, or the box of side g when g is an integer."""
-    return build_box(int(g)) if isinstance(g, (int, np.integer)) else g
+    """The geometry itself, or the box of side g (an integer >= 1).  The side
+    is made an int first, so that np.int64(3) finds the cached box of 3."""
+    return g if isinstance(g, BoxGeometry) else build_box(_checked_index(g, "box side", 1))
 
 
 _STEPS = ((-1, 0), (0, -1), (0, 1), (1, 0))

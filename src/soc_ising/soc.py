@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import BoxGeometry, _checked_index, as_box
+from .lattice import BoxGeometry, _checked_index, _shifts, as_box
 from .ising import (
     SpinConfig, T_CRITICAL, PlusTable, _SweepWork, _logsumexp, _row_prob,
     plus_table,
@@ -364,11 +364,9 @@ def two_timescale_dynamics(
     m_ns = np.full(n_rec, -1, dtype=np.int64)
     work = _SweepWork(g.n, tau)
     work.load(config.spins)
-    # pad slots hold 1, so m = 2 (plus slots - pad slots) - n^2
-    m_off = g.n * g.n - 2 * work.plus.size
     for r in range(n_rec):
         nflip = work.sweep(t, rng, tau)
-        m = 2 * int(np.count_nonzero(work.plus)) + m_off
+        m = work.magnetization()
         t = (m * m) / scale  # feedback_temperature, from the m in hand
         if t == 0.0:
             t = EPS_T
@@ -404,27 +402,25 @@ _SCALAR_STRETCH_MAX = 1 << 12
 
 
 def _acceptance_table(h: int, m: int, n2a: float, accounted: bool) -> np.ndarray:
-    """Thresholds of the frozen state (h, m): a proposal at a spin s with
-    neighbour sum `local` is accepted exactly when its uniform u satisfies
-    u < thr[5 (s + 1) + local + 4].
+    """Thresholds of the frozen state (h, m): a proposal at a spin s with q
+    plus neighbours (neighbour sum 2q - 4) is accepted exactly when its
+    uniform u satisfies u < thr[5 [s = +1] + q].
 
     Each entry is the scalar loop's own expression and `math.exp`; 2.0
-    stands for log_acc >= 0 (always accepted) and -1.0 for m' = 0 (never).
-    Odd slots are unused."""
-    thr = np.full(19, -1.0)
+    stands for log_acc >= 0 (always accepted) and -1.0 for m' = 0 (never)."""
+    thr = np.full(10, -1.0)
     t = m * m / n2a
     for s in (-1, 1):
         m_new = m - 2 * s
         if m_new == 0:
             continue
-        for local in (-4, -2, 0, 2, 4):
-            dh = 2 * s * local
+        for q in range(5):
+            dh = 2 * s * (2 * q - 4)
             if accounted:
                 log_acc = h / t - (h + dh) / (m_new * m_new / n2a)
             else:
                 log_acc = -dh / t
-            thr[5 * (s + 1) + local + 4] = (
-                2.0 if log_acc >= 0 else math.exp(log_acc))
+            thr[5 * (s > 0) + q] = 2.0 if log_acc >= 0 else math.exp(log_acc)
     return thr
 
 
@@ -453,14 +449,16 @@ def _draw_proposals(rng: np.random.Generator, sweeps: int, ni: int
     `rng.integers(0, ni, ni, dtype=np.int32)` and then `rng.random(ni)`.
 
     On Philox the block is one `random_raw` call, decoded as numpy draws
-    (Lemire, ACM TOMACS 29(1), 2019).  A pick takes a 32-bit half-word x,
-    low half first, and is (x ni) >> 32 unless (x ni) mod 2^32 <
-    2^32 mod ni, where numpy draws again.  An unused high half waits in
-    the generator's `has_uint32`/`uinteger` buffer, across the `random`
-    call too, and `uinteger` keeps it after it is used.  A uniform is
-    (word >> 11) 2^-53.  A block that meets such a redraw, and every block
-    of another bit generator, is drawn again sweep by sweep from the state
-    it started in.  One site (ni = 1) draws no picks.
+    (Lemire, ACM TOMACS 29(1), 2019).  A sweep's words are its pick words,
+    then its ni uniform words.  The picks read one stream of 32-bit halves:
+    the half the generator holds (`has_uint32`/`uinteger`), if any, then
+    the pick words' halves, low half first.  A pick of half x is
+    (x ni) >> 32 unless (x ni) mod 2^32 < 2^32 mod ni, where numpy draws
+    again.  A half left over stays held, and `uinteger` keeps the last pick
+    word's high half either way.  A uniform is (word >> 11) 2^-53.  A block
+    that meets such a redraw, and every block of another bit generator, is
+    drawn again sweep by sweep from the state it started in.  One site
+    (ni = 1) draws no picks.
     """
     picks = np.zeros((sweeps, ni), dtype=np.int32)
     if ni == 1:
@@ -468,35 +466,29 @@ def _draw_proposals(rng: np.random.Generator, sweeps: int, ni: int
     bg = rng.bit_generator
     if isinstance(bg, np.random.Philox) and sys.byteorder == "little":
         start = bg.state
-        # has[r]: a half is buffered as sweep r starts; an odd ni flips it
-        has = np.full(sweeps, start["has_uint32"], dtype=np.int64)
-        if ni & 1:
-            has ^= np.arange(sweeps) & 1
-        words = (ni - has + 1) // 2 + ni  # pick words, then uniform words
-        first = np.cumsum(words) - words
-        uni = first + words - ni  # each sweep's first uniform word
-        raw = bg.random_raw(int(uni[-1]) + ni)
-        halves = raw.view(np.uint32)
-        # fresh halves from the sweep's first word on; a buffered first pick
-        # is the high half of the sweep before's last pick word, or the
-        # generator's before the first sweep
-        at = (2 * first - has)[:, None] + np.arange(ni)
-        at[1:, 0] = np.where(has[1:], 2 * uni[:-1] - 1, at[1:, 0])
-        x = halves[at].astype(np.uint64)
-        if has[0]:
-            x[0, 0] = start["uinteger"]
+        has = start["has_uint32"]
+        # pick words drawn by the end of each sweep, so the uniform words of
+        # each sweep; every other word of the block is a pick word
+        words = (np.arange(ni, (sweeps + 1) * ni, ni) - has + 1) // 2
+        uni = (words + np.arange(0, sweeps * ni, ni))[:, None] + np.arange(ni)
+        raw = bg.random_raw(int(uni[-1, -1]) + 1)
+        pick_word = np.ones(raw.size, dtype=bool)
+        pick_word[uni] = False
+        halves = raw[pick_word].view(np.uint32)
+        x = np.empty(sweeps * ni, dtype=np.uint64)
+        x[:has] = start["uinteger"]
+        x[has:] = halves[:x.size - has]
         x *= ni
         if not (x.astype(np.uint32) < (1 << 32) % ni).any():
             x >>= 32
-            picks[...] = x
+            picks[...] = x.reshape(sweeps, ni)
             del x
-            np.add(uni[:, None], np.arange(ni), out=at)
-            us = raw[at]
+            us = raw[uni]
             us >>= 11
             us = us * 2.0 ** -53
             end = bg.state
-            end["has_uint32"] = int(ni - has[-1]) & 1
-            end["uinteger"] = int(halves[2 * uni[-1] - 1])
+            end["has_uint32"] = has + halves.size - sweeps * ni
+            end["uinteger"] = int(halves[-1])
             bg.state = end
             return picks, us
         bg.state = start
@@ -516,10 +508,10 @@ def metropolis_records(g: BoxGeometry, n2a: float, total: int,
     Blocks of at most 2^12 proposals (at least one sweep) are drawn ahead,
     each as one block of raw words where the generator allows it
     (`_draw_proposals`).  Between two flips the state (H, m) is frozen, so a
-    proposal's fate depends only on its spin, its neighbour sum and its
+    proposal's fate depends only on its spin, its plus neighbours and its
     uniform: the screen builds the state's 10 exact thresholds
-    (`_acceptance_table`) and skips every rejection up to the next
-    acceptance.  From there a scalar loop runs the proposals one by one,
+    (`_acceptance_table`), one per spin and count of plus neighbours, and
+    skips every rejection up to the next acceptance.  From there a scalar loop runs the proposals one by one,
     counts each flip in its sweep and keeps the m after the sweep's last
     flip, and hands back to the screen after a stretch that flips nothing."""
     n = g.n
@@ -531,9 +523,9 @@ def metropolis_records(g: BoxGeometry, n2a: float, total: int,
     spins = [1] * (n * n)
     sites = interior.tolist()
     nbrs = g.neighbors[interior].tolist()
-    # spin + 1 per site, read in place by the screen
-    plus1 = bytearray([2]) * (n * n)
-    grid = np.frombuffer(plus1, dtype=np.uint8).reshape(n, n)
+    # 1 per plus site, read in place by the screen
+    plus = bytearray([1]) * (n * n)
+    grid = np.frombuffer(plus, dtype=np.uint8).reshape(n, n)
     # per sweep: its flip count and the m after its last flip, 0 if none
     flips, m_end = [0] * total, [0] * total
     exp = math.exp
@@ -546,12 +538,10 @@ def metropolis_records(g: BoxGeometry, n2a: float, total: int,
         picks, us = picks.ravel(), us.ravel()
         base, end, pos = done * ni, nb * ni, 0
         while pos < end:
-            # 5 (s + 1) + local + 4 per interior site, in slot order
+            # 5 [s = +1] + q per interior site, in slot order
             code = grid[1:-1, 1:-1] * 5
-            code += grid[:-2, 1:-1]
-            code += grid[2:, 1:-1]
-            code += grid[1:-1, :-2]
-            code += grid[1:-1, 2:]
+            for nbr in _shifts(grid):
+                code += nbr
             thr = _acceptance_table(h, m, n2a, accounted)
             pos = _first_acceptance(us, picks, thr.take(code.ravel()),
                                     pos, end)
@@ -579,7 +569,7 @@ def metropolis_records(g: BoxGeometry, n2a: float, total: int,
                         log_acc = -dh / t
                     if log_acc >= 0 or u < exp(log_acc):
                         spins[v] = -s
-                        plus1[v] = 1 - s
+                        plus[v] = s < 0  # the new spin -s is +1
                         m = m_new
                         t = m * m / n2a
                         h += dh

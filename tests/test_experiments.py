@@ -659,14 +659,37 @@ def test_run_soc_compare_summary_shape(tmp_path):
         assert math.isfinite(c["mean_T"]) and c["mean_T"] > 0
 
 
-def test_package_imports_without_scipy():
-    # a fresh interpreter: the test modules themselves import scipy
+# each command at a small size that still takes its main path: the
+# surgery succeeds and the tail fit is not degenerate
+SMALL_RUNS = [
+    ["soc-run", "--n", "8", "--tau", "2", "--total", "40"],
+    ["soc-compare", "--n", "6", "--total", "40"],
+    ["fk-sample", "--n", "4", "--samples", "5", "--burn-in", "5"],
+    ["coupling-verify", "--n", "2"],
+    ["duality-verify", "--n", "2"],
+    ["surgery-demo", "--n", "12", "--samples", "2", "--burn-in", "5"],
+    ["enumerate", "--n", "2"],
+    ["fss-freq", "--n", "8", "--p", "0.6", "--samples", "5", "--burn-in", "5"],
+    ["tail-fit", "--n", "24", "--samples", "200", "--burn-in", "20"],
+]
+
+
+def test_package_imports_without_scipy(tmp_path):
+    # every command runs through cli.main in one fresh interpreter (the
+    # test modules themselves import scipy) where `import scipy` fails
+    assert sorted(argv[0] for argv in SMALL_RUNS) == sorted(experiments.COMMANDS)
     src = str(Path(soc_ising.__file__).resolve().parents[1])
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import soc_ising; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code, src], check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    code = ("import json, sys; sys.modules['scipy'] = None; "
+            "sys.path.insert(0, sys.argv[1]); from soc_ising.cli import main; "
+            "print(json.dumps({argv[0]: main(argv + ['--out', sys.argv[3] + '/' + argv[0]]) "
+            "for argv in json.loads(sys.argv[2])}))")
+    proc = subprocess.run([sys.executable, "-c", code, src, json.dumps(SMALL_RUNS),
+                           str(tmp_path)], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and not proc.stderr, proc.stderr
+    codes = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == {argv[0]: 0 for argv in SMALL_RUNS}
+    for argv in SMALL_RUNS:
+        assert (tmp_path / argv[0] / "summary.json").is_file(), argv[0]
 
 
 def test_fss_freq_records_p_once(tmp_path):

@@ -18,6 +18,7 @@ from helpers import (
 from soc_ising import (
     BondConfig,
     FKParams,
+    SpinConfig,
     bernoulli_bonds,
     build_box,
     close_edges,
@@ -118,6 +119,33 @@ def test_bond_config_rejects_bad_bonds():
                 np.ones((2, g.n_edges)), [1] * (g.n_edges + 1), -np.ones(g.n_edges)):
         with pytest.raises(ValueError):
             BondConfig(g, bad)
+
+
+@pytest.mark.parametrize("config, values", [
+    (SpinConfig, [1.5] * 9),  # was cast to all plus
+    (SpinConfig, np.full(9, 255.0)),  # was cast to all minus
+    (SpinConfig, np.full(9, 255, dtype=np.uint8)),
+    (SpinConfig, ["1"] * 9),
+    (BondConfig, [0.5] * 12),  # was cast to all closed
+    (BondConfig, [1.9] * 12),  # was cast to all open
+    (BondConfig, [1] * 11 + [257]),  # raised a bare OverflowError
+    (BondConfig, [math.nan] * 12),
+    (BondConfig, np.full(12, 2, dtype=np.uint8)),
+])
+def test_configs_check_values_before_the_cast(config, values):
+    with pytest.raises(ValueError, match="must be"):
+        config(build_box(3), values)
+
+
+def test_configs_take_legal_values_of_any_type():
+    g = build_box(3)
+    assert SpinConfig(g, [1.0, -1.0] * 4 + [1]).spins.tolist() == [1, -1] * 4 + [1]
+    assert SpinConfig(g, np.ones(9, dtype=bool)).spins.dtype == np.int8
+    assert BondConfig(g, [1.0, 0.0] * 6).bonds.tolist() == [1, 0] * 6
+    assert BondConfig(g, np.ones(12, dtype=bool)).bonds.dtype == np.uint8
+    # uint8 bonds, as the surgery builds them, are kept without a copy
+    bonds = np.zeros(12, dtype=np.uint8)
+    assert BondConfig(g, bonds).bonds is bonds
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])

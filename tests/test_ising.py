@@ -203,9 +203,11 @@ def test_sweep_rejects_zero_temperature():
 
 @pytest.mark.parametrize("t", SWEEP_TEMPS)
 def test_heat_bath_table_is_the_conditional(t):
+    # one entry per count k of plus neighbours, whose sum is h = 2k - 4
     table = heat_bath_table(t)
-    for h in range(-4, 5):
-        assert table[h + 4] == conditional_plus_probability(h, t)
+    assert table.shape == (5,)
+    for k in range(5):
+        assert table[k] == conditional_plus_probability(2 * k - 4, t)
 
 
 # T grid from the feedback floor up, where 2h/T spans +-8e6 down to +-0.08
@@ -216,8 +218,7 @@ def test_table_and_conditional_equal_scipy_expit():
     for t in EXPIT_TEMPS:
         t = float(t)
         want = expit(2.0 * np.arange(-4, 5) / t)
-        table = heat_bath_table(t)
-        assert np.array_equal(table, want), t
+        assert np.array_equal(heat_bath_table(t), want[::2]), t
         assert [conditional_plus_probability(h, t) for h in range(-4, 5)] \
             == want.tolist(), t
 
@@ -329,20 +330,32 @@ def _slot_of(n, v):
 
 @pytest.mark.parametrize("n", LAYOUT_SIDES)
 def test_sweep_layout_reads_each_interior_sites_neighbours(n):
+    # sweep r writes class c into history row r + 1 from ranks row r, and
+    # reads the other class in row r + c: class 1 as it was before the
+    # sweep, class 0 as the sweep left it
     g = build_box(n)
-    work = _SweepWork(n, 1)
+    work = _SweepWork(n, 2)
     half = _half(n)
     assert work.plus.size == 2 * half
     assert len(set(_slot_of(n, np.arange(n * n)))) == n * n
-    base = work.buf.ctypes.data
-    for v in g.interior_ids:
-        slot = _slot_of(n, v)
-        (span, nbrs), = [(span, nbrs) for span, _, *nbrs, _ in work.updates
-                         if span.start <= slot < span.stop
-                         and slot // half == span.start // half]
-        # each neighbour view starts that many slots into the buffer
-        read = [s.ctypes.data - base + slot - span.start for s in nbrs]
-        assert sorted(read) == sorted(_slot_of(n, g.neighbors[v])), v
+    base, row = work.buf.ctypes.data, work.hist.strides[0]
+    for r, step in enumerate(work.steps):
+        spans = []
+        for *nbrs, _, rank, out in step:
+            out_row, lo = divmod(out.ctypes.data - base, row)
+            assert out_row == r + 1 and rank.size == out.size
+            assert (rank.ctypes.data - work.ranks.ctypes.data
+                    == r * work.ranks.strides[0] + lo)
+            reads = [divmod(s.ctypes.data - base, row) for s in nbrs]
+            assert {read_row for read_row, _ in reads} == {r + lo // half}
+            spans.append((lo, lo + out.size, [at - lo for _, at in reads]))
+        for v in g.interior_ids:
+            slot = _slot_of(n, v)
+            (offsets,) = [offsets for lo, hi, offsets in spans
+                          if lo <= slot < hi and slot // half == lo // half]
+            # each neighbour view starts that many slots into its row
+            assert (sorted(slot + d for d in offsets)
+                    == sorted(_slot_of(n, g.neighbors[v]))), (r, v)
 
 
 @pytest.mark.parametrize("n", LAYOUT_SIDES)

@@ -8,14 +8,25 @@ import pytest
 
 from helpers import box_arrays_oracle, dual_maps_oracle
 from soc_ising import (
+    FKParams,
     box_range,
     BoxGeometry,
     build_box,
+    deviation_bound_check,
     diameter,
     dual_geometry,
+    es_bond_pushforward,
+    es_pushforward_check,
+    es_spin_pushforward,
+    exact_fk_distribution,
+    exact_ising_distribution,
+    exact_mu_n,
+    exact_mu_prime,
     exterior_boundary_edges,
+    naive_mu_prime_dynamics,
     two_timescale_dynamics,
 )
+from soc_ising.lattice import as_box
 
 
 def test_box_range_centers_the_box():
@@ -114,6 +125,44 @@ def test_feedback_run_builds_only_the_arrays_it_reads(snapshot_every):
 def test_lookups_refuse_non_integers_and_out_of_range(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
+
+
+# every public function that takes a box or its side
+BOX_OR_SIDE = {
+    "exact_ising_distribution": lambda g: exact_ising_distribution(g, 1.0),
+    "exact_fk_distribution": lambda g: exact_fk_distribution(
+        g, FKParams(p=0.5, q=2.0, bc=1)),
+    "es_spin_pushforward": lambda g: es_spin_pushforward(g, 1.0),
+    "es_bond_pushforward": lambda g: es_bond_pushforward(g, 1.0),
+    "es_pushforward_check": lambda g: es_pushforward_check(g, 1.0),
+    "exact_mu_n": lambda g: exact_mu_n(g, 1.9),
+    "exact_mu_prime": lambda g: exact_mu_prime(g, 1.9),
+    "deviation_bound_check": lambda g: deviation_bound_check(g, 1.9, 0.1),
+    "two_timescale_dynamics": lambda g: two_timescale_dynamics(
+        g, 1.9, 1, 4, np.random.default_rng(0)),
+    "naive_mu_prime_dynamics": lambda g: naive_mu_prime_dynamics(
+        g, 1.9, 4, np.random.default_rng(0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOX_OR_SIDE))
+@pytest.mark.parametrize("side, message", [
+    (3.0, "box side must be an integer, got 3.0"),  # each of these three
+    ("3", "box side must be an integer, got '3'"),  # used to fail with an
+    (np.float64(3.0), "box side must be an integer"),  # AttributeError
+    (None, "box side must be an integer, got None"),
+    (0, "box side must be >= 1, got 0"),
+])
+def test_box_or_side_refuses_what_is_not_a_side(name, side, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        BOX_OR_SIDE[name](side)
+
+
+@pytest.mark.parametrize("name", sorted(BOX_OR_SIDE))
+def test_box_or_side_takes_a_box_or_an_integer_side(name):
+    for g in (build_box(2), 2, np.int64(2)):
+        BOX_OR_SIDE[name](g)
+    assert as_box(np.int64(2)) is as_box(2) is build_box(2)
 
 
 def test_vertex_id_roundtrip():

@@ -32,7 +32,7 @@ from soc_ising import (
     two_timescale_dynamics,
 )
 from soc_ising import ising
-from soc_ising.soc import _PROPOSAL_BLOCK, _draw_proposals
+from soc_ising.soc import _PROPOSAL_BLOCK, _acceptance_table, _draw_proposals
 
 
 def test_feedback_params_ranges():
@@ -451,6 +451,46 @@ def test_naive_dynamics_equals_oracle_through_a_redrawn_pick(accounted):
     halves = philox(833).bit_generator.random_raw(ni).view(np.uint32)
     assert _redraws(halves[:ni], ni)
     _assert_naive_matches_oracle(67, 1.99, 2, 833, accounted)
+
+
+def _acceptance_oracle(h, m, n2a, accounted, s, q):
+    """The scalar loop's verdict on flipping spin s with q plus neighbours
+    in the frozen state (h, m), as a threshold: 2.0 for always, -1.0 for
+    never (m' = 0), else exp(log_acc)."""
+    dh = 2 * s * (2 * q - 4)
+    m_new = m - 2 * s
+    if m_new == 0:
+        return -1.0
+    t = m * m / n2a
+    if accounted:
+        log_acc = h / t - (h + dh) / (m_new * m_new / n2a)
+    else:
+        log_acc = -dh / t
+    return 2.0 if log_acc >= 0 else math.exp(log_acc)
+
+
+@pytest.mark.parametrize("accounted", [True, False])
+def test_acceptance_table_equals_the_scalar_expression(accounted):
+    # random frozen states of random boxes: h within +-E, m of the parity
+    # of n^2 and never 0, except that every tenth state has m = +-2, where
+    # one spin's flip would reach m' = 0
+    rng = philox(29, int(accounted))
+    kinds = set()
+    for i in range(2000):
+        n = int(rng.integers(3, 40))
+        n2a = float(n) ** (2 * float(rng.uniform(0.2, 2.2)))
+        h = int(rng.integers(-2 * n * (n - 1), 2 * n * (n - 1) + 1))
+        m = int(rng.choice([-2, 2])) if i % 10 == 0 else 0
+        while m == 0:
+            m = n * n - 2 * int(rng.integers(0, n * n + 1))
+        thr = _acceptance_table(h, m, n2a, accounted)
+        assert thr.shape == (10,)
+        for s in (-1, 1):
+            for q in range(5):
+                want = _acceptance_oracle(h, m, n2a, accounted, s, q)
+                assert thr[5 * (s > 0) + q] == want, (h, m, n2a, s, q)
+                kinds.add(want if want in (-1.0, 2.0) else "exp")
+    assert kinds == {-1.0, 2.0, "exp"}
 
 
 @pytest.mark.parametrize("ni", [1, 2, 3, 36, 37, 196, 3844])
