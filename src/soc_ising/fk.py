@@ -69,10 +69,8 @@ class BondConfig:
         bonds = np.asarray(bonds)
         if bonds.shape != (g.n_edges,):
             raise ValueError("bond array has wrong length")
-        # a uint8 or bool array (one per surgery probe) takes one max; any
-        # other is checked before the cast, which would make 0.5 a 0
-        if (bonds.max(initial=0) > 1 if bonds.dtype in (np.uint8, np.bool_)
-                else not ((bonds == 0) | (bonds == 1)).all()):
+        # checked before the cast, which would make 0.5 a 0 and 257 a 1
+        if not ((bonds == 0) | (bonds == 1)).all():
             raise ValueError("bonds must be 0 or 1")
         self.g = g
         self.bonds = bonds.astype(np.uint8, copy=False)
@@ -112,14 +110,14 @@ class BondConfig:
         return int(self.bonds.sum())
 
     def copy(self) -> "BondConfig":
-        return BondConfig(self.g, self.bonds.copy())
+        return BondConfig._built(self.g, self.bonds.copy())
 
 
 def close_edges(omega: BondConfig, edge_ids) -> BondConfig:
     """New configuration with the given edges closed (ids validated)."""
     bonds = omega.bonds.copy()
     bonds[_checked_ids(edge_ids, bonds.size, "edge")] = 0
-    return BondConfig(omega.g, bonds)
+    return BondConfig._built(omega.g, bonds)
 
 
 class ClusterDecomposition:

@@ -201,16 +201,18 @@ class BoxGeometry:
         return np.flatnonzero(inside[self.edge_a] ^ inside[self.edge_b])
 
 
-@lru_cache(maxsize=None)
+_cached_box = lru_cache(maxsize=None)(BoxGeometry)
+
+
 def build_box(n: int) -> BoxGeometry:
-    """Construct (and cache) the side-n box geometry."""
-    return BoxGeometry(n)
+    """Construct (and cache) the side-n box geometry.  The side is made an
+    int first, so that np.int64(3) finds the cached box of 3."""
+    return _cached_box(_checked_index(n, "box side", 1))
 
 
 def as_box(g: BoxGeometry | int) -> BoxGeometry:
-    """The geometry itself, or the box of side g (an integer >= 1).  The side
-    is made an int first, so that np.int64(3) finds the cached box of 3."""
-    return g if isinstance(g, BoxGeometry) else build_box(_checked_index(g, "box side", 1))
+    """The geometry itself, or the box of side g (an integer >= 1)."""
+    return g if isinstance(g, BoxGeometry) else build_box(g)
 
 
 _STEPS = ((-1, 0), (0, -1), (0, 1), (1, 0))

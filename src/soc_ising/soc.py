@@ -511,9 +511,9 @@ def metropolis_records(g: BoxGeometry, n2a: float, total: int,
     proposal's fate depends only on its spin, its plus neighbours and its
     uniform: the screen builds the state's 10 exact thresholds
     (`_acceptance_table`), one per spin and count of plus neighbours, and
-    skips every rejection up to the next acceptance.  From there a scalar loop runs the proposals one by one,
-    counts each flip in its sweep and keeps the m after the sweep's last
-    flip, and hands back to the screen after a stretch that flips nothing."""
+    skips every rejection up to the next acceptance.  A scalar loop then runs
+    the proposals one by one, counts each flip in its sweep, keeps the m after
+    the sweep's last flip and hands back after a stretch that flips nothing."""
     n = g.n
     interior = g.interior_ids
     ni = interior.size

@@ -162,7 +162,7 @@ def test_box_or_side_refuses_what_is_not_a_side(name, side, message):
 def test_box_or_side_takes_a_box_or_an_integer_side(name):
     for g in (build_box(2), 2, np.int64(2)):
         BOX_OR_SIDE[name](g)
-    assert as_box(np.int64(2)) is as_box(2) is build_box(2)
+    assert as_box(np.int64(2)) is as_box(2) is build_box(np.int32(2)) is build_box(2)
 
 
 def test_vertex_id_roundtrip():
