@@ -57,7 +57,7 @@ def es_fk_to_ising(omega: BondConfig, rng: np.random.Generator) -> SpinConfig:
     sign, interior clusters draw independent fair signs (in cluster-id
     order, one draw per interior cluster)."""
     g = omega.g
-    labels = cluster_labels(g, omega.bonds)[0]
+    labels = cluster_labels(g, omega.bonds)
     return SpinConfig(g, cluster_spins(g, labels, rng, wired=True))
 
 

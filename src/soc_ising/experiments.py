@@ -291,7 +291,9 @@ def _auto(burn_in: int, default: int | None) -> int | None:
 
 
 def wilson_interval(hits: int, n: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for a binomial frequency."""
+    """Wilson score interval for a binomial frequency of hits in [0, n]."""
+    if not 0 <= hits <= n:
+        raise ValueError(f"hits must lie in [0, n], got {hits} of {n}")
     if n == 0:
         return 0.0, 1.0
     phat = hits / n

@@ -3,15 +3,14 @@ samplers, cluster events.
 
 Bond configurations live on the box edge list (1 = open).  Free boundary
 counts every open cluster; wired counts all boundary-touching vertices as a
-single cluster.  `cluster_labels` labels the clusters of given bonds, for
-one configuration or a stack of them: the open +y bonds join each x-row
-into vertical runs in one cumulative sum, and hooking with pointer jumping
-joins the runs across the open +x bonds.  Cluster decompositions built on
-it carry the observables used throughout: boundary-connected set, interior
-cluster sizes, singleton counts.  The exact law labels all 2^E
-configurations instead by edge insertion (`enumerate_bond_configs`): in
-bitmask order, the configurations with an edge open are those without it
-plus one cluster merge.
+single cluster.  `cluster_labels` labels the clusters of one bond
+configuration: the open +y bonds join each x-row into vertical runs in one
+cumulative sum, and hooking with pointer jumping joins the runs across the
+open +x bonds.  Cluster decompositions built on it carry the observables
+used throughout: boundary-connected set, interior cluster sizes, singleton
+counts.  The exact law labels all 2^E configurations instead by edge
+insertion (`enumerate_bond_configs`): in bitmask order, the configurations
+with an edge open are those without it plus one cluster merge.
 `sample_chain` labels each kept sample once and yields it with its
 decomposition, which the next Swendsen-Wang step reuses.
 """
@@ -188,49 +187,47 @@ class ClusterDecomposition:
 
 
 def cluster_labels(g: BoxGeometry, bonds) -> np.ndarray:
-    """Cluster ids of every vertex for one bond configuration (shape (E,))
-    or for M of them (shape (M, E)); returns shape (M, n*n).
+    """Cluster ids of every vertex, shape (n*n,), for one bond
+    configuration of shape (E,).
 
     Vertex v = i*n + j sits in x-row i.  In the edge order, x-row i < n-1
     is a block of 2n - 1 edges, (v, v+1) then (v, v+n) for j < n-1 and
     (v, v+n) last, and the last x-row holds its n - 1 edges (v, v+1); so
-    the +y and +x bonds of the M rows are strided views of `bonds`.  A
-    vertex starts a run unless its +y bond to v - 1 is open, and the run
-    ids, the running count of starts, increase in vertex order.
-    The rows form one block-diagonal graph of runs joined by the open +x
-    bonds.  Each such bond hooks the larger of its two root runs under the
-    smaller (np.minimum.at), then pointer jumping flattens the forest,
-    until every open +x bond joins a single root.  Parents only decrease,
-    so each root is the smallest run of its cluster, which holds the
-    cluster's smallest vertex; ranking the roots row by row numbers the
-    clusters of a row by first appearance in vertex order (the
-    Hoshen-Kopelman numbering).
+    the +y and +x bonds are strided views of `bonds`.  A vertex starts a
+    run unless its +y bond to v - 1 is open, and the run ids, the running
+    count of starts, increase in vertex order.
+    The runs form a graph joined by the open +x bonds.  Each such bond
+    hooks the larger of its two root runs under the smaller
+    (np.minimum.at), then pointer jumping flattens the forest, until every
+    open +x bond joins a single root.  Parents only decrease, so each root
+    is the smallest run of its cluster, which holds the cluster's smallest
+    vertex; ranking the roots numbers the clusters by first appearance in
+    vertex order (the Hoshen-Kopelman numbering).
     """
-    rows = np.asarray(bonds)
-    if rows.ndim == 1:
-        rows = rows[None]
-    m, n = rows.shape[0], g.n
+    bonds = np.asarray(bonds)
+    if bonds.shape != (g.n_edges,):
+        raise ValueError(f"bonds must have length {g.n_edges}, got shape {bonds.shape}")
+    n = g.n
     w, k = 2 * n - 1, (n - 1) * (2 * n - 1)
-    head = rows[:, :k].reshape(m, n - 1, w)
+    head = bonds[:k].reshape(n - 1, w)
     # start[v]: the +y bond (v-1, v) is closed, so v starts a run
-    start = np.ones((m, n, n), dtype=bool)
-    np.equal(head[:, :, 0:w - 1:2], 0, out=start[:, :n - 1, 1:])
-    np.equal(rows[:, k:], 0, out=start[:, n - 1, 1:])
-    # run ids from 1; id 0 stays an unused root, which shifts every rank
-    # by the same 1
+    start = np.ones((n, n), dtype=bool)
+    np.equal(head[:, 0:w - 1:2], 0, out=start[:n - 1, 1:])
+    np.equal(bonds[k:], 0, out=start[n - 1, 1:])
+    # run ids from 1: vertex 0 starts run 1
     run = start.cumsum()
     del start
     # xo[v]: the +x bond (v, v+n) is open
-    xo = np.zeros((m, n, n), dtype=bool)
-    xo[:, :n - 1, :n - 1] = head[:, :, 1::2]
-    xo[:, :n - 1, n - 1] = head[:, :, w - 1]
+    xo = np.zeros((n, n), dtype=bool)
+    xo[:n - 1, :n - 1] = head[:, 1::2]
+    xo[:n - 1, n - 1] = head[:, w - 1]
     v = np.flatnonzero(xo)
     del xo
     # every run starts as its own root, and run[v] < run[v+n]
     a = lo = run[v]
     b = hi = run[n:][v]
     del v
-    parent = np.arange(run[-1] + 1 if run.size else 1)
+    parent = np.arange(run[-1] + 1)
     while a.size:
         np.minimum.at(parent, hi, lo)
         up = parent[parent]
@@ -242,20 +239,20 @@ def cluster_labels(g: BoxGeometry, bonds) -> np.ndarray:
             break
         a, b, ra, rb = a[split], b[split], ra[split], rb[split]
         lo, hi = np.minimum(ra, rb), np.maximum(ra, rb)
+    # a root's cluster id: the roots below it, less the unused root 0
     rank = (parent == np.arange(parent.size)).cumsum()
+    rank -= 2
     # relabel in place: at side 1024 each temporary is 8 MB; the take
     # reads index i before it writes slot i, and "clip" skips the copy
     # that the default "raise" mode makes of `out`
     np.take(parent, run, out=run, mode="clip")
     np.take(rank, run, out=run, mode="clip")
-    labels = run.reshape(m, n * n)
-    labels -= labels[:, :1]
-    return labels
+    return run
 
 
 def decompose(omega: BondConfig) -> ClusterDecomposition:
     """Cluster decomposition of the open subgraph."""
-    return ClusterDecomposition(omega.g, cluster_labels(omega.g, omega.bonds)[0])
+    return ClusterDecomposition(omega.g, cluster_labels(omega.g, omega.bonds))
 
 
 def _weights(params: FKParams, n_edges: int, ks, opens) -> np.ndarray:
@@ -376,8 +373,7 @@ def exact_fk_distribution(g: BoxGeometry | int, params: FKParams) -> FKDistribut
     """Exact finite-volume law by enumerating all bond configurations.
 
     Supported up to 24 edges (side 4); the side-4 wired law takes 0.7-1.2 s
-    (11.6-17.5 s with a `cluster_labels` call per block of 1,024) and
-    peaks near 165 MB of RSS either way, most of it the 128 MB of weights
+    and peaks near 165 MB of RSS, most of it the 128 MB of weights
     (2-CPU Intel Xeon, Python 3.11.7, numpy 2.4.6); tests of the law stay
     at side <= 3.
     """
@@ -435,7 +431,7 @@ def swendsen_wang_step(omega: BondConfig, params: FKParams, rng: np.random.Gener
     if params.q != 2:
         raise ValueError("cluster step is specific to q = 2")
     g = omega.g
-    labels = cluster_labels(g, omega.bonds)[0] if dec is None else dec.labels
+    labels = cluster_labels(g, omega.bonds) if dec is None else dec.labels
     return equal_spin_bonds(g, cluster_spins(g, labels, rng, wired=params.bc == 1),
                             params.p, rng)
 
@@ -578,7 +574,9 @@ def visit_counts(
     rng: np.random.Generator,
     method: str = "sw",
 ) -> np.ndarray:
-    """State visit counts of a sampler chain over all 2^E configurations."""
+    """State visit counts of a sampler chain over all 2^E configurations;
+    `steps` must be an integer >= 0."""
+    steps = _checked_index(steps, "steps", 0)
     g = omega0.g
     if g.n_edges > 20:
         raise ValueError("visit counting limited to <= 20 edges")
@@ -604,10 +602,14 @@ def sample_chain(
     (omega, decompose(omega)) pairs.
 
     Each kept sample is labelled once: the step after it reuses its
-    decomposition.  An unknown method raises here, not at the first sample.
+    decomposition.  An unknown method raises here, not at the first
+    sample, and so do counts that are not integers, n_samples or burn_in
+    below 0 and thin below 1.
     """
-    return _chain(_chain_step(method, params, rng), omega0, n_samples,
-                  burn_in, thin)
+    return _chain(_chain_step(method, params, rng), omega0,
+                  _checked_index(n_samples, "n_samples", 0),
+                  _checked_index(burn_in, "burn_in", 0),
+                  _checked_index(thin, "thin", 1))
 
 
 def _chain(step, omega: BondConfig, n_samples: int, burn_in: int, thin: int):

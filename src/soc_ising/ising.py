@@ -27,8 +27,7 @@ class IsingParams:
     t: float
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        self.n = _checked_index(self.n, "n", 1)
         if not (math.isfinite(self.t) and self.t >= 0):
             raise ValueError(f"temperature must be finite and >= 0, got "
                              f"{self.t!r}")
@@ -154,11 +153,10 @@ class _SweepWork:
     def __init__(self, n: int, rows: int):
         w, half = n | 1, (n * (n | 1) + 1) // 2
         self.n_int = max(n - 2, 0) ** 2  # interior sites, so uniforms per sweep
-        # sweeps per block of at most _DRAW_BLOCK uniforms and _BLOCK_SWEEPS
-        # sweeps
-        self.per_block = max(1, min(_DRAW_BLOCK // max(self.n_int, 1),
-                                    _BLOCK_SWEEPS))
-        self.rows = rows = min(rows, self.per_block)
+        # sweeps per block: at most _DRAW_BLOCK uniforms and _BLOCK_SWEEPS
+        # sweeps, and at least one sweep
+        self.rows = rows = max(1, min(rows, _DRAW_BLOCK // max(self.n_int, 1),
+                                      _BLOCK_SWEEPS))
         self.hist = np.ones((rows + 1, 2 * half), dtype=bool)
         self.plus = self.hist[0]  # the slots
         self.buf = buf = self.plus.view(np.uint8)
@@ -249,8 +247,8 @@ class _SweepWork:
         hist, n_int = self.hist, self.n_int
         p = heat_bath_table(t)
         flips = 0
-        for start in range(0, sweeps, self.per_block):
-            b = min(self.per_block, sweeps - start)
+        for start in range(0, sweeps, self.rows):
+            b = min(self.rows, sweeps - start)
             # the block's ranks in visit order: one compare per entry of p
             # keeps each temporary at a byte per uniform, and the uniforms
             # are freed before the next block's are drawn

@@ -51,8 +51,7 @@ class EventParams:
     nu: int = field(default=2, init=False)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("side must be >= 1")
+        self.n = _checked_index(self.n, "side", 1)
         if not FeedbackParams(self.a).valid_conditional_range:
             raise ValueError("exponent a must lie in (31/16, 2)")
         if not (math.isfinite(self.delta) and self.delta > 0):
@@ -84,12 +83,13 @@ class EventParams:
         return self.K * float(self.n) ** (self.a / 2.0)
 
 
-def annulus_cut_H0(omega: BondConfig, n1: int | None = None,
+def annulus_cut_H0(omega: BondConfig, n1: int,
                    dec: ClusterDecomposition | None = None) -> tuple[int, np.ndarray]:
     """Cheapest annulus cut: the half-index j in [ceil(n1/2), floor((n-2)/2)]
     whose annulus edge set meets the fewest edges spanned by the
-    boundary-connected vertices, together with that intersection.  `dec`,
-    when given, must be the decomposition of omega itself.
+    boundary-connected vertices, together with that intersection.  n1 is
+    the inner box side, `EventParams.n1`; `dec`, when given, must be the
+    decomposition of omega itself.
 
     Pigeonhole over the disjoint annuli gives |H0| <= |spanned edges| / L
     with L the number of admissible j.
@@ -98,8 +98,6 @@ def annulus_cut_H0(omega: BondConfig, n1: int | None = None,
     n = g.n
     if n < 12:
         raise ValueError("annulus cut needs side >= 12")
-    if n1 is None:
-        n1 = (5 * n) // 6
     jlo = -((-n1) // 2)
     jhi = (n - 2) // 2
     if jlo > jhi:

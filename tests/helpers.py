@@ -25,8 +25,8 @@ from soc_ising.coupling import (
 )
 from soc_ising.fk import (
     BondConfig, ClusterDecomposition, FKDistribution, FKParams, _weight_table,
-    close_edges, cluster_labels, decompose, exact_fk_distribution,
-    single_bond_heat_bath_sweep, swendsen_wang_step,
+    close_edges, decompose, exact_fk_distribution, single_bond_heat_bath_sweep,
+    swendsen_wang_step,
 )
 from soc_ising.ising import (
     T_CRITICAL, IsingDistribution, SpinConfig, _logsumexp, _plus_rows,
@@ -140,15 +140,16 @@ def fk_law_oracle(g, p: float, q: float, wired: bool) -> np.ndarray:
 
 def enumerate_bond_configs_oracle(g, starts=None):
     """All 2^E bond configurations in bitmask order (bit e = edge e), in
-    blocks of at most 1,024, each block labelled by one `cluster_labels`
-    call: the enumeration that edge insertion replaced.  Yields (first
+    blocks of at most 1,024, each block labelled by one
+    `cluster_labels_oracle` call: the enumeration that edge insertion
+    replaced, on a labeller apart from the package's.  Yields (first
     mask, bonds, labels), labels of shape (rows, n*n) in the free
     numbering; `starts`, when given, picks the blocks by first mask."""
     ne = g.n_edges
     for start in range(0, 1 << ne, 1024) if starts is None else starts:
         masks = np.arange(start, min(start + 1024, 1 << ne))
         bonds = ((masks[:, None] >> np.arange(ne)) & 1).astype(np.uint8)
-        yield start, bonds, cluster_labels(g, bonds)
+        yield start, bonds, cluster_labels_oracle(g, bonds)
 
 
 def boundary_clusters_oracle(g, labels: np.ndarray) -> np.ndarray:

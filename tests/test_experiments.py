@@ -201,6 +201,13 @@ def test_wilson_interval():
     assert wilson_interval(500, 1000)[0] > lo
 
 
+@pytest.mark.parametrize("hits,n", [(5, 3), (-1, 3), (1, 0)])
+def test_wilson_interval_refuses_hits_outside_zero_to_n(hits, n):
+    # (5, 3) and (-1, 3) used to fail with "math domain error"
+    with pytest.raises(ValueError, match=r"hits must lie in \[0, n\]"):
+        wilson_interval(hits, n)
+
+
 def test_csv_cell_formatting():
     cell = experiments._csv_cell
     assert cell(True) == "1" and cell(False) == "0"

@@ -221,12 +221,11 @@ def test_decompose_matches_bfs_oracle(seed):
 def test_cluster_labels_match_bfs_oracle(n, density, rows, seed):
     g = build_box(n)
     bonds = (philox(seed).random((rows, g.n_edges)) < density).astype(np.uint8)
-    labels = cluster_labels(g, bonds)
-    assert labels.shape == (rows, n * n)
-    for row, lab in zip(bonds, labels):
+    for row in bonds:
+        labels = cluster_labels(g, row)
+        assert labels.shape == (n * n,)
         # oracle components numbered by first appearance in vertex order
-        np.testing.assert_array_equal(lab, bfs_labels(g, row))
-        np.testing.assert_array_equal(cluster_labels(g, row)[0], lab)
+        np.testing.assert_array_equal(labels, bfs_labels(g, row))
 
 
 def _all_configs(g):
@@ -239,13 +238,8 @@ def test_cluster_labels_equal_oracle_on_every_small_config(n):
     g = build_box(n)
     bonds = _all_configs(g)
     want = cluster_labels_oracle(g, bonds)
-    np.testing.assert_array_equal(cluster_labels(g, bonds), want)
-    # one row at a time, and in stacks that start past the first mask
     for row, lab in zip(bonds, want):
-        np.testing.assert_array_equal(cluster_labels(g, row), lab[None])
-    for start in range(0, len(bonds), 37):
-        np.testing.assert_array_equal(cluster_labels(g, bonds[start:start + 37]),
-                                      want[start:start + 37])
+        np.testing.assert_array_equal(cluster_labels(g, row), lab)
     if n < 3:
         for row, lab in zip(bonds, want):
             np.testing.assert_array_equal(lab, bfs_labels(g, row))
@@ -258,23 +252,33 @@ def test_cluster_labels_equal_oracles_on_random_configs(n, density):
     rows = 3 if n <= 64 else 2
     bonds = (philox(n, int(10 * density)).random((rows, g.n_edges))
              < density).astype(np.uint8)
-    labels = cluster_labels(g, bonds)
-    assert labels.shape == (rows, n * n)
-    np.testing.assert_array_equal(labels, cluster_labels_oracle(g, bonds))
-    for row, lab in zip(bonds, labels):
-        np.testing.assert_array_equal(cluster_labels(g, row)[0], lab)
-        np.testing.assert_array_equal(lab, bfs_labels(g, row))
+    for row, want in zip(bonds, cluster_labels_oracle(g, bonds)):
+        labels = cluster_labels(g, row)
+        assert labels.shape == (n * n,)
+        np.testing.assert_array_equal(labels, want)
+        np.testing.assert_array_equal(labels, bfs_labels(g, row))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 16, 64])
 def test_cluster_labels_all_open_and_all_closed(n):
     g = build_box(n)
     both = np.stack([BondConfig.all_open(g).bonds, BondConfig.all_closed(g).bonds])
-    labels = cluster_labels(g, both)
+    labels = [cluster_labels(g, row) for row in both]
     np.testing.assert_array_equal(labels[0], np.zeros(n * n, dtype=np.int64))
     np.testing.assert_array_equal(labels[1], np.arange(n * n))
     np.testing.assert_array_equal(labels, cluster_labels_oracle(g, both))
-    assert cluster_labels(g, both[:0]).shape == (0, n * n)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_cluster_labels_refuse_anything_but_one_configuration(n):
+    # a stack, or bonds of another length (at side 4, five bonds used to
+    # fail inside a reshape), are refused with the expected length
+    g = build_box(n)
+    bonds = BondConfig.all_open(g).bonds
+    for bad in (np.stack([bonds, bonds]), bonds[None], bonds[:-1],
+                np.ones(5, dtype=np.uint8), np.uint8(1)):
+        with pytest.raises(ValueError, match=f"length {g.n_edges}, got shape"):
+            cluster_labels(g, bad)
 
 
 @pytest.mark.parametrize("p", [1 - math.exp(-2 / 1.05), p_critical(2.0)])
@@ -304,10 +308,9 @@ def test_cluster_labels_equal_vertex_oracle(n, rows, densities, seed):
     g = build_box(n)
     density = np.resize(np.asarray(densities), rows)[:, None]
     bonds = (philox(seed).random((rows, g.n_edges)) < density).astype(np.uint8)
-    np.testing.assert_array_equal(cluster_labels(g, bonds),
-                                  cluster_labels_oracle(g, bonds))
-    np.testing.assert_array_equal(cluster_labels(g, bonds.astype(bool)),
-                                  cluster_labels_oracle(g, bonds))
+    for row, want in zip(bonds, cluster_labels_oracle(g, bonds)):
+        np.testing.assert_array_equal(cluster_labels(g, row), want)
+        np.testing.assert_array_equal(cluster_labels(g, row.astype(bool)), want)
 
 
 def test_all_closed_counts():
@@ -692,6 +695,26 @@ def test_sample_chain_rejects_unknown_method_at_call():
     with pytest.raises(ValueError, match="unknown method"):
         sample_chain(BondConfig.all_open(g), FKParams(0.6, 2.0, 1), 2, 0, 1,
                      philox(1), method="metropolis")
+
+
+@pytest.mark.parametrize("sampler,counts,match", [
+    (sample_chain, (3, 0, 0), "thin must be >= 1, got 0"),
+    (sample_chain, (-1, 0, 1), "n_samples must be >= 0, got -1"),
+    (sample_chain, (3, -1, 1), "burn_in must be >= 0, got -1"),
+    (sample_chain, (3, 2.5, 1), "burn_in must be an integer, got 2.5"),
+    (sample_chain, (2.0, 0, 1), "n_samples must be an integer"),
+    (visit_counts, (-1,), "steps must be >= 0, got -1"),
+    (visit_counts, (2.5,), "steps must be an integer, got 2.5"),
+])
+def test_sampler_counts_refused_at_call_before_any_draw(sampler, counts, match):
+    # thin = 0 used to yield one configuration over and over, a negative
+    # count to yield or count nothing, and a float count a bare TypeError
+    rng = philox(87)
+    before = repr(rng.bit_generator.state)
+    with pytest.raises(ValueError, match=match):
+        sampler(BondConfig.all_open(build_box(3)), FKParams(0.6, 2.0, 1),
+                *counts, rng)
+    assert repr(rng.bit_generator.state) == before
 
 
 def test_tail_statistics_geometric_oracle():

@@ -48,6 +48,9 @@ def test_params_validation():
         IsingParams(n=0, t=1.0)
     with pytest.raises(ValueError):
         IsingParams(n=3, t=-0.5)
+    for n in (2.5, np.float64(3.0)):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            IsingParams(n=n, t=1.0)
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf])
@@ -404,7 +407,24 @@ def test_boundary_and_pad_slots_never_change(n, t):
 def test_workspace_rows_stop_at_one_draw_block():
     # 4 rows of 16,641 slot ranks, a full draw block at side 128
     work = _SweepWork(128, 9)
-    assert work.rows == work.per_block == 4
+    assert work.rows == 4
+
+
+@pytest.mark.parametrize("n,rows,sweeps", [(16, 2, 5), (3, 1, 5), (129, 9, 9),
+                                           (16, 64, 200)])
+def test_workspace_sweeps_past_its_rows_like_heat_bath_sweep(n, rows, sweeps):
+    # a workspace with fewer rows than the sweeps asked for steps through
+    # blocks of its own rows, and draws what one heat_bath_sweep call draws
+    g = build_box(n)
+    want, got = _random_interior(g, n), _random_interior(g, n)
+    rng_want, rng_got = philox(n, 5), philox(n, 5)
+    flips = heat_bath_sweep(want, 1.5, rng_want, sweeps)
+    work = _SweepWork(n, rows)
+    work.load(got.spins)
+    assert work.sweep(1.5, rng_got, sweeps) == flips
+    work.store(got.spins)
+    assert np.array_equal(got.spins, want.spins)
+    assert rng_got.random() == rng_want.random()
 
 
 def test_feedback_run_builds_one_workspace(monkeypatch):

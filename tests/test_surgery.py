@@ -58,6 +58,10 @@ def test_event_params_validation_and_derived_values():
     assert EventParams(n=30, a=1.999).a == 1.999
     with pytest.raises(ValueError):
         EventParams(n=0, a=1.95)
+    # n = 30.5 used to give the inner side n1 = 25.0
+    for n in (30.5, 30.0):
+        with pytest.raises(ValueError, match="side must be an integer"):
+            EventParams(n=n, a=1.95)
     with pytest.raises(ValueError):
         EventParams(n=30, a=1.95, K=0.0)
 
@@ -69,6 +73,12 @@ def test_event_params_validation_and_derived_values():
 def test_event_params_reject_non_finite_values(kwargs):
     with pytest.raises(ValueError):
         EventParams(**{"n": 30, "a": 1.95, **kwargs})
+
+
+def test_annulus_cut_takes_the_inner_side_from_the_caller():
+    # floor(5n/6) lives in EventParams.n1 alone
+    with pytest.raises(TypeError, match="n1"):
+        annulus_cut_H0(_path_config())
 
 
 def _path_config(n=12, length=5):
